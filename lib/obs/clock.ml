@@ -29,7 +29,15 @@ let now_ns () =
   in
   clamp ()
 
+(* Per-operation latencies need more than the microsecond [gettimeofday]
+   gives, and two client domains timing their own operations should not
+   contend on [last].  CLOCK_MONOTONIC (a vDSO read through bechamel's
+   allocation-free stub) has nanosecond resolution and never steps
+   backwards, so it needs no clamp; its epoch is arbitrary, which is
+   why trace timestamps stay on [now_ns]. *)
+let mono_ns () = Int64.to_int (Monotonic_clock.now ())
+
 let elapsed_ns f =
-  let t0 = now_ns () in
+  let t0 = mono_ns () in
   let r = f () in
-  (r, now_ns () - t0)
+  (r, mono_ns () - t0)

@@ -1,9 +1,10 @@
-(** A monotonically non-decreasing nanosecond clock.
+(** Nanosecond clocks.
 
-    The container's OCaml switch has no [mtime]; this wraps
-    [Unix.gettimeofday] and clamps it so successive reads never go
-    backwards (wall clocks may), which is all the trace sink and the
-    latency histograms need. *)
+    {!now_ns} wraps [Unix.gettimeofday] and clamps it so successive
+    reads never go backwards (wall clocks may); trace and sampler
+    timestamps use it.  {!mono_ns} reads CLOCK_MONOTONIC at nanosecond
+    resolution without shared state; use it to time short spans such
+    as per-operation latencies. *)
 
 (** Nanoseconds since an arbitrary epoch; non-decreasing across calls,
     including calls from different domains. *)
@@ -17,6 +18,11 @@ val now_ns : unit -> int
     precision regression tests. *)
 val of_gettimeofday : float -> int
 
+(** CLOCK_MONOTONIC in nanoseconds since an arbitrary, boot-relative
+    epoch: nanosecond resolution, never decreasing, no cross-domain
+    synchronization.  Only differences of two reads are meaningful. *)
+val mono_ns : unit -> int
+
 (** [elapsed_ns f] runs [f] and returns its result with the elapsed
-    nanoseconds. *)
+    nanoseconds, timed with {!mono_ns}. *)
 val elapsed_ns : (unit -> 'a) -> 'a * int

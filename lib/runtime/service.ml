@@ -159,9 +159,9 @@ module Load = struct
       let max_retained = ref 0 in
       for i = 0 to ops_per_client - 1 do
         let op = next_op.(pid) () in
-        let t0 = Wfs_obs.Clock.now_ns () in
+        let t0 = Wfs_obs.Clock.mono_ns () in
         let res, pos = h.apply_pos ~pid op in
-        let t1 = Wfs_obs.Clock.now_ns () in
+        let t1 = Wfs_obs.Clock.mono_ns () in
         ops.(i) <- op;
         results.(i) <- res;
         poss.(i) <- pos;
@@ -177,9 +177,9 @@ module Load = struct
       done;
       (ops, results, poss, lats, !max_retained)
     in
-    let t0 = Wfs_obs.Clock.now_ns () in
+    let t0 = Wfs_obs.Clock.mono_ns () in
     let per_client = Primitives.run_domains clients client in
-    let duration_ns = Wfs_obs.Clock.now_ns () - t0 in
+    let duration_ns = Wfs_obs.Clock.mono_ns () - t0 in
     let total = clients * ops_per_client in
     (* differential check: replay in linearization order *)
     let seq = Array.make total None in
@@ -277,9 +277,9 @@ module Load = struct
        with Fault.Halted _ -> ());
       (!completed, !max_retained)
     in
-    let t0 = Wfs_obs.Clock.now_ns () in
+    let t0 = Wfs_obs.Clock.mono_ns () in
     let per_client = Primitives.run_domains clients client in
-    let duration_ns = Wfs_obs.Clock.now_ns () - t0 in
+    let duration_ns = Wfs_obs.Clock.mono_ns () - t0 in
     let halted = Fault.halted inj in
     let history = Recorder.history recorder in
     let linearizable =
@@ -381,31 +381,31 @@ let serve ?(seed = 1) ?window ?canary ?specs ~clients ~duration_s () =
   let t = create ?window ?canary ~n:clients ?specs () in
   let handles = Array.of_list (List.map snd t.handles) in
   let deadline =
-    Wfs_obs.Clock.now_ns () + int_of_float (duration_s *. 1e9)
+    Wfs_obs.Clock.mono_ns () + int_of_float (duration_s *. 1e9)
   in
   let client pid =
     let streams =
       Array.map (fun h -> op_stream ~seed ~pid h.spec.Object_spec.menu) handles
     in
     let count = ref 0 in
-    while Wfs_obs.Clock.now_ns () < deadline do
+    while Wfs_obs.Clock.mono_ns () < deadline do
       let k = !count mod Array.length handles in
       let op = streams.(k) () in
-      let t0 = Wfs_obs.Clock.now_ns () in
+      let t0 = Wfs_obs.Clock.mono_ns () in
       ignore (handles.(k).apply ~pid op);
       if Wfs_obs.Metrics.hot () then begin
         Wfs_obs.Metrics.Counter.incr M.ops;
         Wfs_obs.Metrics.Histogram.observe M.latency_ns
-          (Wfs_obs.Clock.now_ns () - t0)
+          (Wfs_obs.Clock.mono_ns () - t0)
       end;
       incr count
     done;
     !count
   in
-  let t0 = Wfs_obs.Clock.now_ns () in
+  let t0 = Wfs_obs.Clock.mono_ns () in
   let counts = Primitives.run_domains clients client in
   {
     served_ops = List.fold_left ( + ) 0 counts;
-    serve_duration_ns = Wfs_obs.Clock.now_ns () - t0;
+    serve_duration_ns = Wfs_obs.Clock.mono_ns () - t0;
     per_object = List.map (fun (name, h) -> (name, h.length ())) t.handles;
   }

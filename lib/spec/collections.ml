@@ -62,37 +62,84 @@ let read = Op.nullary "read"
 (* A key→value map — the "map" shape of the universal object service
    (registers generalized to a keyed store; Corollary 10 still applies:
    registers alone cannot implement it wait-free for n ≥ 2 because it
-   embeds the counter via put/get on one key).  The state is an
-   association list kept sorted by key so equal abstract maps have
-   equal representations.  [put]/[del] return the displaced value (⊥
-   when the key was absent) so concurrent writers are observably
-   ordered. *)
+   embeds the counter via put/get on one key).  The state is the
+   canonical encoding [List [Pair (k, v); ...]] sorted by key, so equal
+   abstract maps have equal representations.  [put]/[del] return the
+   displaced value ([Value.none] when the key was absent) so concurrent
+   writers are observably ordered.
 
-let put k v = Op.make "put" (Value.pair k v)
-let get k = Op.make "get" k
-let del k = Op.make "del" k
+   [apply] works on the encoding directly, because the wait-free
+   construction replays it on every operation: [get] is a walk that
+   allocates only its result, and [put]/[del] rebuild the prefix up to
+   the key and share the untouched suffix with the old state. *)
+
+let put_op = Op.maker "put"
+let put k v = put_op (Value.pair k v)
+let get = Op.maker "get"
+let del = Op.maker "del"
 
 let kv_map ?(name = "kv-map") ?(initial = [])
     ?(keys = [ Value.str "a"; Value.str "b" ])
     ?(values = [ Value.int 0; Value.int 1; Value.int 2 ]) () =
-  let canonical kvs =
-    List.sort (fun (a, _) (b, _) -> Value.compare a b) kvs
+  let initial = List.sort (fun (a, _) (b, _) -> Value.compare a b) initial in
+  let rec check_distinct = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+        if Value.equal a b then
+          invalid_arg (Fmt.str "Collections.kv_map: duplicate key %a" Value.pp a);
+        check_distinct rest
+    | _ -> ()
   in
-  let encode kvs = Value.list (List.map (fun (k, v) -> Value.pair k v) kvs) in
-  let decode state = List.map Value.as_pair (Value.as_list state) in
+  check_distinct initial;
+  let not_binding () = invalid_arg "Value.as_pair: not a pair" in
+  let rec lookup k = function
+    | [] -> Value.none
+    | Value.Pair (k', v) :: rest ->
+        if Value.equal k k' then Value.some v else lookup k rest
+    | _ -> not_binding ()
+  in
+  (* Sorted insert-or-replace of the binding [kv] (a [Pair (k, _)]);
+     the replaced value, if any, goes to [displaced]. *)
+  let rec insert k kv displaced = function
+    | [] -> [ kv ]
+    | (Value.Pair (k', v') as b) :: rest as bindings ->
+        let c = Value.compare k k' in
+        if c < 0 then kv :: bindings
+        else if c = 0 then begin
+          displaced := Value.some v';
+          kv :: rest
+        end
+        else b :: insert k kv displaced rest
+    | _ -> not_binding ()
+  in
+  (* Removes the binding of [k]; raises [Not_found] when there is none. *)
+  let rec remove k displaced = function
+    | [] -> raise Not_found
+    | (Value.Pair (k', v') as b) :: rest ->
+        let c = Value.compare k k' in
+        if c < 0 then raise Not_found
+        else if c = 0 then begin
+          displaced := Value.some v';
+          rest
+        end
+        else b :: remove k displaced rest
+    | _ -> not_binding ()
+  in
   let apply state op =
-    let kvs = decode state in
-    let lookup k = List.assoc_opt k kvs |> Value.of_option in
+    let bindings = Value.as_list state in
     match Op.name op with
-    | "put" ->
-        let k, v = Value.as_pair (Op.arg op) in
-        let displaced = lookup k in
-        let kvs = canonical ((k, v) :: List.remove_assoc k kvs) in
-        (encode kvs, displaced)
-    | "get" -> (state, lookup (Op.arg op))
-    | "del" ->
-        let k = Op.arg op in
-        (encode (List.remove_assoc k kvs), lookup k)
+    | "get" -> (state, lookup (Op.arg op) bindings)
+    | "put" -> (
+        match Op.arg op with
+        | Value.Pair (k, _) as kv ->
+            let displaced = ref Value.none in
+            let bindings = insert k kv displaced bindings in
+            (Value.list bindings, !displaced)
+        | _ -> not_binding ())
+    | "del" -> (
+        let displaced = ref Value.none in
+        match remove (Op.arg op) displaced bindings with
+        | bindings -> (Value.list bindings, !displaced)
+        | exception Not_found -> (state, Value.none))
     | _ -> raise (Object_spec.Unknown_operation { obj = name; op })
   in
   let menu =
@@ -100,4 +147,5 @@ let kv_map ?(name = "kv-map") ?(initial = [])
       (fun k -> get k :: del k :: List.map (fun v -> put k v) values)
       keys
   in
-  Object_spec.make ~name ~init:(encode (canonical initial)) ~apply ~menu
+  let init = Value.list (List.map (fun (k, v) -> Value.pair k v) initial) in
+  Object_spec.make ~name ~init ~apply ~menu

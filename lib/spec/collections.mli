@@ -36,9 +36,13 @@ val put : Value.t -> Value.t -> Op.t
 val get : Value.t -> Op.t
 val del : Value.t -> Op.t
 
-(** Key→value map whose state is a key-sorted association list; [put]
-    and [del] return the displaced value (⊥ for an absent key).  The
-    third default object of the universal object service. *)
+(** Key→value map whose state is the key-sorted list
+    [List [Pair (k, v); ...]]; [get] returns [Value.some v], and [put]
+    and [del] return the displaced value the same way, all three
+    [Value.none] for an absent key.  The third default object of the
+    universal object service.
+
+    @raise Invalid_argument if two bindings of [initial] share a key. *)
 val kv_map :
   ?name:string ->
   ?initial:(Value.t * Value.t) list ->

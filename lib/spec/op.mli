@@ -9,6 +9,10 @@ type t = Value.t
 (** [make name arg] builds the invocation [name(arg)]. *)
 val make : string -> Value.t -> t
 
+(** [maker name] is [make name], except that every invocation it builds
+    shares one [Str name] tag: the same values, one allocation fewer. *)
+val maker : string -> Value.t -> t
+
 (** [nullary name] is [make name Value.unit]. *)
 val nullary : string -> t
 

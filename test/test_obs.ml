@@ -372,6 +372,21 @@ let test_clock_monotone () =
   let (), dt = Clock.elapsed_ns (fun () -> ignore (Sys.opaque_identity 1)) in
   Alcotest.(check bool) "elapsed non-negative" true (dt >= 0)
 
+(* The span clock must resolve sub-microsecond spans: per-operation
+   latencies of a few hundred ns read as 0 on a microsecond clock. *)
+let test_mono_clock () =
+  let module Clock = Wfs_obs.Clock in
+  let monotone = ref true and fine = ref false in
+  let prev = ref (Clock.mono_ns ()) in
+  for _ = 1 to 10_000 do
+    let t = Clock.mono_ns () in
+    if t < !prev then monotone := false;
+    if (t - !prev) mod 1000 <> 0 then fine := true;
+    prev := t
+  done;
+  Alcotest.(check bool) "never goes backwards" true !monotone;
+  Alcotest.(check bool) "sub-microsecond resolution" true !fine
+
 let suite =
   [
     ( "obs.clock",
@@ -380,6 +395,8 @@ let suite =
           test_clock_precision;
         Alcotest.test_case "monotone across 10k reads" `Quick
           test_clock_monotone;
+        Alcotest.test_case "monotonic span clock resolves ns" `Quick
+          test_mono_clock;
       ] );
     ( "obs.json",
       [

@@ -46,9 +46,12 @@ let test_load_counter () =
        ~window:8 ())
 
 let test_load_kv_map () =
-  ignore
-    (check_load ~spec:(Collections.kv_map ()) ~clients:3 ~ops_per_client:800
-       ~window:8 ())
+  let r =
+    check_load ~spec:(Collections.kv_map ()) ~clients:3 ~ops_per_client:800
+      ~window:8 ()
+  in
+  (* a microsecond clock read every sub-µs operation as 0 ns *)
+  Alcotest.(check bool) "p50 latency resolved" true (r.Service.Load.lat_p50_ns > 0)
 
 let test_load_with_crashes () =
   (* halt 2 of 4 clients mid-operation (after the effect): survivors

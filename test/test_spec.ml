@@ -205,6 +205,41 @@ let test_counter () =
     [ Value.int 1; Value.int 2; Value.int 1 ]
     results
 
+let test_kv_map () =
+  let a = Value.str "a" and b = Value.str "b" in
+  let m = Collections.kv_map ~initial:[ (b, Value.int 2); (a, Value.int 1) ] () in
+  let state, results =
+    apply_all m
+      [
+        Collections.get a;
+        Collections.put a (Value.int 0);
+        Collections.del b;
+        Collections.get b;
+        Collections.del b;
+        Collections.put b (Value.int 1);
+      ]
+  in
+  Alcotest.(check (list value))
+    "get/put/del results"
+    [
+      Value.some (Value.int 1);
+      Value.some (Value.int 1);
+      Value.some (Value.int 2);
+      Value.none;
+      Value.none;
+      Value.none;
+    ]
+    results;
+  Alcotest.check value "state is the sorted encoding"
+    (Value.list [ Value.pair a (Value.int 0); Value.pair b (Value.int 1) ])
+    state
+
+let test_kv_map_duplicate_initial () =
+  let a = Value.str "a" in
+  match Collections.kv_map ~initial:[ (a, Value.int 0); (a, Value.int 1) ] () with
+  | _ -> Alcotest.fail "duplicate key accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- memory --- *)
 
 let init2 = [ Value.pid 0; Value.pid 1 ]
@@ -460,12 +495,84 @@ let prop_faa_sums =
       let total = List.fold_left ( + ) 0 ks in
       Value.equal state (Value.int total))
 
+(* The kv-map's original [apply], kept as the reference oracle: decode
+   the whole map, look the key up with [List.assoc_opt], and re-sort and
+   re-encode every binding on a write.  [Collections.kv_map] works on
+   the encoding in place and must agree with it on every state and
+   result. *)
+module Kv_oracle = struct
+  let canonical kvs = List.sort (fun (a, _) (b, _) -> Value.compare a b) kvs
+  let encode kvs = Value.list (List.map (fun (k, v) -> Value.pair k v) kvs)
+  let init initial = encode (canonical initial)
+
+  let apply state op =
+    let kvs = List.map Value.as_pair (Value.as_list state) in
+    let lookup k = List.assoc_opt k kvs |> Value.of_option in
+    match Op.name op with
+    | "put" ->
+        let k, v = Value.as_pair (Op.arg op) in
+        (encode (canonical ((k, v) :: List.remove_assoc k kvs)), lookup k)
+    | "get" -> (state, lookup (Op.arg op))
+    | "del" ->
+        let k = Op.arg op in
+        (encode (List.remove_assoc k kvs), lookup k)
+    | _ -> invalid_arg "Kv_oracle.apply"
+end
+
+(* Keys of two constructors, so the order crosses [Int]/[Str]; the
+   upper half of the pool is never in the initial map, so absent keys
+   are always exercised. *)
+let kv_key i = if i mod 3 = 0 then Value.int i else Value.str (Fmt.str "k%d" i)
+
+let prop_kv_map_oracle =
+  QCheck2.Test.make ~name:"kv-map: apply agrees with the reference oracle"
+    ~count:500
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 8) (pair (int_range 0 7) (int_range 0 4)))
+        (list_size (int_range 0 40)
+           (triple (int_range 0 2) (int_range 0 11) (int_range 0 4))))
+    (fun (initial, ops) ->
+      (* distinct keys, in the generated (unsorted) order *)
+      let initial =
+        List.fold_left
+          (fun acc (k, v) ->
+            if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
+          [] initial
+        |> List.map (fun (k, v) -> (kv_key k, Value.int v))
+      in
+      let spec = Collections.kv_map ~initial () in
+      let op_of (kind, k, v) =
+        match kind with
+        | 0 -> Collections.get (kv_key k)
+        | 1 -> Collections.put (kv_key k) (Value.int v)
+        | _ -> Collections.del (kv_key k)
+      in
+      let rec run state expected = function
+        | [] -> true
+        | op :: ops ->
+            let state', res = Object_spec.apply spec state op in
+            let expected', res' = Kv_oracle.apply expected op in
+            Value.equal state' expected'
+            && Value.equal res res'
+            && run state' expected' ops
+      in
+      let init = spec.Object_spec.init in
+      Value.equal init (Kv_oracle.init initial)
+      && run init init (List.map op_of ops))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     (List.concat_map
        (fun spec -> [ prop_deterministic spec; prop_total spec ])
        (Zoo.all ())
-    @ [ prop_queue_fifo; prop_stack_reverses; prop_pqueue_sorted; prop_faa_sums ])
+    @ [
+        prop_queue_fifo;
+        prop_stack_reverses;
+        prop_pqueue_sorted;
+        prop_faa_sums;
+        prop_kv_map_oracle;
+      ])
 
 let suite =
   [
@@ -490,6 +597,9 @@ let suite =
           test_pqueue_canonical_state;
         Alcotest.test_case "set" `Quick test_set_semantics;
         Alcotest.test_case "counter" `Quick test_counter;
+        Alcotest.test_case "kv-map" `Quick test_kv_map;
+        Alcotest.test_case "kv-map rejects duplicate keys" `Quick
+          test_kv_map_duplicate_initial;
       ] );
     ( "spec.memory",
       [
