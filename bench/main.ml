@@ -100,7 +100,10 @@ let write_results path sections_run =
   let json =
     Obs.Json.obj
       [
-        (* /8 adds the obs-causal/* series (sampled causal tracing
+        (* /9 drops the perf/* and solver-ablation/* series and the
+           universal-service un-batched leg (unbatched-wait-free and
+           summary.batched_speedup) with the code they measured; /8
+           adds the obs-causal/* series (sampled causal tracing
            overhead on the universal service, target <=5%); /7 adds the
            tt/* series (transposition + no-good census grid); /6 adds
            the universal-service/* series (batched vs un-batched
@@ -112,7 +115,7 @@ let write_results path sections_run =
            added shard_states / shard_imbalance / stripe_contention to
            the perf-par series; /3 added section_timings; /2 the
            provenance stamps; /1 fields unchanged. *)
-        ("schema", Obs.Json.str "wfs-bench/8");
+        ("schema", Obs.Json.str "wfs-bench/9");
         ("generated_unix_time", Obs.Json.float (Unix.time ()));
         ("domains_used", Obs.Json.int (Domain.recommended_domain_count ()));
         ("git_rev", Obs.Json.str (git_rev ()));
@@ -249,40 +252,6 @@ let impossibility_proofs () =
     (Solver.of_spec ~n:2 ~depth:2
        (Channels.fifo_point_to_point ~name:"ch" ~processes:2
           ~messages:[ Value.pid 0; Value.pid 1 ] ()))
-
-(* ---------- ablation: agreement pruning in the solver ---------- *)
-
-let solver_ablation () =
-  section "ABL-1  solver ablation: decide-time agreement pruning";
-  let compare_counts name inst =
-    let (v1, with_prune) =
-      Solver.solve_with_stats ~prune_agreement:true inst
-    in
-    let (v2, without) =
-      Solver.solve_with_stats ~prune_agreement:false inst
-    in
-    let verdict = function
-      | Solver.Unsolvable -> "unsolvable"
-      | Solver.Solvable _ -> "solvable"
-      | Solver.Out_of_budget _ -> "budget"
-    in
-    record_series ("solver-ablation/" ^ name)
-      (Obs.Json.obj
-         [
-           ("pruned_nodes", Obs.Json.int with_prune);
-           ("unpruned_nodes", Obs.Json.int without);
-         ]);
-    Fmt.pr "  %-44s pruned: %9d nodes (%s)   unpruned: %9d nodes (%s)@." name
-      with_prune (verdict v1) without (verdict v2)
-  in
-  let reg =
-    Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
-  in
-  compare_counts "register n=2 d=2" (Solver.of_spec ~n:2 ~depth:2 reg);
-  compare_counts "test-and-set n=2 d=2"
-    (Solver.of_spec ~n:2 ~depth:2 (Registers.test_and_set ()));
-  compare_counts "test-and-set n=3 d=1"
-    (Solver.of_spec ~n:3 ~depth:1 (Registers.test_and_set ()))
 
 (* ---------- T4..T20: protocol verification cost (explorer) ---------- *)
 
@@ -438,13 +407,13 @@ let universal_throughput () =
 
 (* ---------- U1-SVC: universal object service ---------- *)
 
-(* The acceptance pair for operation batching: the batched construction
-   (one consensus round threads every announced invocation) must be at
-   least as fast as the per-op un-batched one on the same workload, and
-   the closed-loop load harness behind [wfs load] must pass its
-   differential check with truncation active. *)
+(* The batched wait-free construction (one consensus round threads
+   every announced invocation) against the lock-free one on the same
+   workload, its batch and truncation telemetry, and the closed-loop
+   load harness behind [wfs load], which must pass its differential
+   check with truncation active. *)
 let universal_service () =
-  section "U1-SVC  universal object service: batched vs un-batched wait-free";
+  section "U1-SVC  universal object service: batched wait-free vs lock-free";
   let domains = 4 in
   let per_domain = 10_000 in
   let total = domains * per_domain in
@@ -460,16 +429,15 @@ let universal_service () =
   in
   let module C = Runtime.Seq_objects.Counter in
   let module WB = Runtime.Universal.Wait_free (C) in
-  let module WU = Runtime.Universal.Wait_free_unbatched (C) in
   let module LF = Runtime.Universal.Lock_free (C) in
-  (* Each rep times the three constructions back to back over fresh
+  (* Each rep times the constructions back to back over fresh
      objects, metrics cold (this compares the constructions, not their
      instrumentation), and each construction's figure is the median of
      its reps.  Interleaving the reps — rather than timing all reps of
      one construction, then all of the next — exposes every
      construction to the same slow drift of the box (frequency
-     scaling, background load), which otherwise dominates the
-     batched/unbatched ratio on a shared single-core machine. *)
+     scaling, background load), which otherwise dominates their
+     ratio on a shared single-core machine. *)
   let time_rep apply =
     let t0 = Obs.Clock.now_ns () in
     ignore
@@ -479,22 +447,19 @@ let universal_service () =
            done));
     float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9
   in
-  let names = [| "batched-wait-free"; "unbatched-wait-free"; "lock-free" |] in
+  let names = [| "batched-wait-free"; "lock-free" |] in
   let fresh i =
     match i with
     | 0 ->
         let w = WB.create ~n:domains () in
         fun ~pid -> ignore (WB.apply w ~pid C.Incr)
-    | 1 ->
-        let w = WU.create ~n:domains in
-        fun ~pid -> ignore (WU.apply w ~pid C.Incr)
     | _ ->
         let w = LF.create () in
         fun ~pid:_ -> ignore (LF.apply w C.Incr)
   in
-  let times = Array.make_matrix 3 reps infinity in
+  let times = Array.make_matrix 2 reps infinity in
   for rep = 0 to reps - 1 do
-    for i = 0 to 2 do
+    for i = 0 to 1 do
       times.(i).(rep) <- time_rep (fresh i)
     done
   done;
@@ -503,29 +468,23 @@ let universal_service () =
     Array.sort compare a;
     a.(Array.length a / 2)
   in
-  let rate_of i =
-    let dt = median times.(i) in
-    let rate = float_of_int total /. dt /. 1000.0 in
-    Fmt.pr
-      "  %-42s %9.0f ops/ms   (%d ops in %.3fs, median of %d interleaved)@."
-      names.(i) rate total dt reps;
-    record_series
-      ("universal-service/" ^ names.(i))
-      (Obs.Json.obj
-         [
-           ("ops_per_ms", Obs.Json.float rate);
-           ("ops", Obs.Json.int total);
-           ("seconds", Obs.Json.float dt);
-           ("reps", Obs.Json.int reps);
-         ]);
-    rate
-  in
-  let batched_rate = rate_of 0 in
-  let unbatched_rate = rate_of 1 in
-  ignore (rate_of 2);
-  let speedup =
-    if unbatched_rate > 0. then batched_rate /. unbatched_rate else 1.0
-  in
+  Array.iteri
+    (fun i name ->
+      let dt = median times.(i) in
+      let rate = float_of_int total /. dt /. 1000.0 in
+      Fmt.pr
+        "  %-42s %9.0f ops/ms   (%d ops in %.3fs, median of %d interleaved)@."
+        name rate total dt reps;
+      record_series
+        ("universal-service/" ^ name)
+        (Obs.Json.obj
+           [
+             ("ops_per_ms", Obs.Json.float rate);
+             ("ops", Obs.Json.int total);
+             ("seconds", Obs.Json.float dt);
+             ("reps", Obs.Json.int reps);
+           ]))
+    names;
   (* batch-size / truncation telemetry from a short metrics-hot pass *)
   let wb = WB.create ~n:domains () in
   Obs.Metrics.with_hot (fun () ->
@@ -541,13 +500,11 @@ let universal_service () =
         if nodes = 0 then 1.0
         else float_of_int (riders1 - riders0) /. float_of_int nodes
       in
-      Fmt.pr
-        "  batched speedup %.2fx   avg batch %.2f   retained %d (window %d)@."
-        speedup avg_batch (WB.retained wb) (WB.window wb);
+      Fmt.pr "  avg batch %.2f   retained %d (window %d)@." avg_batch
+        (WB.retained wb) (WB.window wb);
       record_series "universal-service/summary"
         (Obs.Json.obj
            [
-             ("batched_speedup", Obs.Json.float speedup);
              ("avg_batch", Obs.Json.float avg_batch);
              ("retained", Obs.Json.int (WB.retained wb));
              ("window", Obs.Json.int (WB.window wb));
@@ -795,105 +752,6 @@ let randomized_series () =
      per run %.2f@."
     trials !agreements trials
     (float_of_int !total_flips /. float_of_int trials)
-
-(* ---------- PERF: engine old-vs-new, same run ---------- *)
-
-let perf () =
-  section
-    "PERF  state-space engine: interned keys + fused DP vs legacy two-pass";
-  (* Reps are overridable so CI can smoke-test this section at a tiny
-     budget (WFS_PERF_REPS=1) while local runs keep enough samples for a
-     stable minimum. *)
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
-  let time_pair name ~iters ~legacy ~fresh =
-    (* Warm both paths once, then keep the median over [reps] samples.
-       Each sample runs the workload [iters] times so the
-       sub-millisecond workloads are measurable with gettimeofday. *)
-    ignore (legacy ());
-    ignore (fresh ());
-    let sample f =
-      median_time ~reps (fun () ->
-          for _ = 1 to iters do
-            ignore (f ())
-          done)
-      /. float_of_int iters
-    in
-    let t_old = sample legacy in
-    (* search-size accounting for the new path: counter deltas across
-       the timed samples, normalized back to one call, so the json
-       carries work alongside seconds *)
-    let n0 = counter_now "solver.nodes" and s0 = counter_now "explorer.states" in
-    let t_new = sample fresh in
-    let calls = reps * iters in
-    let per_call d = (counter_now d - (if d = "solver.nodes" then n0 else s0)) / calls in
-    let nodes = per_call "solver.nodes" and states = per_call "explorer.states" in
-    let speedup = t_old /. t_new in
-    record_series ("perf/" ^ name)
-      (Obs.Json.obj
-         [
-           ("legacy_seconds", Obs.Json.float t_old);
-           ("new_seconds", Obs.Json.float t_new);
-           ("speedup", Obs.Json.float speedup);
-           ("reps", Obs.Json.int reps);
-           ("iters_per_rep", Obs.Json.int iters);
-           ("solver_nodes", Obs.Json.int nodes);
-           ("explorer_states", Obs.Json.int states);
-         ]);
-    Fmt.pr "  %-34s legacy %9.2f ms   new %9.2f ms   speedup %5.2fx@." name
-      (t_old *. 1e3) (t_new *. 1e3) speedup
-  in
-  (* Exhaustive verification: the explorer engines (interning + fused
-     DP vs the recursive two-pass reference). *)
-  let cas3 = Cas_consensus.protocol ~n:3 () in
-  let cas4 = Cas_consensus.protocol ~n:4 () in
-  let swap3 = Swap_consensus.protocol ~n:3 () in
-  time_pair "verify-cas-n3" ~iters:200
-    ~legacy:(fun () -> Protocol.verify ~legacy:true cas3)
-    ~fresh:(fun () -> Protocol.verify cas3);
-  time_pair "verify-cas-n4" ~iters:20
-    ~legacy:(fun () -> Protocol.verify ~legacy:true cas4)
-    ~fresh:(fun () -> Protocol.verify cas4);
-  time_pair "verify-mem-swap-n3" ~iters:2
-    ~legacy:(fun () -> Protocol.verify ~legacy:true swap3)
-    ~fresh:(fun () -> Protocol.verify swap3);
-  (* Strategy synthesis: interned view table vs raw (pid, view) keys on
-     the Theorem 11 instance. *)
-  let queue =
-    Queues.fifo ~name:"q"
-      ~initial:[ Value.str "a"; Value.str "b" ]
-      ~items:[ Value.str "a"; Value.str "b" ]
-      ()
-  in
-  let t11 = Solver.of_spec ~n:3 ~depth:1 queue in
-  time_pair "solver-queue-n3-d1" ~iters:1
-    ~legacy:(fun () -> Solver.solve_with_stats ~intern_views:false t11)
-    ~fresh:(fun () -> Solver.solve_with_stats t11);
-  let reg =
-    Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
-  in
-  let t2 = Solver.of_spec ~n:2 ~depth:3 reg in
-  time_pair "solver-register-n2-d3" ~iters:1
-    ~legacy:(fun () -> Solver.solve_with_stats ~intern_views:false t2)
-    ~fresh:(fun () -> Solver.solve_with_stats t2);
-  (* A census slice: two zoo objects through the full
-     initialization-quantified measurement, bounded so both paths do the
-     same work. *)
-  let census_slice ~intern_views () =
-    List.iter
-      (fun spec -> ignore (Census.measure ~max_nodes:200_000 ~intern_views spec))
-      [
-        Registers.test_and_set ();
-        Registers.atomic ~name:"r" ~init:(Value.int 0)
-          [ Value.int 0; Value.int 1 ];
-      ]
-  in
-  time_pair "census-slice" ~iters:1
-    ~legacy:(census_slice ~intern_views:false)
-    ~fresh:(census_slice ~intern_views:true)
 
 (* ---------- PERF-PAR: multicore verification speedup curves ---------- *)
 
@@ -1652,7 +1510,6 @@ let sections : (string * (unit -> unit)) list =
   [
     ("fig1.1", fig_1_1);
     ("impossibility", impossibility_proofs);
-    ("solver-ablation", solver_ablation);
     ("verify", verification_benches);
     ("primitives", primitive_benches);
     ("fac", fac_benches);
@@ -1666,7 +1523,6 @@ let sections : (string * (unit -> unit)) list =
     ("randomized", randomized_series);
     ("lamport", lamport_queue_bench);
     ("fault", fault_bench);
-    ("perf", perf);
     ("perf-par", perf_par);
     ("perf-por", perf_por);
     ("perf-tt", perf_tt);

@@ -84,13 +84,15 @@ let bad_jobs j =
   Fmt.epr "-j must be >= 0 (got %d)@." j;
   2
 
-(* --- shared --progress / --profile plumbing ---
+(* --- shared observability flags ---
 
-   [obs_setup] must wrap [with_jobs]: profiling has to be on before the
-   pool spawns its workers (each worker announces itself to the trace at
-   startup), and the profile is written only after the wrapped run
-   returns — by then the pool has been shut down and joined, so every
-   domain's ring buffer is quiescent. *)
+   --progress, --profile, --metrics-out and --metrics-port are declared
+   once, as [obs_term], and every long-running command wraps its run in
+   [obs_setup].  [obs_setup] must wrap [with_jobs]: profiling has to be
+   on before the pool spawns its workers (each worker announces itself
+   to the trace at startup), and the profile is written only after the
+   wrapped run returns — by then the pool has been shut down and
+   joined, so every domain's ring buffer is quiescent. *)
 
 let progress_arg =
   Arg.(
@@ -130,7 +132,20 @@ let metrics_port_arg =
            HTTP on localhost:$(docv) (GET /metrics) while the run is in \
            flight.")
 
-let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
+type obs = {
+  progress : bool;
+  profile : string option;
+  metrics_out : string option;
+  metrics_port : int option;
+}
+
+let obs_term =
+  Term.(
+    const (fun progress profile metrics_out metrics_port ->
+        { progress; profile; metrics_out; metrics_port })
+    $ progress_arg $ profile_arg $ metrics_out_arg $ metrics_port_arg)
+
+let obs_setup { progress; profile; metrics_out; metrics_port } ~label
     ?(crashes = 0) f =
   (* the sampler starts first so its ring already has a baseline when
      the pool spawns, and stops last so the final file-sink rewrite
@@ -185,13 +200,14 @@ let obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label
 
 (* --- hierarchy --- *)
 
-let hierarchy_full_arg =
-  Arg.(value & flag & info [ "full" ] ~doc:"Include the expensive solver instances (minutes).")
-
-let hierarchy_run ~progress ~profile ?metrics_out ?metrics_port full no_por
-    no_tt j =
-  obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"hierarchy"
-    (fun () ->
+let hierarchy_cmd =
+  let full =
+    Arg.(
+      value & flag
+      & info [ "full" ] ~doc:"Include the expensive solver instances (minutes).")
+  in
+  let run full no_por no_tt j obs =
+    obs_setup obs ~label:"hierarchy" (fun () ->
       match
         with_jobs j (fun pool ->
             let table =
@@ -209,106 +225,66 @@ let hierarchy_run ~progress ~profile ?metrics_out ?metrics_port full no_por
       with
       | Some code -> code
       | None -> bad_jobs j)
-
-let hierarchy_cmd =
-  let run full no_por no_tt j progress profile metrics_out metrics_port =
-    hierarchy_run ~progress ~profile ?metrics_out ?metrics_port full no_por
-      no_tt j
   in
   Cmd.v
     (Cmd.info "hierarchy" ~doc:"Regenerate the Figure 1-1 hierarchy table")
-    Term.(
-      const run $ hierarchy_full_arg $ no_por_arg $ no_tt_arg $ jobs_arg
-      $ progress_arg $ profile_arg $ metrics_out_arg $ metrics_port_arg)
+    Term.(const run $ full $ no_por_arg $ no_tt_arg $ jobs_arg $ obs_term)
 
 (* --- verify --- *)
 
-let verify_key_arg =
+let registry_key_arg =
   let keys = Registry.keys () in
   let doc = Fmt.str "Protocol key: one of %s." (String.concat ", " keys) in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROTOCOL" ~doc)
 
-let verify_n_arg =
-  Arg.(value & opt int 2 & info [ "n" ] ~doc:"Number of processes.")
+let n_arg = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Number of processes.")
 
-let verify_max_states_arg =
-  Arg.(
-    value & opt int 2_000_000
-    & info [ "max-states" ]
-        ~doc:"State budget for the exhaustive exploration.")
-
-let verify_max_depth_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "max-depth" ] ~doc:"Depth budget for the exploration DFS.")
-
-let verify_crashes_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "crashes" ]
-        ~doc:
-          "Crash-stop adversary budget: additionally quantify over every \
-           placement of up to this many permanent process halts \
-           (wait-freedom's own failure model). 0 checks the crash-free \
-           semantics.")
-
-let verify_run ~progress ~profile ?metrics_out ?metrics_port key n max_states
-    max_depth out crashes no_por j =
-  if crashes < 0 || crashes >= n then begin
-    Fmt.epr "--crashes must be in [0, n-1] (got %d with n = %d)@." crashes n;
-    2
+(* [n] must be positive and the crash-stop budget must leave a
+   survivor: [Some code] is the bad-input exit. *)
+let check_crashes ~n crashes =
+  if n < 1 then begin
+    Fmt.epr "n must be >= 1 (got %d)@." n;
+    Some 2
   end
-  else
-    match (Registry.find key).Registry.build ~n with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
-    | None ->
-        Fmt.epr "%s does not support n = %d@." key n;
-        2
-    | Some protocol ->
-        obs_setup ~progress ~profile ?metrics_out ?metrics_port ~crashes
-          ~label:(Fmt.str "verify %s n=%d" key n)
-          (fun () ->
-            match
-              with_jobs j (fun pool ->
-                  let report =
-                    Protocol.verify ~max_states ~max_depth ~crashes
-                      ~por:(not no_por) ?pool protocol
-                  in
-                  Fmt.pr "%s (%s), n = %d:@.%a@." protocol.Protocol.name
-                    protocol.Protocol.theorem n Protocol.pp_report report;
-                  if report.Protocol.truncated then
-                    Fmt.pr
-                      "exploration truncated by the %s — raise --max-states / \
-                       --max-depth for a complete verdict@."
-                      (Protocol.truncation_label report.Protocol.truncation);
-                  if Protocol.passed report then 0
-                  else begin
-                    (match
-                       Protocol.find_violation ~max_states ~crashes ?pool
-                         protocol
-                     with
-                    | Some v ->
-                        Fmt.pr "@.counterexample: %a@." Protocol.pp_violation v;
-                        (match out with
-                        | Some path ->
-                            Obs.Counterexample.save path
-                              (Protocol.violation_to_counterexample
-                                 ~protocol:key ~n v);
-                            Fmt.pr "counterexample written to %s@." path
-                        | None -> ())
-                    | None ->
-                        Fmt.pr
-                          "@.no schedule-shaped counterexample (failure is a \
-                           cycle, truncation or stuck process)@.");
-                    1
-                  end)
-            with
-            | Some code -> code
-            | None -> bad_jobs j)
+  else if crashes < 0 || crashes >= n then begin
+    Fmt.epr "--crashes must be in [0, n-1] (got %d with n = %d)@." crashes n;
+    Some 2
+  end
+  else None
+
+(* Build a registry protocol at [n], or report why not (exit 2). *)
+let build_protocol key n =
+  match (Registry.find key).Registry.build ~n with
+  | exception Invalid_argument msg ->
+      Fmt.epr "%s@." msg;
+      Error 2
+  | None ->
+      Fmt.epr "%s does not support n = %d@." key n;
+      Error 2
+  | Some protocol -> Ok protocol
 
 let verify_cmd =
+  let max_states =
+    Arg.(
+      value & opt int 2_000_000
+      & info [ "max-states" ]
+          ~doc:"State budget for the exhaustive exploration.")
+  in
+  let max_depth =
+    Arg.(
+      value & opt int 10_000
+      & info [ "max-depth" ] ~doc:"Depth budget for the exploration DFS.")
+  in
+  let crashes =
+    Arg.(
+      value & opt int 0
+      & info [ "crashes" ]
+          ~doc:
+            "Crash-stop adversary budget: additionally quantify over every \
+             placement of up to this many permanent process halts \
+             (wait-freedom's own failure model). 0 checks the crash-free \
+             semantics.")
+  in
   let out =
     Arg.(
       value
@@ -318,10 +294,54 @@ let verify_cmd =
             "On violation, export the counterexample schedule to $(docv) \
              as replayable JSON (see the replay subcommand).")
   in
-  let run key n max_states max_depth out crashes no_por j progress profile
-      metrics_out metrics_port =
-    verify_run ~progress ~profile ?metrics_out ?metrics_port key n max_states
-      max_depth out crashes no_por j
+  let run key n max_states max_depth out crashes no_por j obs =
+    match check_crashes ~n crashes with
+    | Some code -> code
+    | None -> (
+        match build_protocol key n with
+        | Error code -> code
+        | Ok protocol ->
+            obs_setup obs ~crashes ~label:(Fmt.str "verify %s n=%d" key n)
+              (fun () ->
+                match
+                  with_jobs j (fun pool ->
+                      let report =
+                        Protocol.verify ~max_states ~max_depth ~crashes
+                          ~por:(not no_por) ?pool protocol
+                      in
+                      Fmt.pr "%s (%s), n = %d:@.%a@." protocol.Protocol.name
+                        protocol.Protocol.theorem n Protocol.pp_report report;
+                      if report.Protocol.truncated then
+                        Fmt.pr
+                          "exploration truncated by the %s — raise \
+                           --max-states / --max-depth for a complete verdict@."
+                          (Protocol.truncation_label
+                             report.Protocol.truncation);
+                      if Protocol.passed report then 0
+                      else begin
+                        (match
+                           Protocol.find_violation ~max_states ~crashes ?pool
+                             protocol
+                         with
+                        | Some v ->
+                            Fmt.pr "@.counterexample: %a@."
+                              Protocol.pp_violation v;
+                            (match out with
+                            | Some path ->
+                                Obs.Counterexample.save path
+                                  (Protocol.violation_to_counterexample
+                                     ~protocol:key ~n v);
+                                Fmt.pr "counterexample written to %s@." path
+                            | None -> ())
+                        | None ->
+                            Fmt.pr
+                              "@.no schedule-shaped counterexample (failure \
+                               is a cycle, truncation or stuck process)@.");
+                        1
+                      end)
+                with
+                | Some code -> code
+                | None -> bad_jobs j))
   in
   Cmd.v
     (Cmd.info "verify"
@@ -329,10 +349,8 @@ let verify_cmd =
          "Exhaustively verify a consensus protocol over all schedules, \
           optionally under a crash-stop adversary (--crashes)")
     Term.(
-      const run $ verify_key_arg $ verify_n_arg $ verify_max_states_arg
-      $ verify_max_depth_arg $ out $ verify_crashes_arg $ no_por_arg
-      $ jobs_arg $ progress_arg $ profile_arg $ metrics_out_arg
-      $ metrics_port_arg)
+      const run $ registry_key_arg $ n_arg $ max_states $ max_depth $ out
+      $ crashes $ no_por_arg $ jobs_arg $ obs_term)
 
 (* --- replay --- *)
 
@@ -358,17 +376,10 @@ let replay_cmd =
     | ce -> (
         Fmt.pr "%a@." Obs.Counterexample.pp ce;
         match
-          (Registry.find ce.Obs.Counterexample.protocol).Registry.build
-            ~n:ce.Obs.Counterexample.n
+          build_protocol ce.Obs.Counterexample.protocol ce.Obs.Counterexample.n
         with
-        | exception Invalid_argument msg ->
-            Fmt.epr "%s@." msg;
-            2
-        | None ->
-            Fmt.epr "%s does not support n = %d@."
-              ce.Obs.Counterexample.protocol ce.Obs.Counterexample.n;
-            2
-        | Some protocol -> (
+        | Error code -> code
+        | Ok protocol -> (
             match Protocol.replay_counterexample protocol ce with
             | Ok v ->
                 Fmt.pr "@.reproduced deterministically: %a@."
@@ -398,7 +409,6 @@ let solve_cmd =
       & info [] ~docv:"OBJECT"
           ~doc:"Zoo object name (see the zoo subcommand), e.g. fifo-queue.")
   in
-  let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Number of processes.") in
   let depth =
     Arg.(value & opt int 2 & info [ "d"; "depth" ] ~doc:"Max operations per process.")
   in
@@ -420,26 +430,31 @@ let solve_cmd =
     | exception Invalid_argument msg ->
         Fmt.epr "%s@." msg;
         2
-    | spec ->
-        if critical then begin
-          let c =
-            Census.critical_depth ~max_nodes:budget ~por:(not no_por)
-              ~tt:(not no_tt) ~n ~max_depth:depth spec
-          in
-          Fmt.pr "%s, n = %d, max depth = %d:@.%a@." object_name n depth
-            Census.pp_critical c;
-          match c.Census.critical with Some _ -> 0 | None -> 1
-        end
-        else
-          let verdict =
-            Solver.solve ~max_nodes:budget ~por:(not no_por) ~tt:(not no_tt)
-              (Solver.of_spec ~n ~depth spec)
-          in
-          Fmt.pr "%s, n = %d, depth = %d:@.%a@." object_name n depth
-            Solver.pp_verdict verdict;
-          (match verdict with
-          | Solver.Solvable _ | Solver.Unsolvable -> 0
-          | Solver.Out_of_budget _ -> 1)
+    | spec -> (
+        try
+          if critical then begin
+            let c =
+              Census.critical_depth ~max_nodes:budget ~por:(not no_por)
+                ~tt:(not no_tt) ~n ~max_depth:depth spec
+            in
+            Fmt.pr "%s, n = %d, max depth = %d:@.%a@." object_name n depth
+              Census.pp_critical c;
+            match c.Census.critical with Some _ -> 0 | None -> 1
+          end
+          else
+            let verdict =
+              Solver.solve ~max_nodes:budget ~por:(not no_por)
+                ~tt:(not no_tt)
+                (Solver.of_spec ~n ~depth spec)
+            in
+            Fmt.pr "%s, n = %d, depth = %d:@.%a@." object_name n depth
+              Solver.pp_verdict verdict;
+            match verdict with
+            | Solver.Solvable _ | Solver.Unsolvable -> 0
+            | Solver.Out_of_budget _ -> 1
+        with Invalid_argument msg ->
+          Fmt.epr "%s@." msg;
+          2)
   in
   Cmd.v
     (Cmd.info "solve"
@@ -447,8 +462,8 @@ let solve_cmd =
          "Decide bounded wait-free consensus solvability by strategy \
           synthesis; UNSOLVABLE is a machine-checked impossibility proof")
     Term.(
-      const run $ object_name $ n $ depth $ budget $ no_por_arg $ no_tt_arg
-      $ critical)
+      const run $ object_name $ n_arg $ depth $ budget $ no_por_arg
+      $ no_tt_arg $ critical)
 
 (* --- universal --- *)
 
@@ -498,69 +513,68 @@ let universal_cmd =
 
 (* --- census --- *)
 
-let census_budget_arg =
-  Arg.(value & opt int 30_000_000
-       & info [ "budget" ] ~doc:"Search-node budget per solver run.")
-
-let census_max_states_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "max-states" ]
-        ~doc:
-          "Cap on solver search nodes per run (lower of this and \
-           --budget wins).")
-
-let census_max_depth_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "max-depth" ]
-        ~doc:
-          "Cap on operations per process (bounds both the n=2 and n=3 \
-           instances; defaults are 2 and 1).")
-
-let census_run ~progress ~profile ?metrics_out ?metrics_port budget max_states
-    max_depth no_por no_tt j =
-  let max_nodes =
-    match max_states with Some s -> min s budget | None -> budget
+let census_cmd =
+  let budget =
+    Arg.(
+      value & opt int 30_000_000
+      & info [ "budget" ] ~doc:"Search-node budget per solver run.")
   in
-  let depth2 = match max_depth with Some d -> min d 2 | None -> 2 in
-  let depth3 = match max_depth with Some d -> min d 1 | None -> 1 in
-  obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"census"
-    (fun () ->
+  let max_states =
+    Arg.(
+      value & opt (some int) None
+      & info [ "max-states" ]
+          ~doc:
+            "Cap on solver search nodes per run (lower of this and \
+             --budget wins).")
+  in
+  let max_depth =
+    Arg.(
+      value & opt (some int) None
+      & info [ "max-depth" ]
+          ~doc:
+            "Cap on operations per process (bounds both the n=2 and n=3 \
+             instances; defaults are 2 and 1).")
+  in
+  let run budget max_states max_depth no_por no_tt j obs =
+    let max_nodes =
+      match max_states with Some s -> min s budget | None -> budget
+    in
+    let depth2 = match max_depth with Some d -> min d 2 | None -> 2 in
+    let depth3 = match max_depth with Some d -> min d 1 | None -> 1 in
+    obs_setup obs ~label:"census" (fun () ->
       match
         with_jobs j (fun pool ->
-            Fmt.pr
-              "solver-only census (bounded: n=2 within %d op(s), n=3 within %d \
-               op(s),@.over initializations reachable in ≤ 2 operations):@.@."
-              depth2 depth3;
-            let results =
+            match
               Census.run ~depth2 ~depth3 ~max_nodes ~por:(not no_por)
                 ~tt:(not no_tt) ?pool ()
-            in
-            Fmt.pr "%a@." Census.pp results;
-            let budget_hit =
-              List.exists
-                (fun (m : Census.measurement) ->
-                  fst m.Census.two_proc = Census.Budget
-                  || fst m.Census.three_proc = Census.Budget)
-                results
-            in
-            if budget_hit then begin
-              Fmt.pr
-                "@.some verdicts hit the node budget — raise --budget / \
-                 --max-states for a conclusive census@.";
-              1
-            end
-            else 0)
+            with
+            | exception Invalid_argument msg ->
+                Fmt.epr "%s@." msg;
+                2
+            | results ->
+                Fmt.pr
+                  "solver-only census (bounded: n=2 within %d op(s), n=3 \
+                   within %d op(s),@.over initializations reachable in ≤ 2 \
+                   operations):@.@."
+                  depth2 depth3;
+                Fmt.pr "%a@." Census.pp results;
+                let budget_hit =
+                  List.exists
+                    (fun (m : Census.measurement) ->
+                      fst m.Census.two_proc = Census.Budget
+                      || fst m.Census.three_proc = Census.Budget)
+                    results
+                in
+                if budget_hit then begin
+                  Fmt.pr
+                    "@.some verdicts hit the node budget — raise --budget / \
+                     --max-states for a conclusive census@.";
+                  1
+                end
+                else 0)
       with
       | Some code -> code
       | None -> bad_jobs j)
-
-let census_cmd =
-  let run budget max_states max_depth no_por no_tt j progress profile
-      metrics_out metrics_port =
-    census_run ~progress ~profile ?metrics_out ?metrics_port budget max_states
-      max_depth no_por no_tt j
   in
   Cmd.v
     (Cmd.info "census"
@@ -568,19 +582,12 @@ let census_cmd =
          "Measure every zoo object's bounded consensus number with the \
           solver alone")
     Term.(
-      const run $ census_budget_arg $ census_max_states_arg
-      $ census_max_depth_arg $ no_por_arg $ no_tt_arg $ jobs_arg
-      $ progress_arg $ profile_arg $ metrics_out_arg $ metrics_port_arg)
+      const run $ budget $ max_states $ max_depth $ no_por_arg $ no_tt_arg
+      $ jobs_arg $ obs_term)
 
 (* --- critical --- *)
 
 let critical_cmd =
-  let key =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"PROTOCOL" ~doc:"Registry protocol key.")
-  in
-  let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Number of processes.") in
   let crashes =
     Arg.(
       value & opt int 0
@@ -591,35 +598,34 @@ let critical_cmd =
              even the adversary's halts commit the outcome.")
   in
   let run key n crashes =
-    match (Registry.find key).Registry.build ~n with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
-    | None ->
-        Fmt.epr "%s does not support n = %d@." key n;
-        2
-    | Some protocol -> (
-        match Valency.find_critical ~crashes protocol.Protocol.config with
-        | Some crit ->
-            Fmt.pr
-              "critical state of %s: bivalent, every successor univalent@."
-              protocol.Protocol.name;
-            List.iter
-              (fun (pid, _, v) ->
-                Fmt.pr "  P%d moves next  =>  outcome pinned to %a@." pid
-                  Valency.pp_valency v)
-              crit.Valency.branches;
-            0
-        | None ->
-            Fmt.pr "no critical state reachable (protocol univalent?)@.";
-            1)
+    match check_crashes ~n crashes with
+    | Some code -> code
+    | None -> (
+        match build_protocol key n with
+        | Error code -> code
+        | Ok protocol -> (
+            match Valency.find_critical ~crashes protocol.Protocol.config with
+            | Some crit ->
+                Fmt.pr
+                  "critical state of %s: bivalent, every successor \
+                   univalent@."
+                  protocol.Protocol.name;
+                List.iter
+                  (fun (pid, _, v) ->
+                    Fmt.pr "  P%d moves next  =>  outcome pinned to %a@." pid
+                      Valency.pp_valency v)
+                  crit.Valency.branches;
+                0
+            | None ->
+                Fmt.pr "no critical state reachable (protocol univalent?)@.";
+                1))
   in
   Cmd.v
     (Cmd.info "critical"
        ~doc:
          "Find a critical (bivalent, decision-pending) state of a protocol — \
           the engine of the paper's impossibility proofs")
-    Term.(const run $ key $ n $ crashes)
+    Term.(const run $ registry_key_arg $ n_arg $ crashes)
 
 (* --- fault --- *)
 
@@ -753,9 +759,8 @@ let load_cmd =
              and check it for linearizability, so --ops must stay small.")
   in
   let run clients ops object_name window seed halts trace_out trace_sample
-      help_canary progress profile metrics_out metrics_port =
-    obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"load"
-      (fun () ->
+      help_canary obs =
+    obs_setup obs ~label:"load" (fun () ->
         match service_spec object_name with
         | None ->
             Fmt.epr "unknown object %S (try fifo-queue, counter, kv-map)@."
@@ -815,8 +820,7 @@ let load_cmd =
     Term.(
       const run $ clients $ ops $ service_object_arg $ service_window_arg
       $ service_seed_arg $ halts $ trace_out_arg $ trace_sample_arg
-      $ help_canary_arg $ progress_arg $ profile_arg $ metrics_out_arg
-      $ metrics_port_arg)
+      $ help_canary_arg $ obs_term)
 
 let serve_cmd =
   let clients =
@@ -829,9 +833,8 @@ let serve_cmd =
           ~doc:"How long to keep the service under load before exiting.")
   in
   let run clients duration window seed trace_out trace_sample help_canary
-      progress profile metrics_out metrics_port =
-    obs_setup ~progress ~profile ?metrics_out ?metrics_port ~label:"serve"
-      (fun () ->
+      obs =
+    obs_setup obs ~label:"serve" (fun () ->
         if clients <= 0 || duration <= 0. then begin
           Fmt.epr "serve: clients and duration must be positive@.";
           2
@@ -840,25 +843,31 @@ let serve_cmd =
           let canary = resolve_canary ~trace_out ~help_canary in
           if trace_out <> None then
             Obs.Causal.enable ~sample:trace_sample ();
-          let r =
+          match
             Fun.protect
               ~finally:(fun () ->
                 if trace_out <> None then finish_trace ~trace_out)
               (fun () ->
                 Runtime.Service.serve ~seed ~window ~canary ~clients
                   ~duration_s:duration ())
-          in
-          Fmt.pr "served %s operations in %.1fs (%s ops/s)@."
-            (Obs.Units.si_int r.Runtime.Service.served_ops)
-            (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)
-            (Obs.Units.rate
-               (float_of_int r.Runtime.Service.served_ops
-               /. (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)));
-          List.iter
-            (fun (name, len) ->
-              Fmt.pr "  %-12s %s ops threaded@." name (Obs.Units.si_int len))
-            r.Runtime.Service.per_object;
-          0
+          with
+          | exception Invalid_argument msg ->
+              Fmt.epr "%s@." msg;
+              2
+          | r ->
+              Fmt.pr "served %s operations in %.1fs (%s ops/s)@."
+                (Obs.Units.si_int r.Runtime.Service.served_ops)
+                (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)
+                (Obs.Units.rate
+                   (float_of_int r.Runtime.Service.served_ops
+                   /. (float_of_int r.Runtime.Service.serve_duration_ns
+                      *. 1e-9)));
+              List.iter
+                (fun (name, len) ->
+                  Fmt.pr "  %-12s %s ops threaded@." name
+                    (Obs.Units.si_int len))
+                r.Runtime.Service.per_object;
+              0
         end)
   in
   Cmd.v
@@ -871,8 +880,7 @@ let serve_cmd =
           wfs top, --metrics-out F appends a scrapeable file sink.")
     Term.(
       const run $ clients $ duration $ service_window_arg $ service_seed_arg
-      $ trace_out_arg $ trace_sample_arg $ help_canary_arg $ progress_arg
-      $ profile_arg $ metrics_out_arg $ metrics_port_arg)
+      $ trace_out_arg $ trace_sample_arg $ help_canary_arg $ obs_term)
 
 (* --- trace: summarize / audit a causal trace file --- *)
 
@@ -1461,66 +1469,6 @@ let zoo_cmd =
   in
   Cmd.v (Cmd.info "zoo" ~doc:"List the object zoo") Term.(const run $ const ())
 
-(* --- profile ---
-
-   [wfs profile CMD ... --out prof.json] = run CMD with the span
-   profiler on and write the trace to --out.  Equivalent to the
-   subcommand's own --profile flag, packaged as a dedicated group so
-   profiling runs read naturally.  Note: under [profile verify], --out
-   names the trace file, so counterexample export is only available via
-   the plain [verify --out ... --profile ...] spelling. *)
-
-let profile_out_arg =
-  Arg.(
-    value & opt string "prof.json"
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:
-          "Write the Chrome trace_event JSON to $(docv) (load in \
-           ui.perfetto.dev or chrome://tracing).")
-
-let profile_cmd =
-  let verify =
-    let run key n max_states max_depth crashes j progress out =
-      verify_run ~progress ~profile:(Some out) key n max_states max_depth None
-        crashes false j
-    in
-    Cmd.v
-      (Cmd.info "verify" ~doc:"Profile an exhaustive protocol verification")
-      Term.(
-        const run $ verify_key_arg $ verify_n_arg $ verify_max_states_arg
-        $ verify_max_depth_arg $ verify_crashes_arg $ jobs_arg $ progress_arg
-        $ profile_out_arg)
-  in
-  let census =
-    let run budget max_states max_depth j progress out =
-      census_run ~progress ~profile:(Some out) budget max_states max_depth
-        false false j
-    in
-    Cmd.v
-      (Cmd.info "census" ~doc:"Profile the solver census over the zoo")
-      Term.(
-        const run $ census_budget_arg $ census_max_states_arg
-        $ census_max_depth_arg $ jobs_arg $ progress_arg $ profile_out_arg)
-  in
-  let hierarchy =
-    let run full j progress out =
-      hierarchy_run ~progress ~profile:(Some out) full false false j
-    in
-    Cmd.v
-      (Cmd.info "hierarchy"
-         ~doc:"Profile the Figure 1-1 hierarchy table generation")
-      Term.(
-        const run $ hierarchy_full_arg $ jobs_arg $ progress_arg
-        $ profile_out_arg)
-  in
-  Cmd.group
-    (Cmd.info "profile"
-       ~doc:
-         "Run a subcommand under the per-domain span profiler and write a \
-          Chrome trace_event JSON timeline (pool jobs, steals, idle waits, \
-          exploration phases, solver runs — one thread row per domain)")
-    [ verify; census; hierarchy ]
-
 let main =
   Cmd.group
     (Cmd.info "wfs" ~version:"1.0.0"
@@ -1530,7 +1478,7 @@ let main =
     [
       hierarchy_cmd; verify_cmd; replay_cmd; solve_cmd; universal_cmd;
       census_cmd; critical_cmd; fault_cmd; load_cmd; serve_cmd; trace_cmd;
-      randomized_cmd; stats_cmd; top_cmd; zoo_cmd; profile_cmd;
+      randomized_cmd; stats_cmd; top_cmd; zoo_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

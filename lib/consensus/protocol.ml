@@ -54,11 +54,9 @@ let terminal_agreement (t : Explorer.terminal) =
   | [] -> true
   | d0 :: rest -> List.for_all (Value.equal d0) rest
 
-let verify ?(max_states = 2_000_000) ?max_depth ?legacy ?(crashes = 0) ?por
-    ?pool t =
+let verify ?(max_states = 2_000_000) ?max_depth ?(crashes = 0) ?por ?pool t =
   let stats =
-    Explorer.explore ~max_states ?max_depth ?legacy ~crashes ?por ?pool
-      t.config
+    Explorer.explore ~max_states ?max_depth ~crashes ?por ?pool t.config
   in
   let agreement = List.for_all terminal_agreement stats.Explorer.terminals in
   (* Validity is checked at every decide event during exploration — the

@@ -39,10 +39,7 @@ val passed : report -> bool
 val make :
   name:string -> theorem:string -> procs:Process.t array -> env:Env.t -> t
 
-(** [legacy] selects the reference two-pass explorer engine (see
-    {!Explorer.explore}).
-
-    [crashes] (default 0) grants the crash-stop adversary a budget of
+(** [crashes] (default 0) grants the crash-stop adversary a budget of
     up to that many permanent halts, placed adversarially at any point
     of any schedule (see {!Explorer.explore}).  Agreement and validity
     are then checked over the processes that do decide, and
@@ -62,7 +59,6 @@ val make :
 val verify :
   ?max_states:int ->
   ?max_depth:int ->
-  ?legacy:bool ->
   ?crashes:int ->
   ?por:bool ->
   ?pool:Pool.t ->

@@ -82,8 +82,8 @@ let candidate_inits ?(max_candidates = 16) (spec : Object_spec.t) =
    environment state differs per candidate, but deeper subgames
    transpose heavily across them, so later candidates replay verdicts
    the earlier ones paid for. *)
-let solve_any_init ?ctx ~n ~depth ~max_nodes ~intern_views ~por ~tt
-    (spec : Object_spec.t) inits =
+let solve_any_init ?ctx ~n ~depth ~max_nodes ~por ~tt (spec : Object_spec.t)
+    inits =
   Wfs_obs.Profile.span ~cat:"census"
     ~args:(fun () ->
       [
@@ -93,9 +93,7 @@ let solve_any_init ?ctx ~n ~depth ~max_nodes ~intern_views ~por ~tt
     "census.solve"
   @@ fun () ->
   let ctx =
-    match ctx with
-    | Some _ as c -> c
-    | None -> if tt && intern_views then Some (Solver.Ctx.create ~n ()) else None
+    match ctx with Some c -> c | None -> Solver.Ctx.create ~n ()
   in
   let rec go total_nodes budget_hit winning = function
     | [] ->
@@ -104,7 +102,7 @@ let solve_any_init ?ctx ~n ~depth ~max_nodes ~intern_views ~por ~tt
     | init :: rest -> (
         let spec' = { spec with Object_spec.init } in
         let verdict, nodes =
-          Solver.solve_with_stats ~max_nodes ~intern_views ~por ~tt ?ctx
+          Solver.solve_with_stats ~max_nodes ~por ~tt ~ctx
             (Solver.of_spec ~n ~depth spec')
         in
         let total_nodes = total_nodes + nodes in
@@ -131,16 +129,12 @@ let assemble ~depth2 ~depth3 (spec : Object_spec.t) inits
   }
 
 let measure ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000)
-    ?(max_candidates = 16) ?(intern_views = true) ?(por = true) ?(tt = true)
+    ?(max_candidates = 16) ?(por = true) ?(tt = true)
     (spec : Object_spec.t) =
   let inits = candidate_inits ~max_candidates spec in
-  let two =
-    solve_any_init ~n:2 ~depth:depth2 ~max_nodes ~intern_views ~por ~tt spec
-      inits
-  in
+  let two = solve_any_init ~n:2 ~depth:depth2 ~max_nodes ~por ~tt spec inits in
   let three =
-    solve_any_init ~n:3 ~depth:depth3 ~max_nodes ~intern_views ~por ~tt spec
-      inits
+    solve_any_init ~n:3 ~depth:depth3 ~max_nodes ~por ~tt spec inits
   in
   assemble ~depth2 ~depth3 spec inits two three
 
@@ -168,8 +162,8 @@ let job_weight (spec, inits, n, depth) =
   let branch = float_of_int (List.length spec.Object_spec.menu + 1) in
   float_of_int (List.length inits) *. (branch ** float_of_int (n * depth))
 
-let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000)
-    ?(intern_views = true) ?(por = true) ?(tt = true) ?pool () =
+let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000) ?(por = true)
+    ?(tt = true) ?pool () =
   let specs = Zoo.all () in
   match pool with
   | Some p when Wfs_sim.Pool.size p > 1 ->
@@ -194,8 +188,7 @@ let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000)
             let spec, inits, n, depth = jobs.(i) in
             (* each job builds its own context inside [solve_any_init]:
                the transposition store is single-domain state *)
-            solve_any_init ~n ~depth ~max_nodes ~intern_views ~por ~tt spec
-              inits)
+            solve_any_init ~n ~depth ~max_nodes ~por ~tt spec inits)
           order
       in
       let halves = Array.make (Array.length jobs) results.(0) in
@@ -209,8 +202,7 @@ let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000)
         specs
   | _ ->
       List.map
-        (fun spec ->
-          measure ~depth2 ~depth3 ~max_nodes ~intern_views ~por ~tt spec)
+        (fun spec -> measure ~depth2 ~depth3 ~max_nodes ~por ~tt spec)
         specs
 
 (* Critical depth of an (object, n) row: the least step bound d at
@@ -235,20 +227,16 @@ type critical = {
 }
 
 let critical_depth ?(max_nodes = 20_000_000) ?(max_candidates = 16)
-    ?(intern_views = true) ?(por = true) ?(tt = true) ~n ~max_depth
-    (spec : Object_spec.t) =
+    ?(por = true) ?(tt = true) ~n ~max_depth (spec : Object_spec.t) =
   if max_depth < 1 then invalid_arg "Census.critical_depth: max_depth < 1";
   let inits = candidate_inits ~max_candidates spec in
-  let ctx =
-    if tt && intern_views then Some (Solver.Ctx.create ~n ()) else None
-  in
+  let ctx = Solver.Ctx.create ~n () in
   let probes = ref [] in
   let total = ref 0 in
   let exact = ref true in
   let probe depth =
     let (outcome, nodes), _ =
-      solve_any_init ?ctx ~n ~depth ~max_nodes ~intern_views ~por ~tt spec
-        inits
+      solve_any_init ~ctx ~n ~depth ~max_nodes ~por ~tt spec inits
     in
     probes := { probe_depth = depth; probe_outcome = outcome; probe_nodes = nodes } :: !probes;
     total := !total + nodes;

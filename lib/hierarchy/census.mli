@@ -30,19 +30,16 @@ type measurement = {
 (** Initial states reachable within two menu operations (capped). *)
 val candidate_inits : ?max_candidates:int -> Object_spec.t -> Value.t list
 
-(** [intern_views] (default true) is forwarded to
-    {!Solver.solve_with_stats} — identical verdicts either way; the
-    PERF bench section measures the difference.  [por] (default true)
-    likewise forwards the solver's sleep-set cutoffs: verdicts and
-    winning initializations are identical either way, only the
-    per-verdict node counts shrink.  [tt] (default true) forwards the
+(** [por] (default true) forwards the solver's sleep-set cutoffs:
+    verdicts and winning initializations are identical either way, only
+    the per-verdict node counts shrink.  [tt] (default true) forwards the
     transposition/no-good layer; all candidate initializations of an
     (object, n) row share one {!Solver.Ctx}, so later candidates
     replay subgames the earlier ones classified.  [por:false] with
     [tt:false] reproduces the unreduced historical node counts. *)
 val measure :
   ?depth2:int -> ?depth3:int -> ?max_nodes:int -> ?max_candidates:int ->
-  ?intern_views:bool -> ?por:bool -> ?tt:bool -> Object_spec.t -> measurement
+  ?por:bool -> ?tt:bool -> Object_spec.t -> measurement
 
 (** [pool] shards the census across a domain pool: each (object, n)
     solver instance is an independent job, issued heaviest-first so a
@@ -50,8 +47,8 @@ val measure :
     measurements are reassembled in zoo order — the output is
     byte-identical to the sequential census. *)
 val run :
-  ?depth2:int -> ?depth3:int -> ?max_nodes:int -> ?intern_views:bool ->
-  ?por:bool -> ?tt:bool -> ?pool:Wfs_sim.Pool.t -> unit -> measurement list
+  ?depth2:int -> ?depth3:int -> ?max_nodes:int -> ?por:bool -> ?tt:bool ->
+  ?pool:Wfs_sim.Pool.t -> unit -> measurement list
 
 (** {1 Critical depth}
 
@@ -81,7 +78,7 @@ type critical = {
 }
 
 val critical_depth :
-  ?max_nodes:int -> ?max_candidates:int -> ?intern_views:bool -> ?por:bool ->
+  ?max_nodes:int -> ?max_candidates:int -> ?por:bool ->
   ?tt:bool -> n:int -> max_depth:int -> Object_spec.t -> critical
 
 val pp_outcome : outcome Fmt.t

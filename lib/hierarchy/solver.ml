@@ -75,12 +75,11 @@ type verdict =
    branches — so the state is copied on update and passed explicitly,
    and only the strategy table is mutated (with undo on backtrack).
 
-   ['k] is the σ-key type of the strategy-table backend: each process's
-   key for its current view is computed once, when the view is built,
-   and carried in [skeys] — σ lookups (the memo probe in [step], the
-   dominance peeks of the sleep-set reduction) then skip re-hashing the
-   view.  Keys are pure functions of (pid, view), so the caching is
-   semantically invisible.
+   Each process's σ-key for its current view is computed once, when the
+   view is built, and carried in [skeys] — σ lookups (the memo probe in
+   [step], the dominance peeks of the sleep-set reduction) then skip
+   re-hashing the view.  Keys are pure functions of (pid, view), so the
+   caching is semantically invisible.
 
    [env_id] and [chain] exist for the transposition layer only (-1/[]
    with [tt:false]): [env_id] is the interned [Env.encode] of
@@ -90,9 +89,9 @@ type verdict =
    frame that wrote the hit entry — which is what lets a conflict tell
    "flipping this choice reshapes the refuted structure" apart from
    "this choice is unrelated, skip it" (see [Tt]). *)
-type 'k state = {
+type state = {
   views : Value.t array;  (* response history per process, latest first *)
-  skeys : 'k array;  (* σ-key of each process's current view *)
+  skeys : int array;  (* σ-key of each process's current view *)
   steps : int array;  (* operations taken per process *)
   decisions : int array;  (* decision per process, -1 if undecided *)
   env_state : Env.state;
@@ -108,6 +107,8 @@ let set arr i v =
   arr'
 
 let of_spec ?(extra_candidates = []) ~n ~depth (spec : Object_spec.t) =
+  if n < 1 then invalid_arg "Solver.of_spec: n < 1";
+  if depth < 0 then invalid_arg "Solver.of_spec: depth < 0";
   let obj = spec.Object_spec.name in
   {
     env = Env.make [ (obj, spec) ];
@@ -165,10 +166,9 @@ end
    (object, n) row, so later cells replay subgames classified by
    earlier ones (positions encode REMAINING depth, so entries
    transpose across depth bounds; σ-footprints keep reuse sound even
-   though every solve grows a fresh σ).  Only meaningful on the
-   interned-σ path: σ-keys must be stable across solves for recorded
-   footprints to keep their meaning, which is exactly what sharing the
-   view interner provides. *)
+   though every solve grows a fresh σ).  σ-keys must be stable across
+   solves for recorded footprints to keep their meaning, which is
+   exactly what sharing the view interner provides. *)
 module Ctx = struct
   type t = {
     n : int;
@@ -194,92 +194,14 @@ module Ctx = struct
   let tt_entries t = Tt.entries t.store
 end
 
-(* The strategy table σ maps (pid, local view) to the chosen action.
-   Views are response lists that deepen with every operation, so the
-   generic-hash [Hashtbl] keying of the original engine degrades as
-   views grow; the default keying interns views to dense ids
-   ([Wfs_sim.Intern], full-depth hashing) and keys σ by the single int
-   [view_id * n + pid].  [intern_views:false] keeps the original
-   (pid, view)-keyed table as the reference path for differential
-   tests and the PERF benchmarks. *)
-type 'k sigma_ops = {
-  sigma_key : int -> Value.t -> 'k;
-  sigma_find : 'k -> action option;
-  sigma_set : 'k -> action -> unit;
-  sigma_remove : 'k -> unit;
-  sigma_extract : unit -> assignment list;
-  sigma_flush_metrics : unit -> unit;
-}
-
-let interned_sigma ?ctx n =
-  let views =
-    match ctx with
-    | Some c -> c.Ctx.views
-    | None -> Intern.create ~size_hint:1024 ()
-  in
-  let sigma : (int, action) Hashtbl.t = Hashtbl.create 1024 in
-  {
-    sigma_key = (fun pid view -> (Intern.intern views view * n) + pid);
-    sigma_find = (fun k -> Hashtbl.find_opt sigma k);
-    sigma_set = (fun k a -> Hashtbl.replace sigma k a);
-    sigma_remove = (fun k -> Hashtbl.remove sigma k);
-    sigma_extract =
-      (fun () ->
-        Hashtbl.fold
-          (fun k chosen acc ->
-            { pid = k mod n; view = Intern.value views (k / n); chosen }
-            :: acc)
-          sigma []);
-    sigma_flush_metrics =
-      (fun () ->
-        let open Wfs_obs.Metrics in
-        (* with a shared context the interner outlives the solve: flush
-           deltas since the last flush, not cumulative totals *)
-        let hb, lb =
-          match ctx with
-          | Some c ->
-              let r = (c.Ctx.vh_flushed, c.Ctx.vl_flushed) in
-              c.Ctx.vh_flushed <- Intern.hits views;
-              c.Ctx.vl_flushed <- Intern.lookups views;
-              r
-          | None -> (0, 0)
-        in
-        Counter.add M.view_intern_hits (Intern.hits views - hb);
-        Counter.add M.view_intern_lookups (Intern.lookups views - lb);
-        Gauge.set_max M.view_arena_size (Intern.size views));
-  }
-
-let legacy_sigma () =
-  let sigma : (int * Value.t, action) Hashtbl.t = Hashtbl.create 256 in
-  {
-    sigma_key = (fun pid view -> (pid, view));
-    sigma_find = (fun k -> Hashtbl.find_opt sigma k);
-    sigma_set = (fun k a -> Hashtbl.replace sigma k a);
-    sigma_remove = (fun k -> Hashtbl.remove sigma k);
-    sigma_extract =
-      (fun () ->
-        Hashtbl.fold
-          (fun (pid, view) chosen acc -> { pid; view; chosen } :: acc)
-          sigma []);
-    sigma_flush_metrics = ignore;
-  }
-
-(* Transposition glue, abstracting over the σ-key backend: an env-state
-   interner, a position canonicalizer, and the entry store. *)
-type 'k tt_glue = {
-  g_env_id : Env.state -> int;
-  g_pos : 'k state -> int;
-  g_store : ('k, action) Tt.store;
-}
-
 (* Canonical position key: [env_id; stepped; decisions; then for each
-   UNDECIDED process its σ-token and remaining step budget].  Decided
+   UNDECIDED process its σ-key and remaining step budget].  Decided
    processes' views and step counts are dead state — nothing in the
    subgame ever reads them — so dropping them canonicalizes more
    positions together.  Remaining (not consumed) steps make entries
    depth-transposable: the subgame below a position depends only on how
    many operations each process may still take. *)
-let position_key ~depth ~n ~token positions st =
+let position_key ~depth ~n positions st =
   let buf = Array.make (2 + n + (2 * st.undecided)) 0 in
   buf.(0) <- st.env_id;
   buf.(1) <- st.stepped;
@@ -287,45 +209,32 @@ let position_key ~depth ~n ~token positions st =
   for pid = 0 to n - 1 do
     buf.(2 + pid) <- st.decisions.(pid);
     if st.decisions.(pid) < 0 then begin
-      buf.(!j) <- token st.skeys.(pid);
+      buf.(!j) <- st.skeys.(pid);
       buf.(!j + 1) <- depth - st.steps.(pid);
       j := !j + 2
     end
   done;
   Intern.Ints.intern positions buf
 
-let interned_glue (ctx : Ctx.t) inst =
-  {
-    g_env_id = (fun s -> Intern.intern ctx.Ctx.envs (Env.encode s));
-    g_pos =
-      (fun st ->
-        position_key ~depth:inst.depth ~n:inst.n
-          ~token:(fun (k : int) -> k)
-          ctx.Ctx.positions st);
-    g_store = ctx.Ctx.store;
-  }
-
-(* Reference-path glue: σ-keys are raw (pid, view) pairs, so position
-   tokens come from a private view interner (first-seen dense ids, the
-   same injective tokenization as the interned path — position equality
-   and hence the node counts are identical across backends). *)
-let legacy_glue inst =
-  let pv = Intern.create ~size_hint:1024 () in
-  let envs = Intern.create ~size_hint:256 () in
-  let positions = Intern.Ints.create ~size_hint:1024 () in
-  {
-    g_env_id = (fun s -> Intern.intern envs (Env.encode s));
-    g_pos =
-      (fun st ->
-        position_key ~depth:inst.depth ~n:inst.n
-          ~token:(fun ((pid, view) : int * Value.t) ->
-            (Intern.intern pv view * inst.n) + pid)
-          positions st);
-    g_store = Tt.create ();
-  }
-
-let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
-    ~(tt : k tt_glue option) (ops : k sigma_ops) inst =
+(* The strategy table σ maps (pid, local view) to the chosen action.
+   Views are response lists that deepen with every operation, so σ
+   interns views to dense ids ([Wfs_sim.Intern], full-depth hashing)
+   and is keyed by the single int [view_id * n + pid]. *)
+let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
+  let n = inst.n in
+  let views =
+    match ctx with
+    | Some c -> c.Ctx.views
+    | None -> Intern.create ~size_hint:1024 ()
+  in
+  let sigma : (int, action) Hashtbl.t = Hashtbl.create 1024 in
+  let sigma_key pid view = (Intern.intern views view * n) + pid in
+  let sigma_find k = Hashtbl.find_opt sigma k in
+  let env_id env_state =
+    match ctx with
+    | Some c -> Intern.intern c.Ctx.envs (Env.encode env_state)
+    | None -> -1
+  in
   let nodes = ref 0 in
   let memo_h = ref 0 and memo_m = ref 0 in
   let sleep_cut = ref 0 in
@@ -360,16 +269,18 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
     tt_r_flushed := !tt_r;
     tt_b_flushed := !tt_b
   in
-  let tt_on = tt <> None in
+  let tt_on = ctx <> None in
   (* Transposition bookkeeping, all per-solve: the footprint-frame
      stack mirroring the open subproofs, the conflict carried by a
      propagating [false], a serial supply for choice frames, and the
      serial of the live frame that wrote each currently-assigned σ-key
      (hit moves extend their child's [chain] with it). *)
-  let stack : (k, action) Tt.frame list ref = ref [] in
-  let conflict : (k, action) Tt.conflict option ref = ref None in
+  let stack : (int, action) Tt.frame list ref = ref [] in
+  let conflict : (int, action) Tt.conflict option ref = ref None in
   let serial = ref 0 in
-  let writer : (k, int) Hashtbl.t = Hashtbl.create (if tt_on then 512 else 1) in
+  let writer : (int, int) Hashtbl.t =
+    Hashtbl.create (if tt_on then 512 else 1)
+  in
   let log_read key seen =
     match !stack with fr :: _ -> Tt.log_read fr key seen | [] -> ()
   in
@@ -377,13 +288,13 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
   let initial =
     {
       views = Array.make inst.n (Value.list []);
-      skeys = Array.init inst.n (fun pid -> ops.sigma_key pid (Value.list []));
+      skeys = Array.init inst.n (fun pid -> sigma_key pid (Value.list []));
       steps = Array.make inst.n 0;
       decisions = Array.make inst.n (-1);
       env_state = env0;
       stepped = 0;
       undecided = inst.n;
-      env_id = (match tt with Some g -> g.g_env_id env0 | None -> -1);
+      env_id = env_id env0;
       chain = [];
     }
   in
@@ -436,11 +347,11 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
       end
     end
     else
-      match tt with
+      match ctx with
       | None -> explore st sleep k
-      | Some g -> (
-          let pos = g.g_pos st in
-          match Tt.lookup g.g_store ~find:ops.sigma_find ~pos ~mask:sleep with
+      | Some c -> (
+          let pos = position_key ~depth:inst.depth ~n c.Ctx.positions st in
+          match Tt.lookup c.Ctx.store ~find:sigma_find ~pos ~mask:sleep with
           | Tt.Replay e ->
               incr tt_h;
               (* the replayed verdict depends on these σ values: they
@@ -475,7 +386,7 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
                     keeps propagating as-is *)
                  match Tt.refutation_fp fr with
                  | Some e_fp ->
-                     Tt.record g.g_store ~pos
+                     Tt.record c.Ctx.store ~pos
                        { Tt.e_true = false; e_mask = sleep; e_fp };
                      conflict :=
                        Some { Tt.c_fp = Some e_fp; c_chain = st.chain }
@@ -484,9 +395,9 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
                else if ok && !kran = 1 then
                  (* clean success: the subproof completed every schedule
                     and handed off exactly once *)
-                 match Tt.success_fp ~find:ops.sigma_find fr with
+                 match Tt.success_fp ~find:sigma_find fr with
                  | Some e_fp ->
-                     Tt.record g.g_store ~pos
+                     Tt.record c.Ctx.store ~pos
                        { Tt.e_true = true; e_mask = sleep; e_fp }
                  | None -> ());
               ok)
@@ -506,7 +417,7 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
      accounting (it does join the footprint: sleep decisions are
      σ-dependent) *)
   and peek st pid =
-    let r = ops.sigma_find st.skeys.(pid) in
+    let r = sigma_find st.skeys.(pid) in
     if tt_on then log_read st.skeys.(pid) r;
     r
   (* May the actions [aq] (by [q]) and [a] (by [pid]) be transposed at
@@ -555,7 +466,7 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
         !m
   and step st sleep pid k =
     let skey = st.skeys.(pid) in
-    match ops.sigma_find skey with
+    match sigma_find skey with
     | Some a ->
         incr memo_h;
         if tt_on then begin
@@ -579,13 +490,13 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
            else [])
           @ decide_candidates
         in
-        match tt with
+        match ctx with
         | None ->
             List.exists
               (fun a ->
-                ops.sigma_set skey a;
+                Hashtbl.replace sigma skey a;
                 let ok = apply st sleep pid a st.chain k in
-                if not ok then ops.sigma_remove skey;
+                if not ok then Hashtbl.remove sigma skey;
                 ok)
               cands
         | Some _ ->
@@ -624,13 +535,13 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
                      | None -> ());
                   false
               | a :: rest -> (
-                  ops.sigma_set skey a;
+                  Hashtbl.replace sigma skey a;
                   Tt.log_write fr skey;
                   Hashtbl.replace writer skey sn;
                   let kb = !kran in
                   if apply st sleep pid a chain' kw then true
                   else begin
-                    ops.sigma_remove skey;
+                    Hashtbl.remove sigma skey;
                     if !kran > kb then all_pure := false;
                     match !conflict with
                     | Some { Tt.c_fp = Some fp; c_chain }
@@ -645,7 +556,7 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
                            frame).  The skip proves global failure
                            only, so the subproof is tainted against
                            refutation caching. *)
-                        if Tt.fp_valid ~find:ops.sigma_find fp then begin
+                        if Tt.fp_valid ~find:sigma_find fp then begin
                           incr tt_b;
                           Tt.taint fr;
                           false
@@ -675,11 +586,9 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
         (* validity: j must have stepped, or be the decider *)
         if j <> pid && st.stepped land (1 lsl j) = 0 then refuted chain
         else if
-          (* with pruning on, conflicting decisions fail immediately;
-             otherwise the conflict is caught by the terminal agreement
-             check (the ablation measured in the benchmarks) *)
-          prune_agreement
-          && (match pinned st with Some v -> v <> j | None -> false)
+          (* a decision conflicting with one already output fails
+             here, not at the terminal agreement check *)
+          match pinned st with Some v -> v <> j | None -> false
         then refuted chain
         else
           schedules
@@ -702,25 +611,39 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
               schedules
                 {
                   views = set st.views pid view';
-                  skeys = set st.skeys pid (ops.sigma_key pid view');
+                  skeys = set st.skeys pid (sigma_key pid view');
                   steps = set st.steps pid (st.steps.(pid) + 1);
                   decisions = st.decisions;
                   env_state;
                   stepped = st.stepped lor (1 lsl pid);
                   undecided = st.undecided;
-                  env_id =
-                    (match tt with
-                    | Some g -> g.g_env_id env_state
-                    | None -> -1);
+                  env_id = env_id env_state;
                   chain;
                 }
                 (child_sleep st sleep pid a)
                 k)
   in
+  let flush_view_metrics () =
+    let open Wfs_obs.Metrics in
+    (* with a shared context the interner outlives the solve: flush
+       deltas since the last flush, not cumulative totals *)
+    let hb, lb =
+      match ctx with
+      | Some c ->
+          let r = (c.Ctx.vh_flushed, c.Ctx.vl_flushed) in
+          c.Ctx.vh_flushed <- Intern.hits views;
+          c.Ctx.vl_flushed <- Intern.lookups views;
+          r
+      | None -> (0, 0)
+    in
+    Counter.add M.view_intern_hits (Intern.hits views - hb);
+    Counter.add M.view_intern_lookups (Intern.lookups views - lb);
+    Gauge.set_max M.view_arena_size (Intern.size views)
+  in
   Fun.protect ~finally:(fun () ->
       Wfs_obs.Metrics.Counter.incr M.runs;
       live_flush ();
-      ops.sigma_flush_metrics ())
+      flush_view_metrics ())
   @@ fun () ->
   let verdict =
     match schedules initial 0 (fun () -> true) with
@@ -731,14 +654,18 @@ let solve_with_ops (type k) ~max_nodes ~prune_agreement ~indep
                match Int.compare a.pid b.pid with
                | 0 -> Value.compare a.view b.view
                | c -> c)
-             (ops.sigma_extract ()))
+             (Hashtbl.fold
+                (fun k chosen acc ->
+                  { pid = k mod n; view = Intern.value views (k / n); chosen }
+                  :: acc)
+                sigma []))
     | false -> Unsolvable
     | exception Budget -> Out_of_budget { nodes = !nodes }
   in
   (verdict, !nodes)
 
-let solve_with_stats ?(max_nodes = 20_000_000) ?(prune_agreement = true)
-    ?(intern_views = true) ?(por = true) ?(tt = true) ?ctx inst =
+let solve_with_stats ?(max_nodes = 20_000_000) ?(por = true) ?(tt = true) ?ctx
+    inst =
   Wfs_obs.Profile.span ~cat:"solver"
     ~args:(fun () -> [ ("n", Wfs_obs.Json.int inst.n) ])
     "solver.solve"
@@ -750,37 +677,24 @@ let solve_with_stats ?(max_nodes = 20_000_000) ?(prune_agreement = true)
                (fun () -> Independence.of_env inst.env))
         else None
       in
-      if intern_views then
-        if tt then begin
-          let c =
-            match ctx with
-            | Some c ->
-                if c.Ctx.n <> inst.n then
-                  invalid_arg
-                    (Fmt.str
-                       "Solver.solve: shared ctx built for n=%d, instance \
-                        has n=%d"
-                       c.Ctx.n inst.n);
-                c
-            | None -> Ctx.create ~n:inst.n ()
-          in
-          solve_with_ops ~max_nodes ~prune_agreement ~indep
-            ~tt:(Some (interned_glue c inst))
-            (interned_sigma ~ctx:c inst.n)
-            inst
-        end
+      let ctx =
+        if not tt then None
         else
-          solve_with_ops ~max_nodes ~prune_agreement ~indep ~tt:None
-            (interned_sigma inst.n) inst
-      else
-        solve_with_ops ~max_nodes ~prune_agreement ~indep
-          ~tt:(if tt then Some (legacy_glue inst) else None)
-          (legacy_sigma ()) inst)
+          match ctx with
+          | Some c ->
+              if c.Ctx.n <> inst.n then
+                invalid_arg
+                  (Fmt.str
+                     "Solver.solve: shared ctx built for n=%d, instance has \
+                      n=%d"
+                     c.Ctx.n inst.n);
+              Some c
+          | None -> Some (Ctx.create ~n:inst.n ())
+      in
+      search ~max_nodes ~indep ~ctx inst)
 
-let solve ?max_nodes ?prune_agreement ?intern_views ?por ?tt ?ctx inst =
-  fst
-    (solve_with_stats ?max_nodes ?prune_agreement ?intern_views ?por ?tt ?ctx
-       inst)
+let solve ?max_nodes ?por ?tt ?ctx inst =
+  fst (solve_with_stats ?max_nodes ?por ?tt ?ctx inst)
 
 let pp_action ppf = function
   | Do (obj, op) -> Fmt.pf ppf "%s.%a" obj Op.pp op

@@ -31,7 +31,8 @@ type verdict =
   | Out_of_budget of { nodes : int }
 
 (** Build an instance over a single object, with the object's menu as the
-    candidate set. *)
+    candidate set.  Raises [Invalid_argument] when [n < 1] or
+    [depth < 0]. *)
 val of_spec :
   ?extra_candidates:(string * Op.t) list ->
   n:int -> depth:int -> Object_spec.t -> instance
@@ -44,7 +45,7 @@ val of_spec :
     remaining (not consumed) step budget, which is what makes entries
     transpose across different depth bounds; σ-footprints keep reuse
     sound even though each solve grows a fresh strategy table.  Only
-    consulted on the default interned-σ path with [tt] on. *)
+    consulted with [tt] on. *)
 module Ctx : sig
   type t
 
@@ -54,14 +55,9 @@ module Ctx : sig
   val tt_entries : t -> int
 end
 
-(** [solve inst] runs the search.  [prune_agreement] (default true) fails
-    conflicting decisions at decide time instead of at terminal states —
-    the ablation measured in the benchmarks.  [intern_views] (default
-    true) keys the strategy table by interned view ids
-    ([Wfs_sim.Intern], full-depth hashing) instead of raw
-    [(pid, view)] values — identical verdicts and synthesized
-    strategies, faster lookups on deep views; [false] is the reference
-    path used by differential tests and the PERF benchmarks.
+(** [solve inst] runs the search.  The strategy table is keyed by
+    interned view ids ([Wfs_sim.Intern], full-depth hashing), and a
+    decision conflicting with one already output fails at decide time.
 
     [por] (default true) enables sleep-set pruning of scheduler
     branches dominated under the semantic independence relation
@@ -77,8 +73,7 @@ end
     actually consulted, and conflict analysis backjumps past
     existential choice points a refutation never touched — identical
     verdicts and synthesized strategies, far fewer nodes.  [ctx]
-    (requires [tt] and the default [intern_views]; must match the
-    instance's [n]) shares arenas and the transposition store across
+    (requires [tt]; must match the instance's [n]) shares arenas and the transposition store across
     solves, as the census does per row.
 
     Node counts differ across [por]/[tt] settings, so [Out_of_budget]
@@ -88,14 +83,12 @@ end
     Each run feeds [solver.runs], [solver.nodes],
     [solver.cutoff.sleep], the [solver.tt.hits] /
     [solver.tt.misses] / [solver.tt.footprint_rejects] /
-    [solver.tt.backjumps] family and (interned path)
+    [solver.tt.backjumps] family and
     [solver.view_intern.hits] / [solver.view_intern.lookups] /
     [solver.view_intern.arena_size] in the default [Wfs_obs.Metrics]
     registry. *)
 val solve :
   ?max_nodes:int ->
-  ?prune_agreement:bool ->
-  ?intern_views:bool ->
   ?por:bool ->
   ?tt:bool ->
   ?ctx:Ctx.t ->
@@ -105,8 +98,6 @@ val solve :
 (** As {!solve}, also returning the number of search nodes explored. *)
 val solve_with_stats :
   ?max_nodes:int ->
-  ?prune_agreement:bool ->
-  ?intern_views:bool ->
   ?por:bool ->
   ?tt:bool ->
   ?ctx:Ctx.t ->

@@ -8,7 +8,7 @@
    Theorem 7 places at the top of the hierarchy, so everything below is
    built from it.
 
-   Four constructions over the same signature:
+   Three constructions over the same signature:
 
    - [Lock_free]: the log head is a snapshot node (state + result); an
      operation replays nothing — it CASes a fresh node carrying the new
@@ -24,10 +24,6 @@
      and the log is *truncated* behind periodic state snapshots (§4.1's
      strongly-wait-free variant) so memory stays bounded under
      sustained traffic.
-
-   - [Wait_free_unbatched]: Herlihy's original one-invocation-per-node
-     algorithm, kept as the comparison point for the batched version
-     (and as the reference implementation of the helping argument).
 
    - [Locked]: the mutex baseline the introduction argues against: a
      page fault / preemption inside the critical section stalls
@@ -95,12 +91,6 @@ module M = struct
   let wf_snapshots = Counter.make "universal_rt.wait_free.snapshots"
   let wf_retained = Gauge.make "universal_rt.wait_free.retained"
   let wf_watermark = Gauge.make "universal_rt.wait_free.watermark"
-  let wfu_ops = Counter.make "universal_rt.wait_free_unbatched.ops"
-
-  let wfu_help_rounds_hist =
-    Histogram.make "universal_rt.wait_free_unbatched.help_rounds_hist"
-
-  let wfu_apply_ns = Histogram.make "universal_rt.wait_free_unbatched.apply_ns"
 end
 
 module Lock_free (Seq : SEQ) = struct
@@ -666,114 +656,6 @@ module Wait_free (Seq : SEQ) = struct
     else apply_own t ~pid op
 
   let apply t ~pid op = fst (apply_own t ~pid op)
-end
-
-(* Herlihy's original universal algorithm — one invocation per node,
-   full log retained, per-process heads.  Kept verbatim (modulo the
-   per-object ticket fix) as the baseline the batched construction is
-   measured against. *)
-module Wait_free_unbatched (Seq : SEQ) = struct
-  type op = Seq.op
-  type res = Seq.res
-
-  (* A log node.  [decide_next] is a one-shot consensus object on the
-     successor: whoever wins threads their invocation after this node.
-     [seq] is 0 until the node is threaded; helpers then fill [seq],
-     [state] and [result] with identical values (wrapped in Atomic to
-     stay race-free under the OCaml memory model). *)
-  type node = {
-    invoc : (int * int * Seq.op) option; (* pid, ticket, op; None = sentinel *)
-    decide_next : node Consensus_rt.One_shot.t;
-    seq : int Atomic.t;
-    state : Seq.state Atomic.t;
-    result : Seq.res option Atomic.t;
-  }
-
-  type t = {
-    n : int;
-    tickets : int Atomic.t;  (* per-object: a functor-level counter
-                                would be shared by every object from
-                                one instantiation *)
-    announce : node Atomic.t array;
-    head : node Atomic.t array;  (* per-process view of the latest node *)
-    sentinel : node;
-  }
-
-  let fresh_node invoc =
-    {
-      invoc;
-      decide_next = Consensus_rt.One_shot.make ();
-      seq = Atomic.make 0;
-      state = Atomic.make Seq.init;
-      result = Atomic.make None;
-    }
-
-  let create ~n =
-    let sentinel = fresh_node None in
-    Atomic.set sentinel.seq 1;
-    {
-      n;
-      tickets = Atomic.make 0;
-      announce = Array.init n (fun _ -> Atomic.make sentinel);
-      head = Array.init n (fun _ -> Atomic.make sentinel);
-      sentinel;
-    }
-
-  (* the highest-sequence node any process has published *)
-  let max_head t =
-    let best = ref (Atomic.get t.head.(0)) in
-    for i = 1 to t.n - 1 do
-      let h = Atomic.get t.head.(i) in
-      if Atomic.get h.seq > Atomic.get !best.seq then best := h
-    done;
-    !best
-
-  let tickets_issued t = Atomic.get t.tickets
-  let length t = Atomic.get (max_head t).seq - 1
-
-  (* Herlihy's wait-free universal algorithm: announce, then repeatedly
-     thread the preferred node after the current head — helping the
-     announced operation of process (seq mod n) first — until our own
-     node is threaded. *)
-  let apply_inner t ~pid op =
-    let ticket = Atomic.fetch_and_add t.tickets 1 in
-    let mine = fresh_node (Some (pid, ticket, op)) in
-    Atomic.set t.announce.(pid) mine;
-    Atomic.set t.head.(pid) (max_head t);
-    let rounds = ref 0 in
-    while Atomic.get mine.seq = 0 do
-      incr rounds;
-      let before = Atomic.get t.head.(pid) in
-      let help = Atomic.get t.announce.(Atomic.get before.seq mod t.n) in
-      let prefer = if Atomic.get help.seq = 0 then help else mine in
-      let after = Consensus_rt.One_shot.decide before.decide_next prefer in
-      (* fill in the threaded node's fields (idempotent: every helper
-         computes the same values) *)
-      (match after.invoc with
-      | Some (_, _, threaded_op) ->
-          let state', res = Seq.apply (Atomic.get before.state) threaded_op in
-          Atomic.set after.state state';
-          Atomic.set after.result (Some res)
-      | None -> ());
-      Atomic.set after.seq (Atomic.get before.seq + 1);
-      Atomic.set t.head.(pid) after
-    done;
-    (!rounds, Option.get (Atomic.get mine.result))
-
-  let apply t ~pid op =
-    if not (Wfs_obs.Metrics.hot ()) then begin
-      let _, res = apply_inner t ~pid op in
-      res
-    end
-    else begin
-      let (rounds, res), dur =
-        Wfs_obs.Clock.elapsed_ns (fun () -> apply_inner t ~pid op)
-      in
-      Wfs_obs.Metrics.Counter.incr M.wfu_ops;
-      Wfs_obs.Metrics.Histogram.observe M.wfu_help_rounds_hist rounds;
-      Wfs_obs.Metrics.Histogram.observe M.wfu_apply_ns dur;
-      res
-    end
 end
 
 module Locked (Seq : SEQ) = struct

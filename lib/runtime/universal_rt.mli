@@ -104,22 +104,6 @@ module Wait_free (Seq : SEQ) : sig
   val window : t -> int
 end
 
-(** Herlihy's original one-invocation-per-node algorithm, kept as the
-    measured baseline for the batched {!Wait_free}. *)
-module Wait_free_unbatched (Seq : SEQ) : sig
-  type t
-  type op = Seq.op
-  type res = Seq.res
-
-  val create : n:int -> t
-  val apply : t -> pid:int -> op -> res
-
-  (** Operations threaded so far (highest published node position). *)
-  val length : t -> int
-
-  val tickets_issued : t -> int
-end
-
 (** Mutex baseline — the locking discipline the paper's introduction
     argues against. *)
 module Locked (Seq : SEQ) : sig

@@ -18,17 +18,11 @@
    every execution reaches a terminal state, and the longest-path bound
    gives the strong-wait-freedom step bound of §2.4.
 
-   Two engines live here:
-
-   - [explore] (the default): iterative DFS over interned ids with the
-     longest-path DP fused into the same pass — step bounds are combined
-     post-order as frames pop, so no edge is ever re-derived and deep
-     graphs cannot overflow the OCaml stack;
-   - [explore ~legacy:true]: the original recursive two-pass engine
-     (generic-hash [Hashtbl] visited set, separate DP walk re-running
-     [Env.apply] on every edge), kept verbatim as the reference
-     implementation for differential tests and the [PERF] bench
-     section's old-vs-new measurement. *)
+   The engine is an iterative DFS over interned ids with the
+   longest-path DP fused into the same pass: step bounds are combined
+   post-order as frames pop, so no edge is ever re-derived and deep
+   graphs cannot overflow the OCaml stack.  The test tree keeps a
+   recursive two-pass reference over the public successor relation. *)
 
 open Wfs_spec
 
@@ -378,8 +372,6 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
   done;
   List.rev !kept
 
-type color = Gray | Black
-
 (* Metric names: ROADMAP's measurement substrate.  Totals accumulate in
    plain refs during the DFS (the explorer is single-threaded) and are
    flushed to the shared registry once per run. *)
@@ -444,129 +436,12 @@ let flush_metrics ?(states_flushed = 0) ~states ~hits ~lookups ~deepest
         ("truncated", Wfs_obs.Json.bool (truncation <> None));
       ]
 
-(* --- the legacy two-pass engine (reference implementation) --- *)
-
-let explore_legacy ~max_states ~max_depth ~crashes config =
-  let colors : (Value.t, color) Hashtbl.t = Hashtbl.create 4096 in
-  let terminals : (Value.t, terminal) Hashtbl.t = Hashtbl.create 64 in
-  let cyclic = ref false in
-  let stuck = ref None in
-  let truncation = ref None in
-  let invalid = invalid_make () in
-  let lookups = ref 0 in
-  let hits = ref 0 in
-  let deepest = ref 0 in
-  let crash_seen = ref 0 in
-  let rec dfs node depth =
-    if depth > !deepest then deepest := depth;
-    let k = key node in
-    incr lookups;
-    match Hashtbl.find_opt colors k with
-    | Some Gray ->
-        incr hits;
-        cyclic := true
-    | Some Black -> incr hits
-    | None ->
-        if Hashtbl.length colors >= max_states then
-          (if !truncation = None then truncation := Some Budget_states)
-        else if depth >= max_depth then
-          (if !truncation = None then truncation := Some Budget_depth)
-        else begin
-          Hashtbl.replace colors k Gray;
-          if is_terminal node then begin
-            let decisions = Array.copy node.decided in
-            Hashtbl.replace terminals
-              (Value.pair
-                 (Value.list
-                    (Array.to_list (Array.map Value.of_option decisions)))
-                 (Value.pair
-                    (Value.int node.stepped)
-                    (Value.int node.crashed)))
-              {
-                decisions;
-                who_stepped = node.stepped;
-                who_crashed = node.crashed;
-              }
-          end
-          else begin
-            match successors_with_edges ~crashes config node with
-            | exception Object_spec.Unknown_operation { obj; op } ->
-                stuck :=
-                  Some (-1, Fmt.str "unknown operation %a on %s" Op.pp op obj)
-            | [] ->
-                (* undecided processes but no successor: impossible by
-                   construction, kept for totality *)
-                stuck := Some (-1, "no successor")
-            | succs ->
-                List.iter
-                  (fun (pid, edge, succ) ->
-                    (match edge with
-                    | Decide_edge v when not (decision_valid node ~pid v) ->
-                        invalid_note invalid pid v
-                    | Crash_edge -> incr crash_seen
-                    | Decide_edge _ | Op_edge -> ());
-                    dfs succ (depth + 1))
-                  succs
-          end;
-          Hashtbl.replace colors k Black
-        end
-  in
-  dfs (initial config) 0;
-  let truncated = !truncation <> None in
-  let acyclic = (not !cyclic) && (not truncated) && !stuck = None in
-  (* Longest-path DP for per-process step bounds, only on a fully explored
-     DAG: the second pass the fused engine eliminates. *)
-  let step_bounds =
-    if not acyclic then None
-    else begin
-      let n = Array.length config.procs in
-      let memo : (Value.t, int array) Hashtbl.t = Hashtbl.create 4096 in
-      let rec bound node =
-        let k = key node in
-        match Hashtbl.find_opt memo k with
-        | Some b -> b
-        | None ->
-            let best = Array.make n 0 in
-            List.iter
-              (fun (pid, edge, succ) ->
-                let sub = bound succ in
-                (* a crash edge is not a step of anyone: contribute the
-                   child's bounds without the +1 *)
-                let is_step = edge <> Crash_edge in
-                Array.iteri
-                  (fun p v ->
-                    let v = if is_step && p = pid then v + 1 else v in
-                    if v > best.(p) then best.(p) <- v)
-                  sub)
-              (successors_with_edges ~crashes config node);
-            Hashtbl.replace memo k best;
-            best
-      in
-      Some (bound (initial config))
-    end
-  in
-  let states = Hashtbl.length colors in
-  flush_metrics ~states ~hits:!hits ~lookups:!lookups ~deepest:!deepest
-    ~truncation:!truncation ~cyclic:!cyclic ~intern:None ();
-  Pool.note_states states;
-  Wfs_obs.Metrics.Counter.add M.crash_edges !crash_seen;
-  {
-    states;
-    terminals = Hashtbl.fold (fun _ d acc -> d :: acc) terminals [];
-    cyclic = !cyclic;
-    stuck = !stuck;
-    truncated;
-    truncation = !truncation;
-    invalid_decisions = invalid_report invalid;
-    step_bounds;
-  }
-
 (* --- the fused single-pass engine --- *)
 
 (* One frame per node being expanded.  [f_best] accumulates the
    longest-path DP post-order: when the child explored via [f_pending]
-   finishes, its bounds fold into [f_best] — the work the legacy engine
-   repeats in a whole second traversal.
+   finishes, its bounds fold into [f_best], so the DP needs no second
+   traversal.
 
    Crash edges are encoded in the pid arrays as [-2 - pid]: [combine]
    adds the +1 step only when its pid argument matches a real process
@@ -574,7 +449,7 @@ let explore_legacy ~max_states ~max_depth ~crashes config =
    crashing is not a step of anyone. *)
 type frame = {
   f_id : int;  (* interned id of the node *)
-  f_pids : int array;  (* successor pids, in legacy DFS order *)
+  f_pids : int array;  (* successor pids, in canonical order *)
   f_nodes : node array;  (* successor nodes, computed exactly once *)
   f_masks : int array;  (* per-successor arrival sleep masks ([||] = none) *)
   mutable f_next : int;  (* next successor index to explore *)
@@ -1193,37 +1068,28 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep config
   }
 
 let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
-    ?(symmetry = false) ?(legacy = false) ?(crashes = 0) ?(por = true) ?pool
-    config =
+    ?(symmetry = false) ?(crashes = 0) ?(por = true) ?pool config =
   if crashes < 0 then invalid_arg "Explorer.explore: crashes < 0";
   (* The reduction composes with crashes and the parallel engine;
-     [legacy] is the reference engine and stays unreduced, and
      [symmetry] already collapses orbits whose interaction with
      path-dependent sleep masks is not covered by the soundness
-     argument, so each disables it.  Masks pack step and crash bits
+     argument, so it disables it.  Masks pack step and crash bits
      into one int, which caps the process count. *)
   let indep =
-    if por && (not legacy) && (not symmetry)
-       && Array.length config.procs <= crash_shift
-    then
+    if por && (not symmetry) && Array.length config.procs <= crash_shift then
       Some
         (Wfs_obs.Profile.span ~cat:"explore" "explore.independence"
            (fun () -> Independence.of_env config.env))
     else None
   in
   match pool with
-  | Some p when (not legacy) && Pool.size p > 1 ->
+  | Some p when Pool.size p > 1 ->
       Wfs_obs.Profile.span ~cat:"explore" "explore.par" (fun () ->
           explore_par ~pool:p ~max_states ~max_depth ~symmetry ~crashes ~indep
             config)
   | _ ->
-      if legacy then
-        Wfs_obs.Profile.span ~cat:"explore" "explore.legacy" (fun () ->
-            explore_legacy ~max_states ~max_depth ~crashes config)
-      else
-        Wfs_obs.Profile.span ~cat:"explore" "explore.dfs" (fun () ->
-            explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep
-              config)
+      Wfs_obs.Profile.span ~cat:"explore" "explore.dfs" (fun () ->
+          explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config)
 
 let wait_free stats =
   (not stats.cyclic) && (not stats.truncated) && stats.stuck = None

@@ -87,7 +87,7 @@ val decision_valid : node -> pid:int -> Value.t -> bool
 
 (** Exhaustive DFS.
 
-    The default engine interns joint-state keys to dense ids
+    The engine interns joint-state keys to dense ids
     ({!Intern}, full-depth hashing) and computes the longest-path step
     bounds post-order during the single iterative DFS — no second
     traversal, no re-derived successors, no stack-overflow risk at
@@ -103,11 +103,6 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     orbit collapsing permutes pid labels along a path.  Cyclicity (and
     hence [wait_free]) is exact either way.
 
-    [legacy] (default false) runs the original recursive two-pass
-    engine instead — the reference implementation for differential
-    tests and the [PERF] old-vs-new benchmarks; [symmetry] is ignored
-    under [legacy].
-
     [por] (default true) prunes redundant interleavings with sleep
     sets over the semantic independence relation ({!Independence},
     computed once per call from the environment's sequential
@@ -122,10 +117,9 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     exactly those of the unreduced search (the reduction removes
     *edges*, never states); only the per-edge work shrinks.  Skipped
     edges feed [explorer.por.pruned].  The reduction composes with
-    [crashes] and [pool]; it is disabled automatically under [legacy]
-    (the unreduced reference engine), under [symmetry] (orbit
-    collapsing and path-dependent sleep masks are separate
-    reductions), and for more than 16 processes.  [por:false]
+    [crashes] and [pool]; it is disabled automatically under
+    [symmetry] (orbit collapsing and path-dependent sleep masks are
+    separate reductions), and for more than 16 processes.  [por:false]
     reproduces the unreduced edge traversal of previous releases,
     byte for byte.
 
@@ -140,7 +134,7 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     [explorer.crash_edges] counter.
 
     [pool] (default none) runs the exploration across the pool's
-    domains when the pool has size > 1 (and [legacy] is off): a short
+    domains when the pool has size > 1: a short
     sequential BFS fans the top-level schedule prefixes out as worker
     seeds; workers share the visited set through a lock-striped
     interner whose claim bit assigns each distinct state to exactly one
@@ -159,7 +153,7 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     [pool.shard.states{shard=i}] series), [explorer.dedup_hits] /
     [explorer.dedup_lookups] / [explorer.dedup_hit_rate],
     [explorer.max_depth], a truncation counter per {!truncation} cause,
-    and — fast engine only — [explorer.intern.hits] /
+    [explorer.intern.hits] /
     [explorer.intern.lookups] / [explorer.intern.arena_size] and
     [explorer.fused_dp.edges] (edges whose DP contribution was folded
     in the single pass, i.e. the second traversal saved).  Parallel
@@ -169,7 +163,6 @@ val explore :
   ?max_states:int ->
   ?max_depth:int ->
   ?symmetry:bool ->
-  ?legacy:bool ->
   ?crashes:int ->
   ?por:bool ->
   ?pool:Pool.t ->

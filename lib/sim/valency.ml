@@ -43,7 +43,8 @@ module M = struct
   let critical_found = Counter.make "valency.critical_found"
 end
 
-let analyze ?crashes (config : Explorer.config) =
+let analyze ?(crashes = 0) (config : Explorer.config) =
+  if crashes < 0 then invalid_arg "Valency.analyze: crashes < 0";
   (* full-depth-hash table: joint-state keys collide pathologically
      under the generic hash (see [Value.hash_full]) *)
   let memo : valency Value.Tbl.t = Value.Tbl.create 4096 in
@@ -61,7 +62,7 @@ let analyze ?crashes (config : Explorer.config) =
             List.fold_left
               (fun acc (_, succ) -> Vset.union acc (valency succ))
               Vset.empty
-              (Explorer.successors ?crashes config node)
+              (Explorer.successors ~crashes config node)
         in
         Value.Tbl.replace memo k v;
         v

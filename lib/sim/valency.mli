@@ -26,7 +26,8 @@ type critical = {
     [crashes] grants the crash-stop adversary a halt budget (see
     {!Explorer.successors}); reachable-decision sets then range over
     crash-extended executions, where a terminal's values are those of
-    the surviving deciders. *)
+    the surviving deciders.  Raises [Invalid_argument] when
+    [crashes < 0]. *)
 val analyze :
   ?crashes:int -> Explorer.config -> valency * (Explorer.node -> valency)
 
@@ -34,7 +35,8 @@ val analyze :
     correct wait-free consensus protocol with a bivalent initial state
     always has one.  [crashes] as in {!analyze}; crash successors count
     as branches, so a state is only critical if even the adversary's
-    halts commit the outcome. *)
+    halts commit the outcome.  Raises [Invalid_argument] when
+    [crashes < 0]. *)
 val find_critical : ?crashes:int -> Explorer.config -> critical option
 
 val pp_valency : valency Fmt.t

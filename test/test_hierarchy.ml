@@ -179,15 +179,27 @@ let test_budget_reported () =
       Alcotest.(check bool) "nodes counted" true (nodes > 0)
   | _ -> Alcotest.fail "expected budget exhaustion with tiny limit"
 
-let test_prune_ablation_same_verdict () =
-  (* pruning must not change answers, only node counts *)
-  let v1 = Solver.solve (Solver.of_spec ~n:2 ~depth:2 (binary_register ())) in
-  let v2 =
-    Solver.solve ~prune_agreement:false
-      (Solver.of_spec ~n:2 ~depth:2 (binary_register ()))
-  in
-  Alcotest.(check bool) "both unsolvable" true
-    (is_unsolvable v1 && is_unsolvable v2)
+(* out-of-range sizes are input errors, not verdicts: n = 0 used to die
+   on an array index and a negative depth to report UNSOLVABLE *)
+let test_of_spec_rejects_bad_sizes () =
+  let spec = preloaded_queue () in
+  Alcotest.check_raises "n = 0" (Invalid_argument "Solver.of_spec: n < 1")
+    (fun () -> ignore (Solver.of_spec ~n:0 ~depth:2 spec));
+  Alcotest.check_raises "depth = -1"
+    (Invalid_argument "Solver.of_spec: depth < 0") (fun () ->
+      ignore (Solver.of_spec ~n:2 ~depth:(-1) spec));
+  Alcotest.check_raises "census depth = -1"
+    (Invalid_argument "Solver.of_spec: depth < 0") (fun () ->
+      ignore (Census.measure ~depth2:(-1) spec))
+
+(* the guards' edges are legal sizes: one process decides its own input
+   without a step, two cannot agree without one *)
+let test_of_spec_boundary_sizes () =
+  let spec = preloaded_queue () in
+  Alcotest.(check bool) "n = 1, depth = 0 solvable" true
+    (is_solvable (solve ~n:1 ~depth:0 spec));
+  Alcotest.(check bool) "n = 2, depth = 0 unsolvable" true
+    (is_unsolvable (solve ~n:2 ~depth:0 spec))
 
 (* the synthesized strategy, replayed through the simulator, must verify *)
 let test_synthesized_strategy_verifies () =
@@ -275,8 +287,10 @@ let suite =
         Alcotest.test_case "DDS: fifo channel unsolvable" `Quick
           test_dds_fifo_channel_unsolvable;
         Alcotest.test_case "budget reporting" `Quick test_budget_reported;
-        Alcotest.test_case "prune ablation agrees" `Quick
-          test_prune_ablation_same_verdict;
+        Alcotest.test_case "of_spec rejects bad sizes" `Quick
+          test_of_spec_rejects_bad_sizes;
+        Alcotest.test_case "of_spec accepts boundary sizes" `Quick
+          test_of_spec_boundary_sizes;
         Alcotest.test_case "synthesized strategy verifies" `Quick
           test_synthesized_strategy_verifies;
       ] );

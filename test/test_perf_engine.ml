@@ -1,7 +1,8 @@
-(* Differential tests for the engine overhaul: the interned fused-DP
-   explorer and the interned solver strategy table must be
-   observationally identical to their legacy reference paths, on every
-   protocol in the registry and on the canonical solver instances.
+(* Differential tests for the exploration engine: the interned
+   fused-DP explorer must be observationally identical to the
+   recursive two-pass reference in [Explorer_oracle], on every protocol
+   in the registry and on hand-made cyclic, stuck and invalid-decision
+   configs, under every budget kind and under a crash budget.
    Also: the symmetry quotient agrees with the full graph on every
    verdict, and the interner's properties hold under qcheck. *)
 
@@ -12,7 +13,7 @@ open Wfs_hierarchy
 
 let value = Alcotest.testable Value.pp Value.equal
 
-(* --- explorer: fast engine vs legacy reference --- *)
+(* --- explorer: engine vs reference oracle --- *)
 
 (* Terminals are reported as a set; compare them order-insensitively
    through their canonical encodings. *)
@@ -72,36 +73,20 @@ let registry_protocols () =
         [ 2; 3 ])
     Registry.entries
 
+let check_against_oracle name config =
+  let check ?max_states ?max_depth ?crashes label =
+    check_stats_equal (name ^ label)
+      (Explorer_oracle.explore ?max_states ?max_depth ?crashes config)
+      (Explorer.explore ?max_states ?max_depth ?crashes config)
+  in
+  check "";
+  check ~max_states:40 " [max_states=40]";
+  check ~max_depth:3 " [max_depth=3]";
+  check ~crashes:1 " [crashes=1]"
+
 let test_explorer_differential () =
   List.iter
-    (fun (name, (p : Protocol.t)) ->
-      let run ?max_states ?max_depth legacy =
-        Explorer.explore ?max_states ?max_depth ~legacy p.Protocol.config
-      in
-      check_stats_equal name (run true) (run false);
-      check_stats_equal
-        (name ^ " [max_states=40]")
-        (run ~max_states:40 true) (run ~max_states:40 false);
-      check_stats_equal
-        (name ^ " [max_depth=3]")
-        (run ~max_depth:3 true) (run ~max_depth:3 false))
-    (registry_protocols ())
-
-let test_verify_differential () =
-  List.iter
-    (fun (name, p) ->
-      let a = Protocol.verify ~legacy:true p in
-      let b = Protocol.verify p in
-      Alcotest.(check bool)
-        (name ^ ": agreement") a.Protocol.agreement b.Protocol.agreement;
-      Alcotest.(check bool)
-        (name ^ ": validity") a.Protocol.validity b.Protocol.validity;
-      Alcotest.(check bool)
-        (name ^ ": wait_free") a.Protocol.wait_free b.Protocol.wait_free;
-      Alcotest.(check int) (name ^ ": states") a.Protocol.states b.Protocol.states;
-      Alcotest.(check (list value))
-        (name ^ ": decisions_seen")
-        a.Protocol.decisions_seen b.Protocol.decisions_seen)
+    (fun (name, (p : Protocol.t)) -> check_against_oracle name p.Protocol.config)
     (registry_protocols ())
 
 (* --- symmetry quotient vs full graph ---
@@ -148,6 +133,70 @@ let symmetric_spin_config n =
       Env.make
         [ ("r", Registers.atomic ~name:"r" ~init:Value.bottom [ Value.int 1 ]) ];
   }
+
+(* P0 applies test-and-set to a read/write register: the engines must
+   agree on the stuck report. *)
+let unknown_op_config () =
+  let bad =
+    Process.make ~pid:0 ~init:(Process.at 0) (fun local ->
+        match Process.pc local with
+        | 0 -> Process.invoke ~obj:"r" Registers.tas (fun _ -> Process.at 1)
+        | 1 -> Process.decide (Value.int 0)
+        | _ -> assert false)
+  in
+  let good =
+    Process.make ~pid:1 ~init:(Process.at 0) (fun _ ->
+        Process.decide (Value.int 1))
+  in
+  {
+    Explorer.procs = [| bad; good |];
+    env =
+      Env.make
+        [ ("r", Registers.atomic ~name:"r" ~init:Value.bottom [ Value.int 1 ]) ];
+  }
+
+(* Everybody reads a register once, then decides the next pid's input:
+   valid only on schedules where that pid has already stepped. *)
+let borrowed_decision_config n =
+  let proc pid =
+    Process.make ~pid ~init:(Process.at 0) (fun local ->
+        match Process.pc local with
+        | 0 -> Process.invoke ~obj:"r" Registers.read (fun _ -> Process.at 1)
+        | 1 -> Process.decide (Value.int ((pid + 1) mod n))
+        | _ -> assert false)
+  in
+  {
+    Explorer.procs = Array.init n proc;
+    env =
+      Env.make
+        [ ("r", Registers.atomic ~name:"r" ~init:Value.bottom [ Value.int 1 ]) ];
+  }
+
+(* The sound registry protocols are acyclic and never stuck; these
+   hand-made configs drive the cyclic, stuck and invalid-decision
+   branches through both engines. *)
+let test_explorer_differential_handmade () =
+  check_against_oracle "unknown-op" (unknown_op_config ());
+  List.iter
+    (fun n ->
+      check_against_oracle (Fmt.str "sym-tas n=%d" n) (symmetric_tas_config n);
+      check_against_oracle (Fmt.str "sym-spin n=%d" n) (symmetric_spin_config n);
+      check_against_oracle
+        (Fmt.str "borrowed-decision n=%d" n)
+        (borrowed_decision_config n))
+    [ 2; 3 ];
+  (* the configs really reach those branches *)
+  let spin = Explorer.explore (symmetric_spin_config 2) in
+  Alcotest.(check bool) "sym-spin is cyclic" true spin.Explorer.cyclic;
+  let stuck = Explorer.explore (unknown_op_config ()) in
+  Alcotest.(check bool) "unknown-op is stuck" true (stuck.Explorer.stuck <> None);
+  let borrowed = Explorer.explore (borrowed_decision_config 2) in
+  Alcotest.(check bool)
+    "borrowed-decision has invalid decides" true
+    (borrowed.Explorer.invalid_decisions <> []);
+  Alcotest.(check bool)
+    "borrowed-decision has valid terminals" true
+    (borrowed.Explorer.terminals <> [])
 
 let check_symmetry_agrees name config =
   let full = Explorer.explore config in
@@ -197,11 +246,11 @@ let test_symmetry () =
 (* --- symmetry quotient combined with a crash budget ---
 
    Crash transitions are symmetric too (any orbit member may crash), so
-   the quotient remains sound under fault injection.  The legacy engine
-   has no symmetry support (the flag is documented as ignored), so the
-   reference comparison is two-legged: fast = legacy exactly on the
-   full crash-augmented graph, and the crash-augmented quotient agrees
-   with that reference graph on every verdict. *)
+   the quotient remains sound under fault injection.  The oracle has no
+   symmetry support, so the reference comparison is two-legged: engine
+   = oracle exactly on the full crash-augmented graph, and the
+   crash-augmented quotient agrees with that reference graph on every
+   verdict. *)
 
 let test_symmetry_with_crashes () =
   List.iter
@@ -210,10 +259,10 @@ let test_symmetry_with_crashes () =
         (fun (cname, config) ->
           let name = Fmt.str "%s n=%d crashes=1" cname n in
           let full = Explorer.explore ~crashes:1 config in
-          (* fast vs legacy on the full crash-augmented graph *)
+          (* engine vs oracle on the full crash-augmented graph *)
           check_stats_equal
             (name ^ " [full]")
-            (Explorer.explore ~legacy:true ~crashes:1 config)
+            (Explorer_oracle.explore ~crashes:1 config)
             full;
           (* crash-augmented quotient vs the full graph *)
           let quot = Explorer.explore ~symmetry:true ~crashes:1 config in
@@ -246,7 +295,7 @@ let test_symmetry_with_crashes () =
         ])
     [ 2; 3 ]
 
-(* --- solver: interned view table vs raw (pid, view) keys --- *)
+(* --- solver verdicts as comparable strings (engine.por, engine.tt) --- *)
 
 let action_str a = Fmt.str "%a" Solver.pp_action a
 
@@ -259,35 +308,6 @@ let verdict_sig = function
   | Solver.Out_of_budget { nodes } -> [ Fmt.str "BUDGET %d" nodes ]
   | Solver.Solvable assignments ->
       "SOLVABLE" :: List.sort String.compare (List.map assignment_sig assignments)
-
-let check_solver_differential name inst =
-  let v_legacy, n_legacy =
-    Solver.solve_with_stats ~intern_views:false inst
-  in
-  let v_interned, n_interned = Solver.solve_with_stats inst in
-  Alcotest.(check (list string))
-    (name ^ ": verdict + strategy")
-    (verdict_sig v_legacy) (verdict_sig v_interned);
-  Alcotest.(check int) (name ^ ": nodes") n_legacy n_interned
-
-let test_solver_differential () =
-  let reg =
-    Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
-  in
-  let queue ?(initial = []) () =
-    Queues.fifo ~name:"q" ~initial ~items:[ Value.str "a"; Value.str "b" ] ()
-  in
-  (* Theorem 2: registers cannot solve 2-consensus. *)
-  check_solver_differential "T2 register n=2 d=2"
-    (Solver.of_spec ~n:2 ~depth:2 reg);
-  (* Theorem 9: a pre-loaded queue solves 2-consensus. *)
-  check_solver_differential "T9 queue n=2 d=2"
-    (Solver.of_spec ~n:2 ~depth:2
-       (queue ~initial:[ Value.str "a"; Value.str "b" ] ()));
-  (* Theorem 11: queues cannot solve 3-consensus. *)
-  check_solver_differential "T11 queue n=3 d=1"
-    (Solver.of_spec ~n:3 ~depth:1
-       (queue ~initial:[ Value.str "a"; Value.str "b" ] ()))
 
 (* --- interner and full-depth hash properties --- *)
 
@@ -336,15 +356,13 @@ let suite =
   [
     ( "engine.differential",
       [
-        Alcotest.test_case "explorer: legacy = fast on registry" `Quick
+        Alcotest.test_case "explorer: oracle = engine on registry" `Quick
           test_explorer_differential;
-        Alcotest.test_case "verify: legacy = fast reports" `Quick
-          test_verify_differential;
+        Alcotest.test_case "explorer: oracle = engine off the registry" `Quick
+          test_explorer_differential_handmade;
         Alcotest.test_case "symmetry quotient agrees" `Quick test_symmetry;
         Alcotest.test_case "symmetry quotient under crash faults" `Quick
           test_symmetry_with_crashes;
-        Alcotest.test_case "solver: raw = interned views" `Quick
-          test_solver_differential;
       ] );
     ("engine.intern", qsuite);
   ]

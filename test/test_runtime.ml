@@ -707,17 +707,24 @@ let test_tickets_independent_batched () =
   Alcotest.(check int) "first object's tickets" 5 (W.tickets_issued a);
   Alcotest.(check int) "second object's tickets" 3 (W.tickets_issued b)
 
-let test_tickets_independent_unbatched () =
-  let module W = Universal_rt.Wait_free_unbatched (Seq_objects.Counter) in
-  let a = W.create ~n:2 and b = W.create ~n:2 in
+(* the truncation window must be positive (wfs serve and wfs load map
+   the rejection to exit 2); a window of one node is the smallest legal
+   one and still serves every operation *)
+let test_window_must_be_positive () =
+  let module WF = Universal_rt.Wait_free (Seq_objects.Counter) in
+  List.iter
+    (fun window ->
+      Alcotest.check_raises
+        (Fmt.str "window = %d" window)
+        (Invalid_argument "Wait_free.create: window")
+        (fun () -> ignore (WF.create ~window ~n:1 ())))
+    [ 0; -1 ];
+  let wf = WF.create ~window:1 ~n:1 () in
   for _ = 1 to 5 do
-    ignore (W.apply a ~pid:0 Seq_objects.Counter.Incr)
+    ignore (WF.apply wf ~pid:0 Seq_objects.Counter.Incr)
   done;
-  for _ = 1 to 3 do
-    ignore (W.apply b ~pid:0 Seq_objects.Counter.Incr)
-  done;
-  Alcotest.(check int) "first object's tickets" 5 (W.tickets_issued a);
-  Alcotest.(check int) "second object's tickets" 3 (W.tickets_issued b)
+  Alcotest.(check int) "window = 1 length" 5 (WF.length wf);
+  Alcotest.(check int) "window = 1 state" 5 (WF.read wf)
 
 (* All the log-length accountings agree on the same quantity: after the
    same k-operation history, every construction reports k, and the
@@ -729,18 +736,13 @@ let test_log_length_accounting_agrees () =
   let k = 10 in
   let module LF = Universal_rt.Lock_free (Seq_objects.Counter) in
   let module WF = Universal_rt.Wait_free (Seq_objects.Counter) in
-  let module WU = Universal_rt.Wait_free_unbatched (Seq_objects.Counter) in
-  let lf = LF.create ()
-  and wf = WF.create ~window:4 ~n:1 ()
-  and wu = WU.create ~n:1 in
+  let lf = LF.create () and wf = WF.create ~window:4 ~n:1 () in
   for _ = 1 to k do
     ignore (LF.apply lf Seq_objects.Counter.Incr);
-    ignore (WF.apply wf ~pid:0 Seq_objects.Counter.Incr);
-    ignore (WU.apply wu ~pid:0 Seq_objects.Counter.Incr)
+    ignore (WF.apply wf ~pid:0 Seq_objects.Counter.Incr)
   done;
   Alcotest.(check int) "lock-free length" k (LF.length lf);
   Alcotest.(check int) "wait-free (batched) length" k (WF.length wf);
-  Alcotest.(check int) "wait-free (unbatched) length" k (WU.length wu);
   Alcotest.(check int) "states agree" (LF.read lf) (WF.read wf);
   let open Wfs_spec in
   let target = Collections.counter () in
@@ -760,45 +762,6 @@ let test_log_length_accounting_agrees () =
   Alcotest.(check bool) "truncating replay within n"
     true
     (v.max_replay <= 1)
-
-(* the unbatched baseline stays a correct concurrent queue *)
-let test_wait_free_unbatched_queue () =
-  let module WU = Universal_rt.Wait_free_unbatched (Seq_objects.Queue_of_int) in
-  let q = WU.create ~n:domains in
-  let per_domain = 50 in
-  let producers = domains / 2 in
-  let outputs =
-    P.run_domains domains (fun pid ->
-        if pid < producers then
-          List.init per_domain (fun i ->
-              let item = (pid * 1_000_000) + i in
-              ignore (WU.apply q ~pid (Seq_objects.Queue_of_int.Enq item));
-              `Produced item)
-        else
-          List.filter_map
-            (fun _ ->
-              match WU.apply q ~pid Seq_objects.Queue_of_int.Deq with
-              | Seq_objects.Queue_of_int.Deqd x -> Some (`Consumed x)
-              | _ -> None)
-            (List.init per_domain Fun.id))
-  in
-  let all = List.concat outputs in
-  let produced =
-    List.filter_map (function `Produced x -> Some x | _ -> None) all
-  in
-  let consumed =
-    List.filter_map (function `Consumed x -> Some x | _ -> None) all
-  in
-  let rec drain acc =
-    match WU.apply q ~pid:0 Seq_objects.Queue_of_int.Deq with
-    | Seq_objects.Queue_of_int.Deqd x -> drain (x :: acc)
-    | _ -> acc
-  in
-  let leftover = drain [] in
-  let sort = List.sort compare in
-  Alcotest.(check (list int))
-    "conservation" (sort produced)
-    (sort (consumed @ leftover))
 
 (* the truncating log must not grow: under sustained multi-domain load
    the retained window stays within 2*window+1 (the transient factor 2
@@ -831,13 +794,11 @@ let bugfix_suite =
     [
       Alcotest.test_case "tickets are per-object (batched)" `Quick
         test_tickets_independent_batched;
-      Alcotest.test_case "tickets are per-object (unbatched)" `Quick
-        test_tickets_independent_unbatched;
       Alcotest.test_case "log-length accounting agrees" `Quick
         test_log_length_accounting_agrees;
-      Alcotest.test_case "unbatched queue stress" `Quick
-        test_wait_free_unbatched_queue;
       Alcotest.test_case "bounded log memory" `Quick test_bounded_log_memory;
+      Alcotest.test_case "window must be positive" `Quick
+        test_window_must_be_positive;
     ] )
 
 let suite = suite @ [ bugfix_suite ]

@@ -192,6 +192,13 @@ let test_valency_univalent_after_winner () =
   Alcotest.(check bool) "univalent" true (Valency.is_univalent v);
   Alcotest.check value "P0 wins" (Value.pid 0) (Valency.Vset.choose v)
 
+let test_valency_rejects_negative_crashes () =
+  let invalid = Invalid_argument "Valency.analyze: crashes < 0" in
+  Alcotest.check_raises "analyze" invalid (fun () ->
+      ignore (Valency.analyze ~crashes:(-1) (tas_config ())));
+  Alcotest.check_raises "find_critical" invalid (fun () ->
+      ignore (Valency.find_critical ~crashes:(-1) (tas_config ())))
+
 let suite =
   [
     ( "sim.runner",
@@ -220,6 +227,8 @@ let suite =
           test_valency_critical_exists;
         Alcotest.test_case "univalent after winner" `Quick
           test_valency_univalent_after_winner;
+        Alcotest.test_case "negative crash budget rejected" `Quick
+          test_valency_rejects_negative_crashes;
       ] );
   ]
 

@@ -1,7 +1,7 @@
 (* Differential and unit tests for the transposition/no-good layer: the
    cached search must be observationally identical to the chronological
    one.  Verdicts and synthesized strategies match across every
-   {por, tt, intern_views} combination while node counts only shrink;
+   {por, tt} combination while node counts only shrink;
    the footprint machinery in [Tt] is exercised directly (validation,
    overflow, taint, mask subsumption, eviction); budget exhaustion still
    flushes the node counters; and the census critical-depth binary
@@ -12,17 +12,13 @@ open Wfs_hierarchy
 
 let verdict_sig = Test_perf_engine.verdict_sig
 
-(* --- solver: tt = no-tt verdicts, across the por/backend grid --- *)
+(* --- solver: tt = no-tt verdicts, across the por grid --- *)
 
-(* The four {por, tt} ablations plus the legacy (raw (pid, view) keyed)
-   backend with tt on: same verdict and strategy everywhere; the cached
-   searches never explore more nodes than their uncached counterparts;
-   and the two σ backends agree node for node (position canonicalization
-   is backend-independent). *)
+(* The four {por, tt} ablations: same verdict and strategy everywhere,
+   and the cached searches never explore more nodes than their uncached
+   counterparts. *)
 let check_grid name inst =
-  let solve ?(intern_views = true) ~por ~tt () =
-    Solver.solve_with_stats ~intern_views ~por ~tt inst
-  in
+  let solve ~por ~tt () = Solver.solve_with_stats ~por ~tt inst in
   let v_ref, n_ref = solve ~por:false ~tt:false () in
   let sig_ref = verdict_sig v_ref in
   let check_combo combo (v, n) =
@@ -34,18 +30,12 @@ let check_grid name inst =
   let n_tt = check_combo "tt" (solve ~por:false ~tt:true ()) in
   let n_por = check_combo "por" (solve ~por:true ~tt:false ()) in
   let n_both = check_combo "por+tt" (solve ~por:true ~tt:true ()) in
-  let n_legacy =
-    check_combo "legacy tt" (solve ~intern_views:false ~por:false ~tt:true ())
-  in
   Alcotest.(check bool)
     (name ^ ": tt no more nodes than chronological")
     true (n_tt <= n_ref);
   Alcotest.(check bool)
     (name ^ ": por+tt no more nodes than por alone")
-    true (n_both <= n_por);
-  Alcotest.(check int)
-    (name ^ ": legacy and interned tt agree node for node")
-    n_tt n_legacy
+    true (n_both <= n_por)
 
 let register () =
   Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
