@@ -174,6 +174,64 @@ let time_once f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* WFS_PERF_REPS (default 5): timed repetitions per PERF measurement. *)
+let perf_reps () =
+  match Sys.getenv_opt "WFS_PERF_REPS" with
+  | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
+  | None -> 5
+
+(* Interleaved min-of-reps of [run] with a switch off and on.  Each rep
+   times both modes back to back, so both face the same machine drift —
+   sequential off-block-then-on-block measurement let a slow phase of
+   the shared box masquerade as tens of percent of (anti-)overhead —
+   and the within-pair order alternates rep to rep: the second run of a
+   pair tends to be faster (warmer caches), and a fixed order would
+   book that as (anti-)overhead.  Both modes are warmed first and the
+   switch is left off.  Returns the (off, on) seconds. *)
+let interleaved_off_on ~reps ~set run =
+  set false;
+  run ();
+  set true;
+  run ();
+  let off = ref infinity and on_ = ref infinity in
+  let timed on =
+    set on;
+    Gc.minor ();
+    let (), dt = time_once run in
+    let cell = if on then on_ else off in
+    if dt < !cell then cell := dt
+  in
+  for rep = 1 to reps do
+    if rep land 1 = 0 then begin
+      timed false;
+      timed true
+    end
+    else begin
+      timed true;
+      timed false
+    end
+  done;
+  set false;
+  (!off, !on_)
+
+(* Record and print an off/on pair of [ops]-operation timings as per-op
+   figures under [series]; [extra] sees the overhead percentage. *)
+let record_off_on series ~label ~ops ~reps ?(extra = fun _ -> []) (off, on_) =
+  let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
+  let per_op t = t /. float_of_int ops *. 1e9 in
+  record_series series
+    (Obs.Json.obj
+       ([
+          ("off_ns_per_op", Obs.Json.float (per_op off));
+          ("on_ns_per_op", Obs.Json.float (per_op on_));
+          ("overhead_pct", Obs.Json.float pct);
+          ("ops", Obs.Json.int ops);
+          ("reps", Obs.Json.int reps);
+        ]
+       @ extra pct));
+  Fmt.pr "  %-34s off %9.1f ns/op on %9.1f ns/op overhead %+5.1f%%@." label
+    (per_op off) (per_op on_) pct
+
 (* Median of [reps] wall-clock samples of [f].  The median resists
    outliers in both directions — a page-cache-warm fluke as much as a
    noisy neighbour — so the PR-over-PR series only moves when the
@@ -417,11 +475,7 @@ let universal_service () =
   let domains = 4 in
   let per_domain = 10_000 in
   let total = domains * per_domain in
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
+  let reps = perf_reps () in
   let hist name =
     match List.assoc_opt name (Obs.Metrics.dump ()) with
     | Some (Obs.Metrics.D_histogram { d_count; d_sum; _ }) -> (d_count, d_sum)
@@ -1265,11 +1319,7 @@ let fault_bench () =
 
 let profile_overhead () =
   section "PROFILE  span profiler overhead: off vs enabled (target <=5%)";
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
+  let reps = perf_reps () in
   let best ~iters f =
     ignore (f ());
     let t = ref infinity in
@@ -1318,7 +1368,7 @@ let profile_overhead () =
      enabled cost in its least flattering setting (ops that do almost
      nothing). *)
   let ops = 20_000 in
-  let off, on_, pct, _ =
+  let off, on_, _, _ =
     measure_pair "recorder-op" ~iters:1 (fun () ->
         let r = Runtime.Recorder.create ~capacity:(2 * ops) in
         for pid = 0 to ops - 1 do
@@ -1327,20 +1377,7 @@ let profile_overhead () =
                ~op:Queues.deq ~encode_res:Value.int (fun () -> 0))
         done)
   in
-  record_series "profile/recorder-op"
-    (Obs.Json.obj
-       [
-         ("off_ns_per_op", Obs.Json.float (off /. float_of_int ops *. 1e9));
-         ("on_ns_per_op", Obs.Json.float (on_ /. float_of_int ops *. 1e9));
-         ("overhead_pct", Obs.Json.float pct);
-         ("ops", Obs.Json.int ops);
-         ("reps", Obs.Json.int reps);
-       ]);
-  Fmt.pr "  %-34s off %9.1f ns/op on %9.1f ns/op overhead %+5.1f%%@."
-    "recorder-op"
-    (off /. float_of_int ops *. 1e9)
-    (on_ /. float_of_int ops *. 1e9)
-    pct;
+  record_off_on "profile/recorder-op" ~label:"recorder-op" ~ops ~reps (off, on_);
   (* Disabled micro-cost: Profile.span around a trivial thunk vs the
      bare thunk.  The delta is the price every instrumented seam pays
      when nobody is profiling — it should be a branch, i.e. ~0 ns. *)
@@ -1377,57 +1414,14 @@ let profile_overhead () =
     done
   in
   let was_hot = Obs.Metrics.hot () in
-  (* interleaved min-of-reps — each rep times metrics-off and
-     metrics-on back to back, so both sides face the same machine
-     drift; sequential off-block-then-on-block measurement let a slow
-     phase of the shared box masquerade as tens of percent of
-     (anti-)overhead *)
-  Obs.Metrics.set_hot false;
-  wf_run ();
-  Obs.Metrics.set_hot true;
-  wf_run ();
-  let off = ref infinity and on_ = ref infinity in
-  let timed hot =
-    Obs.Metrics.set_hot hot;
-    Gc.minor ();
-    let (), dt = time_once wf_run in
-    let cell = if hot then on_ else off in
-    if dt < !cell then cell := dt
-  in
-  (* alternate the within-pair order rep to rep: the second run of a
-     pair tends to be faster (warmer caches), and a fixed order would
-     book that as (anti-)overhead *)
-  for rep = 1 to reps do
-    if rep land 1 = 0 then begin
-      timed false;
-      timed true
-    end
-    else begin
-      timed true;
-      timed false
-    end
-  done;
+  let times = interleaved_off_on ~reps ~set:Obs.Metrics.set_hot wf_run in
   Obs.Metrics.set_hot was_hot;
-  let off = !off and on_ = !on_ in
-  let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
-  record_series "profile/wait-free-metrics"
-    (Obs.Json.obj
-       [
-         ("off_ns_per_op", Obs.Json.float (off /. float_of_int wf_ops *. 1e9));
-         ("on_ns_per_op", Obs.Json.float (on_ /. float_of_int wf_ops *. 1e9));
-         ("overhead_pct", Obs.Json.float pct);
-         ("ops", Obs.Json.int wf_ops);
-         ("reps", Obs.Json.int reps);
-       ]);
-  Fmt.pr "  %-34s off %9.1f ns/op on %9.1f ns/op overhead %+5.1f%%@."
-    "wait-free-apply-metrics"
-    (off /. float_of_int wf_ops *. 1e9)
-    (on_ /. float_of_int wf_ops *. 1e9)
-    pct
+  record_off_on "profile/wait-free-metrics" ~label:"wait-free-apply-metrics"
+    ~ops:wf_ops ~reps times
 
 (* ---------- obs-causal: sampled causal tracing overhead ----------
 
-   The Causal contract (ISSUE 10): 1-in-64 sampled tracing on the
+   The Causal contract: 1-in-64 sampled tracing on the
    universal-service hot path costs <= 5%.  Same discipline as
    profile/wait-free-metrics: interleaved min-of-reps with the
    within-pair order alternated rep to rep, so machine drift and cache
@@ -1437,11 +1431,7 @@ let profile_overhead () =
 
 let obs_causal () =
   section "OBS-CAUSAL  sampled causal tracing: off vs on (target <=5%)";
-  let reps =
-    match Sys.getenv_opt "WFS_PERF_REPS" with
-    | Some s -> ( try max 1 (int_of_string s) with Failure _ -> 5)
-    | None -> 5
-  in
+  let reps = perf_reps () in
   let module WC = Runtime.Universal.Wait_free (Runtime.Seq_objects.Counter) in
   let ops = 100_000 in
   let run () =
@@ -1457,48 +1447,14 @@ let obs_causal () =
       Obs.Causal.reset ()
     end
   in
-  (* warm both modes before timing anything *)
-  set_traced false;
-  run ();
-  set_traced true;
-  run ();
-  let off = ref infinity and on_ = ref infinity in
-  let timed traced =
-    set_traced traced;
-    Gc.minor ();
-    let (), dt = time_once run in
-    let cell = if traced then on_ else off in
-    if dt < !cell then cell := dt
-  in
-  for rep = 1 to reps do
-    if rep land 1 = 0 then begin
-      timed false;
-      timed true
-    end
-    else begin
-      timed true;
-      timed false
-    end
-  done;
-  set_traced false;
-  let off = !off and on_ = !on_ in
-  let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
-  record_series "obs-causal/universal-service"
-    (Obs.Json.obj
-       [
-         ("off_ns_per_op", Obs.Json.float (off /. float_of_int ops *. 1e9));
-         ("on_ns_per_op", Obs.Json.float (on_ /. float_of_int ops *. 1e9));
-         ("overhead_pct", Obs.Json.float pct);
-         ("sample_every", Obs.Json.int 64);
-         ("ops", Obs.Json.int ops);
-         ("reps", Obs.Json.int reps);
-         ("budget_ok", Obs.Json.bool (pct <= 5.0));
-       ]);
-  Fmt.pr "  %-34s off %9.1f ns/op on %9.1f ns/op overhead %+5.1f%%@."
-    "universal-apply-traced"
-    (off /. float_of_int ops *. 1e9)
-    (on_ /. float_of_int ops *. 1e9)
-    pct
+  record_off_on "obs-causal/universal-service" ~label:"universal-apply-traced"
+    ~ops ~reps
+    ~extra:(fun pct ->
+      [
+        ("sample_every", Obs.Json.int 64);
+        ("budget_ok", Obs.Json.bool (pct <= 5.0));
+      ])
+    (interleaved_off_on ~reps ~set:set_traced run)
 
 (* ---------- entry point ----------
 

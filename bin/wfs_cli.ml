@@ -110,7 +110,9 @@ let profile_arg =
         ~doc:
           "Record a span profile of the run and write it to $(docv) as \
            Chrome trace_event JSON (load in ui.perfetto.dev or \
-           chrome://tracing).")
+           chrome://tracing).  Under load and serve the file also \
+           carries the causal invocation trace (help edges as flow \
+           arrows between domain tracks); audit it with wfs trace.")
 
 let metrics_out_arg =
   Arg.(
@@ -145,8 +147,20 @@ let obs_term =
         { progress; profile; metrics_out; metrics_port })
     $ progress_arg $ profile_arg $ metrics_out_arg $ metrics_port_arg)
 
+(* Output files are created before the run, so an unwritable path is a
+   bad-input exit up front rather than an exception after the work. *)
+let with_writable what path f =
+  match Option.map open_out path with
+  | exception Sys_error msg ->
+      Fmt.epr "cannot write %s: %s@." what msg;
+      2
+  | oc ->
+      Option.iter close_out oc;
+      f ()
+
 let obs_setup { progress; profile; metrics_out; metrics_port } ~label
     ?(crashes = 0) f =
+  with_writable "profile" profile @@ fun () ->
   (* the sampler starts first so its ring already has a baseline when
      the pool spawns, and stops last so the final file-sink rewrite
      carries the complete end-of-run values *)
@@ -177,7 +191,7 @@ let obs_setup { progress; profile; metrics_out; metrics_port } ~label
         | Some path ->
             Obs.Profile.disable ();
             Obs.Profile.write path;
-            Fmt.epr "profile written to %s (%d spans%s)@." path
+            Fmt.epr "profile written to %s (%d events%s)@." path
               (Obs.Profile.recorded ())
               (let d = Obs.Profile.dropped () in
                if d = 0 then "" else Fmt.str ", %d dropped" d)
@@ -689,18 +703,6 @@ let service_spec name =
 
 (* --- causal tracing plumbing (shared by load and serve) --- *)
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:
-          "Record causal invocation traces (announce/claim/help/complete \
-           phases plus help edges) and write the merged Chrome \
-           trace_event JSON to $(docv) — help chains render as flow \
-           arrows between domain tracks in ui.perfetto.dev; audit it \
-           offline with wfs trace.")
-
 let trace_sample_arg =
   Arg.(
     value & opt int 64
@@ -719,26 +721,20 @@ let help_canary_arg =
            path (briefly parking after announcing) so cross-client help \
            edges are recorded even when domains time-slice and never \
            race.  Only meaningful while tracing; defaults to 64 when \
-           --trace-out is given, else off.")
+           --profile is given, else off.")
 
-let resolve_canary ~trace_out ~help_canary =
+let resolve_canary (obs : obs) ~help_canary =
   match help_canary with
   | Some c -> c
-  | None -> if trace_out <> None then 64 else 0
+  | None -> if obs.profile <> None then 64 else 0
 
-(* After a traced run: write the merged Perfetto trace if requested and
-   report the recording volume. *)
-let finish_trace ~trace_out =
-  (match trace_out with
-  | Some path ->
-      Obs.Causal.write path;
-      let events, edges = Obs.Causal.counts () in
-      Fmt.epr "causal trace written to %s (%d events, %d help edges%s)@."
-        path events edges
-        (let d = Obs.Causal.dropped () in
-         if d = 0 then "" else Fmt.str ", %d dropped" d)
-  | None -> ());
-  Obs.Causal.disable ()
+(* A sampling period below 1 is a bad-input exit before any work. *)
+let with_trace_sample n f =
+  if n >= 1 then f ()
+  else begin
+    Fmt.epr "--trace-sample must be >= 1 (got %d)@." n;
+    2
+  end
 
 let load_cmd =
   let clients =
@@ -758,8 +754,9 @@ let load_cmd =
             "Clients to halt mid-operation; crash runs record the history \
              and check it for linearizability, so --ops must stay small.")
   in
-  let run clients ops object_name window seed halts trace_out trace_sample
-      help_canary obs =
+  let run clients ops object_name window seed halts trace_sample help_canary
+      obs =
+    with_trace_sample trace_sample @@ fun () ->
     obs_setup obs ~label:"load" (fun () ->
         match service_spec object_name with
         | None ->
@@ -771,10 +768,10 @@ let load_cmd =
                hot path stays within budget): the rings double as the
                crash flight recorder, dumped as JSONL whenever the run
                fails its checks or the harness dies mid-flight. *)
-            let canary = resolve_canary ~trace_out ~help_canary in
+            let canary = resolve_canary obs ~help_canary in
             Obs.Causal.enable ~sample:trace_sample ();
             let flight_path =
-              match trace_out with
+              match obs.profile with
               | Some f -> f ^ ".flight.jsonl"
               | None -> "wfs-flight.jsonl"
             in
@@ -784,11 +781,11 @@ let load_cmd =
                 (* runs even when the harness aborts via exception: the
                    post-mortem is most valuable exactly then *)
                 if not !ok then begin
-                  let lines = Obs.Causal.dump_jsonl flight_path in
+                  let lines = Obs.Profile.dump_jsonl flight_path in
                   Fmt.epr "flight recorder: %d events -> %s@." lines
                     flight_path
                 end;
-                finish_trace ~trace_out)
+                Obs.Causal.disable ())
               (fun () ->
                 match
                   Runtime.Service.Load.run ~seed ~window ~halts ~spec ~canary
@@ -819,8 +816,8 @@ let load_cmd =
           live with --metrics-port and wfs top.")
     Term.(
       const run $ clients $ ops $ service_object_arg $ service_window_arg
-      $ service_seed_arg $ halts $ trace_out_arg $ trace_sample_arg
-      $ help_canary_arg $ obs_term)
+      $ service_seed_arg $ halts $ trace_sample_arg $ help_canary_arg
+      $ obs_term)
 
 let serve_cmd =
   let clients =
@@ -832,21 +829,20 @@ let serve_cmd =
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"How long to keep the service under load before exiting.")
   in
-  let run clients duration window seed trace_out trace_sample help_canary
-      obs =
+  let run clients duration window seed trace_sample help_canary obs =
+    with_trace_sample trace_sample @@ fun () ->
     obs_setup obs ~label:"serve" (fun () ->
         if clients <= 0 || duration <= 0. then begin
           Fmt.epr "serve: clients and duration must be positive@.";
           2
         end
         else begin
-          let canary = resolve_canary ~trace_out ~help_canary in
-          if trace_out <> None then
+          let canary = resolve_canary obs ~help_canary in
+          if obs.profile <> None then
             Obs.Causal.enable ~sample:trace_sample ();
           match
             Fun.protect
-              ~finally:(fun () ->
-                if trace_out <> None then finish_trace ~trace_out)
+              ~finally:Obs.Causal.disable
               (fun () ->
                 Runtime.Service.serve ~seed ~window ~canary ~clients
                   ~duration_s:duration ())
@@ -880,7 +876,7 @@ let serve_cmd =
           wfs top, --metrics-out F appends a scrapeable file sink.")
     Term.(
       const run $ clients $ duration $ service_window_arg $ service_seed_arg
-      $ trace_out_arg $ trace_sample_arg $ help_canary_arg $ obs_term)
+      $ trace_sample_arg $ help_canary_arg $ obs_term)
 
 (* --- trace: summarize / audit a causal trace file --- *)
 
@@ -890,7 +886,7 @@ let trace_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
-          ~doc:"Trace JSON written by a --trace-out run.")
+          ~doc:"Trace JSON written by a wfs load or serve --profile run.")
   in
   let audit =
     Arg.(
@@ -898,8 +894,9 @@ let trace_cmd =
       & info [ "audit" ]
           ~doc:
             "Exit nonzero unless the trace passes the wait-freedom audit: \
-             every completed invocation's own-step count within its \
-             object's registered bound, and the help edges acyclic.")
+             at least one completed invocation, every completed \
+             invocation's object registered with a bound and its \
+             own-step count within it, and the help edges acyclic.")
   in
   let run file audit =
     let contents =
@@ -938,7 +935,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Summarize a causal trace recorded by wfs load/serve --trace-out: \
+         "Summarize a causal trace recorded by wfs load/serve --profile: \
           help-chain depth distribution, own-step and help-round maxima, \
           top helpers — and with --audit, verify the wait-freedom bound \
           (own steps within the construction's 2n+8) and that help edges \
@@ -1327,7 +1324,9 @@ let stats_cmd =
       value
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Also write a JSONL trace of the workload to $(docv).")
+          ~doc:
+            "Also record the workload's events (spans, instants such as \
+             explorer.done) and write them to $(docv) as JSONL.")
   in
   let watch_arg =
     Arg.(
@@ -1339,9 +1338,8 @@ let stats_cmd =
              prints the final snapshot.")
   in
   let run trace_file watch =
-    (match trace_file with
-    | Some path -> Obs.Trace.set_sink (Obs.Trace.to_file path)
-    | None -> ());
+    with_writable "trace" trace_file @@ fun () ->
+    if trace_file <> None then Obs.Profile.enable ();
     Obs.Metrics.reset ();
     let workload () =
       Obs.Metrics.with_hot (fun () ->
@@ -1444,7 +1442,12 @@ let stats_cmd =
       Domain.join worker;
       Obs.Sampler.stop sampler
     end;
-    Obs.Trace.close ();
+    Option.iter
+      (fun path ->
+        Obs.Profile.disable ();
+        let lines = Obs.Profile.dump_jsonl path in
+        Fmt.epr "trace written to %s (%d lines)@." path lines)
+      trace_file;
     Fmt.pr "%s@." (Obs.Metrics.snapshot_string ());
     0
   in

@@ -73,7 +73,6 @@ module Obs = struct
   module Export = Wfs_obs.Export
   module Sampler = Wfs_obs.Sampler
   module Units = Wfs_obs.Units
-  module Trace = Wfs_obs.Trace
   module Clock = Wfs_obs.Clock
   module Counterexample = Wfs_obs.Counterexample
   module Profile = Wfs_obs.Profile

@@ -1,13 +1,10 @@
-(* Causal invocation tracing, the wait-freedom auditor, and the crash
-   flight recorder.
+(* Causal invocation tracing and the wait-freedom auditor.
 
-   Record path mirrors {!Profile}: each domain owns a [dstate] reached
-   through [Domain.DLS] (registered once under [reg_lock]) and writes
-   events only to its own bounded ring, so recording takes no lock and
-   contends with nobody.  Wraparound drops oldest events — the ring IS
-   the flight recorder: at any moment it holds the most recent causal
-   context, which {!dump_jsonl} turns into a JSONL post-mortem when a
-   load check fails or a crash-mode assertion fires.
+   Events live in {!Profile}'s per-domain rings (the one event store):
+   this module is the construction-facing half — the sampling policy,
+   the recording hooks, the audited step bound — plus the auditor.
+   Wraparound drops oldest events, so the rings double as the crash
+   flight recorder ({!Profile.dump_jsonl}).
 
    Events name invocations by a process-global trace id issued at
    invocation time ({!issue}).  Sampling is decided BEFORE issuing,
@@ -31,240 +28,43 @@
    matching the construction's helping discipline, where help always
    flows to operations that linearize earlier. *)
 
-type kind = Invoke | Announce | Claim | Help | Complete
+let trace_gate = Profile.trace_gate
+let enabled () = !trace_gate >= 0
 
-(* One flat ring slot.  [a]/[b]/[c] are kind-specific:
-     Invoke    a=pid
-     Announce  a=pid, b=born (frontier seq at announce)
-     Claim     a=winning node id, b=linearization position
-     Help      trace=helped id, a=helper id, b=helped's position
-     Complete  a=position, b=own steps, c=help rounds *)
-type event = {
-  kind : kind;
-  ts : int;
-  dom : int;
-  obj : string;
-  trace : int;
-  a : int;
-  b : int;
-  c : int;
-}
-
-(* Registered served objects live outside the rings so they survive
-   wraparound: the auditor needs [n] and the step bound even when the
-   creation moment scrolled out of the flight recorder. *)
-type meta_entry = { m_obj : string; m_n : int; m_bound : int }
-
-(* Ring slots are flat unboxed int octets in a [Bigarray], not [event]
-   records in an OCaml array: pushing allocates nothing and triggers
-   no write barrier, and — decisive on the traced universal-service
-   bench — the ring's storage lives outside the OCaml heap, so the
-   major GC never scans it.  A boxed-record ring cost ~35% (per-event
-   allocation + re-marking tens of thousands of pointers every cycle);
-   even an unboxed [int array] ring cost ~20% just from the GC sweeping
-   4 MB of live immediates.  Slot layout, stride 8 (one cache line on
-   64-bit):
-     [0] kind code   [1] ts (ns)   [2] interned obj id   [3] trace
-     [4] a           [5] b         [6] c                 [7] pad *)
-type ring_arr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let stride = 8
-let empty_ring : ring_arr = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
-let kc_invoke = 0
-let kc_announce = 1
-let kc_claim = 2
-let kc_help = 3
-let kc_complete = 4
-
-let kind_of_code = function
-  | 0 -> Invoke
-  | 1 -> Announce
-  | 2 -> Claim
-  | 3 -> Help
-  | _ -> Complete
-
-type dstate = {
-  tid : int;
-  mutable ring : ring_arr; (* stride-8 flat slots, allocated on first push *)
-  mutable pos : int; (* next slot index (not word index) *)
-  mutable filled : int;
-  mutable dropped : int;
-  mutable current : int; (* trace id of this domain's in-flight invocation *)
-  mutable objs : (string * int) list; (* physical-equality intern cache *)
-}
-
-let on = ref false
-let ring_capacity = ref 65536
-let set_capacity c = ring_capacity := c
-let sample_mask = ref 63
-
-(* [trace_gate] fuses "enabled" and the sampling mask into one word
-   for the per-operation hot path: the mask while tracing, [-1] when
-   off.  One load + sign test + mask replaces two cross-module calls
-   on every untraced operation. *)
-let trace_gate = ref (-1)
-let ids = Atomic.make 0
-let reg_lock = Mutex.create ()
-let all : dstate list ref = ref []
-let metas : meta_entry list ref = ref [] (* guarded by reg_lock *)
-
-(* object-name interning, both directions, guarded by [reg_lock] *)
-let intern_tbl : (string, int) Hashtbl.t = Hashtbl.create 16
-let intern_rev : (int, string) Hashtbl.t = Hashtbl.create 16
-
-let dls : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let d =
-        {
-          tid = (Domain.self () :> int);
-          ring = empty_ring;
-          pos = 0;
-          filled = 0;
-          dropped = 0;
-          current = -1;
-          objs = [];
-        }
-      in
-      Mutex.lock reg_lock;
-      all := d :: !all;
-      Mutex.unlock reg_lock;
-      d)
-
-let enabled () = !on
-
-(* The ring itself survives a reset: [filled = 0] already makes stale
-   contents undecodable, and re-allocating megabytes of custom-block
-   storage on every enable both thrashes the allocator and — through
-   the GC's dependent-memory accounting — speeds up major collections
-   for the rest of the run, a real tax on enable/disable benchmark
-   loops.  A capacity change is picked up by [push], which reallocates
-   on size mismatch. *)
-let clear_dstate d =
-  d.pos <- 0;
-  d.filled <- 0;
-  d.dropped <- 0;
-  d.current <- -1;
-  d.objs <- []
-
-let reset () =
-  Mutex.lock reg_lock;
-  List.iter clear_dstate !all;
-  metas := [];
-  Hashtbl.reset intern_tbl;
-  Hashtbl.reset intern_rev;
-  Mutex.unlock reg_lock;
-  Atomic.set ids 0
-
-let enable ?(ring_capacity = 65536) ?(sample = 64) () =
+let enable ?ring_capacity ?(sample = 64) () =
+  if sample < 1 then
+    invalid_arg (Fmt.str "Causal.enable: sample must be >= 1 (got %d)" sample);
   (* round the sampling period up to a power of two so the per-op
      sampledness check is a single mask *)
   let rec pow2 k = if k >= sample then k else pow2 (k * 2) in
-  let k = pow2 1 in
-  reset ();
-  set_capacity (max 1 ring_capacity);
-  sample_mask := k - 1;
-  trace_gate := k - 1;
-  on := true
+  Profile.start_causal ?ring_capacity ~mask:(pow2 1 - 1) ()
 
-let disable () =
-  on := false;
-  trace_gate := -1
-let sample_every () = !sample_mask + 1
+let disable () = trace_gate := -1
+let reset = Profile.reset
+let sample_every = Profile.sample_every
+let sampled seq = seq >= 0 && seq land (sample_every () - 1) = 0
+let issue = Profile.issue
+let current = Profile.current
 
-let issue () =
-  if not !on then -1
-  else begin
-    let tr = Atomic.fetch_and_add ids 1 in
-    (Domain.DLS.get dls).current <- tr;
-    tr
-  end
-
-let sampled seq = seq >= 0 && seq land !sample_mask = 0
-let current () = if !on then (Domain.DLS.get dls).current else -1
-
-(* Object names intern to small ints so ring slots stay unboxed.  The
-   per-domain cache is a physical-equality assoc list: recording sites
-   pass the same label string on every call, so the common case is a
-   pointer compare on the list head; a miss takes [reg_lock] once per
-   (domain, name). *)
-let obj_id d obj =
-  let rec find = function
-    | (s, id) :: tl -> if s == obj then id else find tl
-    | [] ->
-        Mutex.lock reg_lock;
-        let id =
-          match Hashtbl.find_opt intern_tbl obj with
-          | Some id -> id
-          | None ->
-              let id = Hashtbl.length intern_tbl in
-              Hashtbl.add intern_tbl obj id;
-              Hashtbl.add intern_rev id obj;
-              id
-        in
-        Mutex.unlock reg_lock;
-        d.objs <- (obj, id) :: d.objs;
-        id
-  in
-  find d.objs
-
-let push kc ~obj ~trace a b c =
-  let d = Domain.DLS.get dls in
-  let ring =
-    let r = d.ring in
-    if Bigarray.Array1.dim r = !ring_capacity * stride then r
-    else begin
-      (* no zero-fill: [filled] bounds exactly which slots decode, so
-         fresh memory is never read — and eagerly touching a multi-MB
-         ring here would bill megabytes of page faults to whichever
-         operation happened to record first *)
-      let r =
-        Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-          (!ring_capacity * stride)
-      in
-      d.ring <- r;
-      r
-    end
-  in
-  let cap = Bigarray.Array1.dim ring / stride in
-  let base = d.pos * stride in
-  Bigarray.Array1.unsafe_set ring base kc;
-  Bigarray.Array1.unsafe_set ring (base + 1) (Clock.now_ns ());
-  Bigarray.Array1.unsafe_set ring (base + 2) (obj_id d obj);
-  Bigarray.Array1.unsafe_set ring (base + 3) trace;
-  Bigarray.Array1.unsafe_set ring (base + 4) a;
-  Bigarray.Array1.unsafe_set ring (base + 5) b;
-  Bigarray.Array1.unsafe_set ring (base + 6) c;
-  let p = d.pos + 1 in
-  d.pos <- (if p = cap then 0 else p);
-  if d.filled < cap then d.filled <- d.filled + 1
-  else d.dropped <- d.dropped + 1;
-  (* completion retires this domain's in-flight register, so help the
-     domain performs afterwards (outside any traced invocation of its
-     own) attributes to anonymous (-1), not to a finished invocation *)
-  if kc = kc_complete then d.current <- -1
-
-let invoke ~obj ~trace ~pid = if !on then push kc_invoke ~obj ~trace pid 0 0
+let invoke ~obj ~trace ~pid =
+  if !trace_gate >= 0 then Profile.push_causal Invoke ~obj ~trace pid 0 0
 
 let announce ~obj ~trace ~pid ~born =
-  if !on then push kc_announce ~obj ~trace pid born 0
+  if !trace_gate >= 0 then Profile.push_causal Announce ~obj ~trace pid born 0
 
 let claim ~obj ~trace ~node ~pos =
-  if !on then push kc_claim ~obj ~trace node pos 0
+  if !trace_gate >= 0 then Profile.push_causal Claim ~obj ~trace node pos 0
 
 let help ~obj ~helper ~helped ~pos =
-  if !on then push kc_help ~obj ~trace:helped helper pos 0
+  if !trace_gate >= 0 then Profile.push_causal Help ~obj ~trace:helped helper pos 0
 
 let complete ~obj ~trace ~pos ~own_steps ~help_rounds =
-  if !on then push kc_complete ~obj ~trace pos own_steps help_rounds
+  if !trace_gate >= 0 then
+    Profile.push_causal Complete ~obj ~trace pos own_steps help_rounds
 
 let meta ~obj ~n ~bound =
-  if !on then begin
-    Mutex.lock reg_lock;
-    metas :=
-      { m_obj = obj; m_n = n; m_bound = bound }
-      :: List.filter (fun m -> m.m_obj <> obj) !metas;
-    Mutex.unlock reg_lock
-  end
+  if !trace_gate >= 0 then
+    Profile.add_meta { Profile.m_obj = obj; m_n = n; m_bound = bound }
 
 (* The audited own-step bound for the batched construction on [n]
    processes.  An own step is one iteration of the proposer's work
@@ -286,290 +86,6 @@ let step_bound ~n = (2 * n) + 8
    few-core boxes: domains time-slice, and only a syscall deschedules
    the canary long enough for another client's collect to run. *)
 let backoff () = Unix.sleepf 5e-5
-
-let snapshot () =
-  Mutex.lock reg_lock;
-  let ds = List.sort (fun a b -> compare a.tid b.tid) !all in
-  let ms = List.rev !metas in
-  let name_of id =
-    match Hashtbl.find_opt intern_rev id with Some s -> s | None -> "?"
-  in
-  let evs =
-    List.concat_map
-      (fun d ->
-        let ring = d.ring in
-        if Bigarray.Array1.dim ring = 0 then []
-        else
-          let cap = Bigarray.Array1.dim ring / stride in
-          let n = d.filled in
-          let start = ((d.pos - n) mod cap + cap) mod cap in
-          let get = Bigarray.Array1.get ring in
-          List.init n (fun i ->
-              let base = (start + i) mod cap * stride in
-              {
-                kind = kind_of_code (get base);
-                ts = get (base + 1);
-                dom = d.tid;
-                obj = name_of (get (base + 2));
-                trace = get (base + 3);
-                a = get (base + 4);
-                b = get (base + 5);
-                c = get (base + 6);
-              }))
-      ds
-  in
-  Mutex.unlock reg_lock;
-  (ms, evs)
-
-let counts () =
-  let _, evs = snapshot () in
-  ( List.length evs,
-    List.length (List.filter (fun e -> e.kind = Help) evs) )
-
-let dropped () =
-  Mutex.lock reg_lock;
-  let n = List.fold_left (fun acc d -> acc + d.dropped) 0 !all in
-  Mutex.unlock reg_lock;
-  n
-
-(* ---------- flight recorder (JSONL post-mortem) ---------- *)
-
-let json_of_event e =
-  let common k fields =
-    Json.obj
-      (("kind", Json.str k)
-      :: ("ts", Json.int e.ts)
-      :: ("dom", Json.int e.dom)
-      :: ("obj", Json.str e.obj)
-      :: ("trace", Json.int e.trace)
-      :: fields)
-  in
-  match e.kind with
-  | Invoke -> common "invoke" [ ("pid", Json.int e.a) ]
-  | Announce -> common "announce" [ ("pid", Json.int e.a); ("born", Json.int e.b) ]
-  | Claim -> common "claim" [ ("node", Json.int e.a); ("pos", Json.int e.b) ]
-  | Help -> common "help" [ ("helper", Json.int e.a); ("pos", Json.int e.b) ]
-  | Complete ->
-      common "complete"
-        [
-          ("pos", Json.int e.a);
-          ("own_steps", Json.int e.b);
-          ("help_rounds", Json.int e.c);
-        ]
-
-let dump_jsonl path =
-  let ms, evs = snapshot () in
-  let evs = List.stable_sort (fun x y -> compare (x.ts, x.dom) (y.ts, y.dom)) evs in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun m ->
-          output_string oc
-            (Json.to_string
-               (Json.obj
-                  [
-                    ("kind", Json.str "meta");
-                    ("obj", Json.str m.m_obj);
-                    ("n", Json.int m.m_n);
-                    ("bound", Json.int m.m_bound);
-                  ]));
-          output_char oc '\n')
-        ms;
-      List.iter
-        (fun e ->
-          output_string oc (Json.to_string (json_of_event e));
-          output_char oc '\n')
-        evs;
-      List.length ms + List.length evs)
-
-(* ---------- Perfetto export ---------- *)
-
-(* Causal events render into the same Chrome trace as {!Profile}'s
-   spans (joint timestamp rebase via [Profile.to_json ~extra]):
-     - each sampled completed invocation is a "X" complete slice on its
-       owner's domain track (cat "causal.op", args trace/pos/own_steps/
-       help_rounds/obj),
-     - each help edge is a flow-event pair: "s" on the helper's track
-       at the moment of the help, "f" (bp "e") on the helped
-       invocation's track at its completion — Perfetto draws these as
-       arrows between domain tracks,
-     - announce/claim phase events are "i" instants, and per-object
-       registrations are "causal.meta" instants whose args carry [n]
-       and the audited bound (this is what [wfs trace] reads back). *)
-let to_trace_json () =
-  let ms, evs = snapshot () in
-  let t_min = List.fold_left (fun acc e -> min acc e.ts) max_int evs in
-  Profile.to_json ~extra_min_ns:t_min
-    ~extra:(fun ts_us ->
-      let pid = Unix.getpid () in
-      let evs = List.stable_sort (fun x y -> compare x.ts y.ts) evs in
-      let invoke_of = Hashtbl.create 256 in
-      let complete_of = Hashtbl.create 256 in
-      List.iter
-        (fun e ->
-          match e.kind with
-          | Invoke ->
-              if not (Hashtbl.mem invoke_of e.trace) then
-                Hashtbl.add invoke_of e.trace e
-          | Complete ->
-              if not (Hashtbl.mem complete_of e.trace) then
-                Hashtbl.add complete_of e.trace e
-          | _ -> ())
-        evs;
-      let tids = List.sort_uniq compare (List.map (fun e -> e.dom) evs) in
-      let thread_meta =
-        List.map
-          (fun tid ->
-            Json.obj
-              [
-                ("name", Json.str "thread_name");
-                ("ph", Json.str "M");
-                ("pid", Json.int pid);
-                ("tid", Json.int tid);
-                ("args", Json.obj [ ("name", Json.str (Fmt.str "domain-%d" tid)) ]);
-              ])
-          tids
-      in
-      let meta_events =
-        List.map
-          (fun m ->
-            Json.obj
-              [
-                ("name", Json.str "causal.meta");
-                ("ph", Json.str "i");
-                ("ts", Json.float 0.);
-                ("pid", Json.int pid);
-                ("tid", Json.int 0);
-                ("s", Json.str "g");
-                ("cat", Json.str "causal");
-                ( "args",
-                  Json.obj
-                    [
-                      ("obj", Json.str m.m_obj);
-                      ("n", Json.int m.m_n);
-                      ("bound", Json.int m.m_bound);
-                      ("sample", Json.int (sample_every ()));
-                    ] );
-              ])
-          ms
-      in
-      let flow_id = ref 0 in
-      let out = ref [] in
-      let emit j = out := j :: !out in
-      let base name ph ~tid ts =
-        [
-          ("name", Json.str name);
-          ("ph", Json.str ph);
-          ("ts", ts_us ts);
-          ("pid", Json.int pid);
-          ("tid", Json.int tid);
-        ]
-      in
-      let instant name e fields =
-        emit
-          (Json.obj
-             (base name "i" ~tid:e.dom e.ts
-             @ [
-                 ("s", Json.str "t");
-                 ("cat", Json.str "causal");
-                 ("args", Json.obj (fields @ [ ("obj", Json.str e.obj) ]));
-               ]))
-      in
-      List.iter
-        (fun e ->
-          match e.kind with
-          | Invoke ->
-              (* completed invocations render as their X slice; an
-                 invoke without a completion is a crash-interrupted (or
-                 wraparound-torn) op and stays visible as an instant *)
-              if not (Hashtbl.mem complete_of e.trace) then
-                instant "causal.pending" e
-                  [ ("trace", Json.int e.trace); ("pid", Json.int e.a) ]
-          | Announce ->
-              instant "causal.announce" e
-                [
-                  ("trace", Json.int e.trace);
-                  ("pid", Json.int e.a);
-                  ("born", Json.int e.b);
-                ]
-          | Claim ->
-              instant "causal.claim" e
-                [
-                  ("trace", Json.int e.trace);
-                  ("node", Json.int e.a);
-                  ("pos", Json.int e.b);
-                ]
-          | Complete ->
-              let t0, inv_pid =
-                match Hashtbl.find_opt invoke_of e.trace with
-                | Some i -> (min i.ts e.ts, i.a)
-                | None -> (e.ts, -1)
-              in
-              emit
-                (Json.obj
-                   (base e.obj "X" ~tid:e.dom t0
-                   @ [
-                       ("dur", Json.float (float_of_int (e.ts - t0) /. 1_000.));
-                       ("cat", Json.str "causal.op");
-                       ( "args",
-                         Json.obj
-                           [
-                             ("trace", Json.int e.trace);
-                             ("pid", Json.int inv_pid);
-                             ("pos", Json.int e.a);
-                             ("own_steps", Json.int e.b);
-                             ("help_rounds", Json.int e.c);
-                             ("obj", Json.str e.obj);
-                           ] );
-                     ]))
-          | Help ->
-              let id = !flow_id in
-              incr flow_id;
-              let args =
-                Json.obj
-                  [
-                    ("helper", Json.int e.a);
-                    ("helped", Json.int e.trace);
-                    ("pos", Json.int e.b);
-                    ("obj", Json.str e.obj);
-                  ]
-              in
-              emit
-                (Json.obj
-                   (base "help" "s" ~tid:e.dom e.ts
-                   @ [
-                       ("cat", Json.str "causal");
-                       ("id", Json.int id);
-                       ("args", args);
-                     ]));
-              (* bind the arrow head to the helped invocation's
-                 completion on its owner's track when we have it; an
-                 unterminated flow start is still a countable edge *)
-              (match Hashtbl.find_opt complete_of e.trace with
-              | Some c ->
-                  emit
-                    (Json.obj
-                       (base "help" "f" ~tid:c.dom (max c.ts e.ts)
-                       @ [
-                           ("bp", Json.str "e");
-                           ("cat", Json.str "causal");
-                           ("id", Json.int id);
-                           ("args", args);
-                         ]))
-              | None -> ()))
-        evs;
-      thread_meta @ meta_events @ List.rev !out)
-    ()
-
-let write path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_trace_json ()));
-      output_char oc '\n')
 
 (* ---------- wait-freedom auditor ---------- *)
 
@@ -609,6 +125,7 @@ module Audit = struct
     max_depth : int;
     top_helpers : (int * int) list; (* helper trace id, out-edges *)
     violations : violation list;
+    unbounded : int; (* completed on an object with no registered bound *)
     dag_ok : bool;
   }
 
@@ -708,26 +225,33 @@ module Audit = struct
     let bound_of obj =
       List.find_map (fun (o, _, b) -> if o = obj then Some b else None) objects
     in
+    let completed = List.filter (fun i -> i.i_completed) invs in
+    (* fail closed: a completion with no bound to check against is
+       counted, never silently passed *)
+    let bounded, unbounded =
+      List.partition_map
+        (fun i ->
+          match bound_of i.i_obj with
+          | Some b -> Left (i, b)
+          | None -> Right i)
+        completed
+    in
     let violations =
       List.filter_map
-        (fun i ->
-          if not i.i_completed then None
-          else
-            match bound_of i.i_obj with
-            | Some b when i.i_steps > b ->
-                Some
-                  {
-                    v_trace = i.i_trace;
-                    v_obj = i.i_obj;
-                    v_pid = i.i_pid;
-                    v_steps = i.i_steps;
-                    v_bound = b;
-                  }
-            | _ -> None)
-        invs
+        (fun (i, b) ->
+          if i.i_steps > b then
+            Some
+              {
+                v_trace = i.i_trace;
+                v_obj = i.i_obj;
+                v_pid = i.i_pid;
+                v_steps = i.i_steps;
+                v_bound = b;
+              }
+          else None)
+        bounded
       |> List.sort (fun a b -> compare (-a.v_steps, a.v_trace) (-b.v_steps, b.v_trace))
     in
-    let completed = List.filter (fun i -> i.i_completed) invs in
     {
       objects;
       invocations = List.length invs;
@@ -745,10 +269,12 @@ module Audit = struct
       max_depth = !max_depth;
       top_helpers;
       violations;
+      unbounded = List.length unbounded;
       dag_ok = !dag_ok;
     }
 
-  let ok r = r.violations = [] && r.dag_ok
+  let ok r =
+    r.completed > 0 && r.unbounded = 0 && r.violations = [] && r.dag_ok
 
   (* partial invocation assembled from phase events *)
   type partial = {
@@ -806,7 +332,7 @@ module Audit = struct
     let edges_tbl = Hashtbl.create 256 in
     let announces = ref 0 and claims = ref 0 in
     List.iter
-      (fun e ->
+      (fun (e : Profile.event) ->
         match e.kind with
         | Invoke ->
             let p = partial_of tbl e.trace e.obj in
@@ -827,18 +353,22 @@ module Audit = struct
             p.p_completed <- true
         | Help ->
             Hashtbl.replace edges_tbl (e.a, e.trace)
-              { e_helper = e.a; e_helped = e.trace; e_pos = e.b; e_obj = e.obj })
+              { e_helper = e.a; e_helped = e.trace; e_pos = e.b; e_obj = e.obj }
+        | Span | Instant | Counter -> ())
       evs;
     let invs, edges, announces, claims =
       assemble tbl edges_tbl !announces !claims
     in
     build
-      ~objects:(List.map (fun m -> (m.m_obj, m.m_n, m.m_bound)) ms)
+      ~objects:
+        (List.map
+           (fun (m : Profile.meta_entry) -> (m.m_obj, m.m_n, m.m_bound))
+           ms)
       ~invs ~edges ~announces ~claims
 
-  let of_recording () = of_events (snapshot ())
+  let of_recording () = of_events (Profile.causal_snapshot ())
 
-  (* read a trace file written by {!write} back into a report; raises
+  (* read a trace file written by {!Profile.write} back into a report; raises
      [Invalid_argument] when the JSON is not a causal trace *)
   let of_trace_json j =
     let evs =
@@ -918,7 +448,20 @@ module Audit = struct
       r.objects;
     Fmt.pf ppf "own steps    max %d   help rounds max %d@," r.max_own_steps
       r.max_help_rounds;
+    if r.unbounded > 0 then
+      Fmt.pf ppf
+        "unbounded    %d completed invocation%s on objects with no \
+         registered bound@,"
+        r.unbounded
+        (if r.unbounded = 1 then "" else "s");
     (match r.violations with
+    | [] when r.completed = 0 ->
+        Fmt.pf ppf "wait-freedom audit: nothing to audit — no completed invocation"
+    | [] when r.unbounded > 0 ->
+        Fmt.pf ppf
+          "wait-freedom audit: UNCHECKED — %d invocation%s without a bound"
+          r.unbounded
+          (if r.unbounded = 1 then "" else "s")
     | [] ->
         Fmt.pf ppf
           "wait-freedom audit: ok — every invocation within its bound"

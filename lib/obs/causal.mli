@@ -1,20 +1,21 @@
-(** Causal invocation tracing for the universal construction, the
-    wait-freedom auditor, and the crash flight recorder.
+(** Causal invocation tracing for the universal construction and the
+    wait-freedom auditor.
 
     Every traced invocation gets a process-global {e trace id}
     ({!issue}); the construction records its phase events —
     invoke/announce/claim/complete — and explicit {e help edges}
     (helper invocation → helped invocation, attributed through the
-    recording domain's {!current} register) into per-domain bounded
-    rings modeled on {!Profile}'s.  The recording exports three ways:
+    recording domain's {!current} register) as slots in {!Profile}'s
+    per-domain rings, the one event store.  The recording leaves three
+    ways:
 
-    - {!to_trace_json} / {!write}: a Chrome/Perfetto trace merged with
-      {!Profile}'s spans under one timestamp rebase, where completed
+    - {!Profile.write}: the Chrome/Perfetto trace, where completed
       invocations are ["X"] slices and help edges are ["s"]/["f"] flow
-      events (arrows between domain tracks);
-    - {!dump_jsonl}: the flight recorder — the rings' recent events as
-      a JSONL post-mortem, written when a load check fails or the
-      harness crashes;
+      events (arrows between domain tracks), alongside any profiler
+      spans under one timestamp rebase;
+    - {!Profile.dump_jsonl}: the flight recorder — the rings' recent
+      events as a JSONL post-mortem, written when a load check fails or
+      the harness crashes;
     - {!Audit}: per-invocation own-step accounting checked against the
       construction's theoretical bound, help-chain statistics, and a
       DAG check over the (orientation-filtered) help edges — from the
@@ -33,15 +34,15 @@
 
     Concurrency contract: the record path ({!issue}, {!invoke},
     {!announce}, {!claim}, {!help}, {!complete}, {!meta}) is safe from
-    any domain; {!enable}, {!reset}, {!to_trace_json}, {!write} and
-    {!dump_jsonl} should run at quiescence (the flight-recorder dump
-    tolerates stragglers — a torn read costs at most one event). *)
+    any domain; {!enable} and {!reset} run at quiescence. *)
 
 (** {1 Lifecycle} *)
 
-(** Start recording into fresh rings of [ring_capacity] events per
-    domain, sampling one invocation in [sample] (rounded up to a power
-    of two).  Implies {!reset}. *)
+(** Start sampling one invocation in [sample] (rounded up to a power of
+    two) into rings of [ring_capacity] slots per domain.  Begins a
+    fresh recording unless span recording ({!Profile.enable}) is on, in
+    which case it joins that recording.  Raises [Invalid_argument] when
+    [sample < 1]. *)
 val enable : ?ring_capacity:int -> ?sample:int -> unit -> unit
 
 (** Stop recording; the rings keep their contents for export. *)
@@ -49,7 +50,8 @@ val disable : unit -> unit
 
 val enabled : unit -> bool
 
-(** Drop all recorded events, registered objects and issued ids. *)
+(** Drop all recorded events (spans included: it is {!Profile.reset}),
+    registered objects and issued ids. *)
 val reset : unit -> unit
 
 (** The effective sampling period (power of two). *)
@@ -107,44 +109,6 @@ val step_bound : n:int -> int
     on a single core) — the help canary's parking primitive. *)
 val backoff : unit -> unit
 
-(** {1 Introspection and export} *)
-
-type kind = Invoke | Announce | Claim | Help | Complete
-
-type event = {
-  kind : kind;
-  ts : int;
-  dom : int;
-  obj : string;
-  trace : int;
-  a : int;
-  b : int;
-  c : int;
-}
-
-type meta_entry = { m_obj : string; m_n : int; m_bound : int }
-
-(** Registered objects (creation order) and all ring events (grouped by
-    domain, oldest first within each). *)
-val snapshot : unit -> meta_entry list * event list
-
-(** [(total events, help edges)] currently recorded. *)
-val counts : unit -> int * int
-
-(** Events lost to ring wraparound. *)
-val dropped : unit -> int
-
-(** The merged Perfetto trace (Profile spans + causal events). *)
-val to_trace_json : unit -> Json.t
-
-(** {!to_trace_json} pretty-printed to a file. *)
-val write : string -> unit
-
-(** Flight recorder: object registrations then ring events
-    (time-sorted), one JSON object per line.  Returns the number of
-    lines written. *)
-val dump_jsonl : string -> int
-
 (** {1 Wait-freedom auditor} *)
 
 module Audit : sig
@@ -172,20 +136,24 @@ module Audit : sig
     top_helpers : (int * int) list; (* helper trace id, out-edges;
                                        anonymous helpers excluded *)
     violations : violation list;
+    unbounded : int; (* completed invocations whose object has no
+                        registered bound *)
     dag_ok : bool;
   }
 
-  (** Audit a raw recording (e.g. {!snapshot}). *)
-  val of_events : meta_entry list * event list -> report
+  (** Audit a raw recording (e.g. {!Profile.causal_snapshot}). *)
+  val of_events : Profile.meta_entry list * Profile.event list -> report
 
   (** Audit the live recording. *)
   val of_recording : unit -> report
 
-  (** Audit a trace file written by {!write}, parsed back from its
-      JSON.  Raises [Invalid_argument] when the value is not a trace. *)
+  (** Audit a trace file written by {!Profile.write}, parsed back from
+      its JSON.  Raises [Invalid_argument] when the value is not a trace. *)
   val of_trace_json : Json.t -> report
 
-  (** No bound violations and the kept help edges form a DAG. *)
+  (** Fails closed: at least one completed invocation, every completed
+      invocation's object has a registered bound, no bound violations,
+      and the kept help edges form a DAG. *)
   val ok : report -> bool
 
   val pp : report Fmt.t

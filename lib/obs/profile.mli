@@ -1,50 +1,64 @@
-(** Per-domain span profiler with Chrome [trace_event] output.
+(** The event recorder: one per-domain ring holding every event the
+    library records — profiler spans, instants and counters, and the
+    causal tracer's invocation phases and help edges — with one Chrome
+    trace_event exporter ({!write}) and one JSONL dump ({!dump_jsonl}).
 
-    {!span}/{!begin_}/{!end_} record named, timestamped spans into a
-    {e per-domain ring buffer}; {!write} serializes everything recorded
-    so far as Chrome trace-event JSON ([{"traceEvents": [...]}]) that
-    loads directly in Perfetto ([ui.perfetto.dev]) or
-    [chrome://tracing], with [pid] = the OS process and one [tid] row
-    per OCaml domain.
+    {!span}/{!begin_}/{!end_} record named, timestamped spans; {!Causal}
+    records through the lower section of this interface.  {!write}
+    serializes everything recorded so far as one Chrome trace-event
+    JSON file ([{"traceEvents": [...]}]) that loads directly in
+    Perfetto ([ui.perfetto.dev]) or [chrome://tracing], with [pid] =
+    the OS process and one [tid] row per OCaml domain.
 
     Cost model:
 
     - disabled (the default), every entry point is one branch on a
-      plain [bool ref] — argument thunks are not forced, no clock is
-      read, nothing allocates beyond the closure at the call site;
+      plain ref — argument thunks are not forced, no clock is read,
+      nothing allocates beyond the closure at the call site;
     - enabled, a span costs two {!Clock.now_ns} reads and one ring
-      slot.  No lock is taken on the record path: each domain writes
-      only its own ring.
+      slot; a causal event costs one clock read and one slot and
+      allocates nothing.  No lock is taken on the record path: each
+      domain writes only its own ring.
 
-    Ring semantics: a completed span occupies exactly {e one} ring
-    entry (written at [end_] time), so wraparound drops whole spans,
-    oldest first — it can never tear a span into an unbalanced
-    begin/end pair.  Spans still open when the profile is written are
-    dropped for the same reason.
+    Ring semantics: a completed span occupies exactly {e one} ring slot
+    (written at [end_] time), so wraparound drops whole spans, oldest
+    first — it can never tear a span into an unbalanced begin/end pair.
+    Spans still open when the recording is written are dropped for the
+    same reason.
 
-    Concurrency contract: {!span}, {!begin_}, {!end_}, {!complete},
-    {!instant} and {!counter} are safe from any domain concurrently.
-    {!enable}, {!reset}, {!to_json} and {!write} must run at
-    {e quiescence} — no other domain inside an instrumented region —
-    which is why the CLI and pool flush only after the pool has
-    joined. *)
+    Two switches feed the one store: span recording ({!enable}) and
+    causal sampling ({!Causal.enable}).  Starting either while the
+    other is off begins a fresh recording; starting it while the other
+    is on joins the recording in progress (same rings, same capacity),
+    so neither discards the other's records.
+
+    Concurrency contract: the record path ({!span}, {!begin_}, {!end_},
+    {!complete}, {!instant}, {!counter} and the causal hooks) is safe
+    from any domain concurrently.  {!enable}, {!reset}, {!to_json},
+    {!write} and {!dump_jsonl} must run at {e quiescence} — no other
+    domain inside an instrumented region — which is why the CLI and
+    pool flush only after the pool has joined (the flight-recorder
+    dump tolerates stragglers: a torn read costs at most one event). *)
 
 type args = (string * Json.t) list
 
 (** True between {!enable} and {!disable}.  The one-branch gate. *)
 val enabled : unit -> bool
 
-(** [enable ?ring_capacity ()] clears any previous recording and turns
-    recording on.  [ring_capacity] (default 65536) is the per-domain
-    span budget; when a domain overflows it, its oldest entries are
-    dropped (see {!dropped}). *)
+(** [enable ?ring_capacity ()] turns span recording on.
+    [ring_capacity] (default 65536) is the per-domain slot budget; when
+    a domain overflows it, its oldest slots are dropped (see
+    {!dropped}).  Begins a fresh recording unless causal sampling is
+    on, in which case it joins that recording and keeps its
+    capacity. *)
 val enable : ?ring_capacity:int -> unit -> unit
 
-(** Stop recording.  Recorded data is retained until {!reset} or the
-    next {!enable}, so it can still be written out. *)
+(** Stop span recording.  Recorded data is retained until {!reset} or
+    the next fresh recording, so it can still be written out. *)
 val disable : unit -> unit
 
-(** Drop everything recorded, in every domain's ring.  Quiescence
+(** Drop everything recorded — spans and causal events, registered
+    objects and issued trace ids — in every domain's ring.  Quiescence
     required. *)
 val reset : unit -> unit
 
@@ -76,30 +90,93 @@ val instant : ?cat:string -> ?args:(unit -> args) -> string -> unit
     Perfetto as a track of stacked series). *)
 val counter : string -> (string * float) list -> unit
 
-(** Entries currently buffered across all domains. *)
+(** Slots currently buffered across all domains, both kinds. *)
 val recorded : unit -> int
 
-(** Entries lost to ring wraparound across all domains. *)
+(** Slots lost to ring wraparound across all domains. *)
 val dropped : unit -> int
 
-(** The whole recording as one Chrome trace-event JSON object:
-    [traceEvents] holds [M] (process/thread name) metadata, balanced
-    [B]/[E] span pairs, [i] instants and [C] counters.  Per-[tid]
-    timestamps are non-decreasing and spans are properly nested.
-
-    [extra_min_ns] folds a co-exported event source's earliest raw
-    timestamp into the rebase (timestamps are exported as microseconds
-    relative to the earliest event, keeping ns precision inside the
-    float mantissa), and [extra] — called with the resulting
-    ns-to-rebased-µs renderer — appends that source's already-rendered
-    events to [traceEvents].  {!Causal.to_trace_json} uses both to
-    merge help-edge flow events into the same timeline. *)
-val to_json :
-  ?extra_min_ns:int -> ?extra:((int -> Json.t) -> Json.t list) -> unit -> Json.t
+(** The whole recording as one Chrome trace-event JSON object.
+    [traceEvents] holds [M] process/thread-name metadata (one
+    [thread_name] row per recording domain), balanced [B]/[E] span
+    pairs, [i] instants, [C] counters, and the causal records: each
+    completed invocation an ["X"] slice (cat ["causal.op"]), each help
+    edge an ["s"]/["f"] flow pair drawn as an arrow between domain
+    tracks, announce/claim/pending phases as instants, and one
+    ["causal.meta"] instant per registered object carrying [n] and the
+    audited bound (what [wfs trace] reads back).  Timestamps are
+    microseconds relative to the earliest event; per [tid] they are
+    non-decreasing and spans are properly nested. *)
+val to_json : unit -> Json.t
 
 (** [write path] = {!to_json} pretty-printed to [path]. *)
 val write : string -> unit
 
-(** [with_profile ?ring_capacity ~out f]: enable, run [f], then always
-    disable and write the profile to [out]. *)
-val with_profile : ?ring_capacity:int -> out:string -> (unit -> 'a) -> 'a
+(** [dump_jsonl path] writes the recording as JSONL — registered
+    objects first, then every slot time-sorted, one JSON object per
+    line with a ["kind"] field (["span"], ["instant"], ["counter"], or
+    a causal phase).  This is the crash flight recorder's post-mortem
+    and [wfs stats --trace]'s output.  Returns the number of lines. *)
+val dump_jsonl : string -> int
+
+(** {1 Causal slots}
+
+    The store half of {!Causal}, which owns the sampling policy, the
+    construction hooks and the auditor.  Call sites use {!Causal}. *)
+
+type kind = Invoke | Announce | Claim | Help | Complete | Span | Instant | Counter
+
+(** One decoded slot, recorded at [ts] on domain [dom] as the domain's
+    [seq]-th event.  For the causal kinds, [obj] is the object label,
+    [trace] the invocation's trace id, and [a]/[b]/[c] are
+    kind-specific: Invoke a=pid; Announce a=pid, b=born; Claim a=node,
+    b=position; Help [trace]=helped, a=helper, b=helped's position;
+    Complete a=position, b=own steps, c=help rounds.  For spans,
+    instants and counters, [obj] is the event name, [trace] the
+    interned category id (-1 for none) and [args] the args or counter
+    values; a span's [ts] is its end, [a] its start and [b] its
+    begin's sequence number. *)
+type event = {
+  kind : kind;
+  ts : int;
+  dom : int;
+  obj : string;
+  trace : int;
+  a : int;
+  b : int;
+  c : int;
+  seq : int;
+  args : args;
+}
+
+type meta_entry = { m_obj : string; m_n : int; m_bound : int }
+
+(** The sampling mask while causal sampling is on, [-1] when off. *)
+val trace_gate : int ref
+
+(** Turn causal sampling on with sampling mask [mask] (period - 1). *)
+val start_causal : ?ring_capacity:int -> mask:int -> unit -> unit
+
+(** The last configured sampling period (survives the switch-off, so
+    the exporter can still report it). *)
+val sample_every : unit -> int
+
+(** Append one causal slot (a causal [kind]) on the calling domain,
+    ungated: callers test {!trace_gate}.  A [Complete] retires the
+    domain's {!current} register. *)
+val push_causal : kind -> obj:string -> trace:int -> int -> int -> int -> unit
+
+(** A fresh process-global trace id, also set as this domain's
+    {!current}; [-1] when causal sampling is off. *)
+val issue : unit -> int
+
+(** The trace id of this domain's in-flight invocation, [-1] if none. *)
+val current : unit -> int
+
+(** Register (or re-register) a served object; kept outside the rings
+    so it survives wraparound. *)
+val add_meta : meta_entry -> unit
+
+(** Registered objects (creation order) and all causal events (grouped
+    by domain, oldest first within each). *)
+val causal_snapshot : unit -> meta_entry list * event list

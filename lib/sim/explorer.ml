@@ -427,14 +427,15 @@ let flush_metrics ?(states_flushed = 0) ~states ~hits ~lookups ~deepest
       Counter.add M.intern_lookups (Intern.lookups tbl);
       Gauge.set_max M.arena_size (Intern.size tbl)
   | None -> ());
-  Wfs_obs.Trace.event "explorer.done"
-    ~tags:
+  Wfs_obs.Profile.instant ~cat:"explore"
+    ~args:(fun () ->
       [
         ("states", Wfs_obs.Json.int states);
         ("max_depth", Wfs_obs.Json.int deepest);
         ("cyclic", Wfs_obs.Json.bool cyclic);
         ("truncated", Wfs_obs.Json.bool (truncation <> None));
-      ]
+      ])
+    "explorer.done"
 
 (* --- the fused single-pass engine --- *)
 

@@ -2,11 +2,14 @@
    recorder: help edges stay a DAG under real concurrent load, audited
    own-step accounting survives the trace-file round trip, tracing is
    observably free (results byte-identical on and off), injected bound
-   violations are caught, and the JSONL post-mortem parses. *)
+   violations are caught, the audit fails closed (no bound, nothing to
+   audit), and the JSONL post-mortem parses. *)
 
 open Wfs_runtime
 open Wfs_spec
 module Causal = Wfs_obs.Causal
+module Profile = Wfs_obs.Profile
+module Json = Wfs_obs.Json
 
 (* Every test leaves the global recorder disabled and empty, whatever
    happens — the rest of the suite runs in the same process. *)
@@ -41,6 +44,15 @@ let prop_help_edges_dag =
 
 (* --- own-step accounting: live recording = trace-file round trip --- *)
 
+(* The live recording written with [Profile.write] and parsed back. *)
+let written_trace () =
+  let path = Filename.temp_file "wfs-causal" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Profile.write path;
+      Json.of_string (In_channel.with_open_bin path In_channel.input_all))
+
 let test_roundtrip_accounting () =
   with_tracing (fun () ->
       let live = audited_load () in
@@ -53,31 +65,18 @@ let test_roundtrip_accounting () =
       Alcotest.(check bool)
         "own steps within the audited bound" true
         (live.Causal.Audit.max_own_steps <= Causal.step_bound ~n:3);
-      let path = Filename.temp_file "wfs-causal" ".json" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          Causal.write path;
-          let ic = open_in_bin path in
-          let contents =
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          let parsed =
-            Causal.Audit.of_trace_json (Wfs_obs.Json.of_string contents)
-          in
-          Alcotest.(check int)
-            "completed survives the round trip" live.Causal.Audit.completed
-            parsed.Causal.Audit.completed;
-          Alcotest.(check int)
-            "max own steps survives the round trip"
-            live.Causal.Audit.max_own_steps parsed.Causal.Audit.max_own_steps;
-          Alcotest.(check int)
-            "help edges survive the round trip" live.Causal.Audit.edges_kept
-            parsed.Causal.Audit.edges_kept;
-          Alcotest.(check bool)
-            "round-tripped audit still ok" true (Causal.Audit.ok parsed)))
+      let parsed = Causal.Audit.of_trace_json (written_trace ()) in
+      Alcotest.(check int)
+        "completed survives the round trip" live.Causal.Audit.completed
+        parsed.Causal.Audit.completed;
+      Alcotest.(check int)
+        "max own steps survives the round trip"
+        live.Causal.Audit.max_own_steps parsed.Causal.Audit.max_own_steps;
+      Alcotest.(check int)
+        "help edges survive the round trip" live.Causal.Audit.edges_kept
+        parsed.Causal.Audit.edges_kept;
+      Alcotest.(check bool)
+        "round-tripped audit still ok" true (Causal.Audit.ok parsed))
 
 (* --- tracing on/off leaves service results byte-identical --- *)
 
@@ -129,6 +128,47 @@ let test_injected_violation () =
           Alcotest.failf "expected exactly one violation, got %d"
             (List.length vs))
 
+(* --- the audit fails closed --- *)
+
+(* Without the per-object registrations there is no bound to check
+   the (doctored, far out of bound) own-step counts against: every
+   completion is counted as unbounded and the audit fails. *)
+let test_meta_stripped_fails () =
+  with_tracing (fun () ->
+      ignore (audited_load ~clients:2 ~ops:30 ());
+      let _, evs = Profile.causal_snapshot () in
+      let doctor (e : Profile.event) = if e.kind = Complete then { e with b = 999 } else e in
+      let r = Causal.Audit.of_events ([], List.map doctor evs) in
+      Alcotest.(check bool) "some completions" true (r.Causal.Audit.completed > 0);
+      Alcotest.(check int)
+        "every completion unbounded" r.Causal.Audit.completed r.Causal.Audit.unbounded;
+      Alcotest.(check bool) "audit fails" false (Causal.Audit.ok r))
+
+let test_nothing_to_audit () =
+  let empty = Causal.Audit.of_events ([], []) in
+  Alcotest.(check int) "no completions" 0 empty.Causal.Audit.completed;
+  Alcotest.(check bool) "empty recording fails" false (Causal.Audit.ok empty);
+  (* a span-only profile carries no causal record at all *)
+  Profile.enable ();
+  Profile.span "work" (fun () -> ());
+  Profile.disable ();
+  let j = Profile.to_json () in
+  Profile.reset ();
+  Alcotest.(check bool)
+    "span-only trace fails" false
+    (Causal.Audit.ok (Causal.Audit.of_trace_json j))
+
+let test_sample_below_one_rejected () =
+  List.iter
+    (fun sample ->
+      (match Causal.enable ~sample () with
+      | () -> Alcotest.failf "sample %d accepted" sample
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check bool) "still disabled" false (Causal.enabled ()))
+    [ 0; -3 ];
+  with_tracing ~sample:1 (fun () ->
+      Alcotest.(check int) "sample 1 traces everything" 1 (Causal.sample_every ()))
+
 (* --- flight recorder dump: one parseable JSON object per line --- *)
 
 let test_flight_recorder_dump () =
@@ -138,7 +178,7 @@ let test_flight_recorder_dump () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          let written = Causal.dump_jsonl path in
+          let written = Profile.dump_jsonl path in
           Alcotest.(check bool) "dump non-empty" true (written > 0);
           let ic = open_in path in
           let lines = ref 0 in
@@ -172,6 +212,11 @@ let suite =
         Alcotest.test_case "tracing transparent" `Quick
           test_tracing_transparent;
         Alcotest.test_case "injected violation" `Quick test_injected_violation;
+        Alcotest.test_case "meta-stripped trace fails" `Quick
+          test_meta_stripped_fails;
+        Alcotest.test_case "nothing to audit" `Quick test_nothing_to_audit;
+        Alcotest.test_case "sample below 1 rejected" `Quick
+          test_sample_below_one_rejected;
         Alcotest.test_case "flight recorder dump" `Quick
           test_flight_recorder_dump;
         QCheck_alcotest.to_alcotest prop_help_edges_dag;

@@ -1,4 +1,4 @@
-(* Tests for the observability layer (Wfs_obs): JSON, metrics, tracing,
+(* Tests for the observability layer (Wfs_obs): JSON, metrics,
    counterexample export/replay, and the explorer's metric feed. *)
 
 open Wfs_spec
@@ -6,7 +6,6 @@ open Wfs_sim
 open Wfs_consensus
 module Json = Wfs_obs.Json
 module Metrics = Wfs_obs.Metrics
-module Trace = Wfs_obs.Trace
 module Counterexample = Wfs_obs.Counterexample
 
 let value = Alcotest.testable Value.pp Value.equal
@@ -158,43 +157,6 @@ let test_metrics_hot_flag () =
   let inside = Metrics.with_hot (fun () -> Metrics.hot ()) in
   Alcotest.(check bool) "on inside with_hot" true inside;
   Alcotest.(check bool) "restored after" false (Metrics.hot ())
-
-(* --- tracing --- *)
-
-let test_trace_buffer_sink () =
-  let sink, lines = Trace.buffer () in
-  Trace.set_sink sink;
-  Alcotest.(check bool) "enabled" true (Trace.enabled ());
-  Trace.event ~pid:3 ~tags:[ ("k", Json.int 9) ] "tick";
-  let result = Trace.with_span "work" (fun () -> 40 + 2) in
-  Alcotest.(check int) "span passes result through" 42 result;
-  Trace.close ();
-  Alcotest.(check bool) "closed" false (Trace.enabled ());
-  match lines () with
-  | [ l1; l2 ] ->
-      let j1 = Json.of_string l1 and j2 = Json.of_string l2 in
-      let str_field k j = Option.bind (Json.member k j) Json.to_str in
-      Alcotest.(check (option string)) "event kind" (Some "event")
-        (str_field "kind" j1);
-      Alcotest.(check (option string)) "event name" (Some "tick")
-        (str_field "name" j1);
-      Alcotest.(check (option int)) "event pid" (Some 3)
-        (Option.bind (Json.member "pid" j1) Json.to_int);
-      Alcotest.(check (option int)) "event tag" (Some 9)
-        (Option.bind (Json.member "k" j1) Json.to_int);
-      Alcotest.(check (option string)) "span kind" (Some "span")
-        (str_field "kind" j2);
-      Alcotest.(check bool) "span has dur_ns" true
-        (Json.member "dur_ns" j2 <> None);
-      Alcotest.(check bool) "timestamps present" true
-        (Json.member "ts" j1 <> None && Json.member "ts" j2 <> None)
-  | ls -> Alcotest.fail (Fmt.str "expected 2 trace lines, got %d" (List.length ls))
-
-let test_trace_null_sink_is_noop () =
-  (* default sink: nothing recorded, nothing raised *)
-  Alcotest.(check bool) "disabled" false (Trace.enabled ());
-  Trace.event "ignored";
-  Alcotest.(check int) "span still runs" 7 (Trace.with_span "s" (fun () -> 7))
 
 (* --- counterexamples --- *)
 
@@ -414,12 +376,6 @@ let suite =
         Alcotest.test_case "snapshot sorted by name" `Quick
           test_metrics_snapshot_sorted;
         Alcotest.test_case "hot flag" `Quick test_metrics_hot_flag;
-      ] );
-    ( "obs.trace",
-      [
-        Alcotest.test_case "buffer sink JSONL" `Quick test_trace_buffer_sink;
-        Alcotest.test_case "null sink no-op" `Quick
-          test_trace_null_sink_is_noop;
       ] );
     ( "obs.counterexample",
       [
