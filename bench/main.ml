@@ -115,7 +115,7 @@ let write_results path sections_run =
            added shard_states / shard_imbalance / stripe_contention to
            the perf-par series; /3 added section_timings; /2 the
            provenance stamps; /1 fields unchanged. *)
-        ("schema", Obs.Json.str "wfs-bench/9");
+        ("schema", Obs.Json.str "wfs-bench/10");
         ("generated_unix_time", Obs.Json.float (Unix.time ()));
         ("domains_used", Obs.Json.int (Domain.recommended_domain_count ()));
         ("git_rev", Obs.Json.str (git_rev ()));
@@ -915,262 +915,6 @@ let perf_par () =
   curve "explore-aug-queue-n5" (fun pool ->
       ignore (Protocol.verify ?pool aq5))
 
-(* ---------- PERF-POR: partial-order reduction, same verdicts ---------- *)
-
-let perf_por () =
-  section
-    "PERF-POR  partial-order reduction: search-size before/after at \
-     identical verdicts (solver sleep-set cutoffs + explorer sleep sets)";
-  let budget =
-    match Sys.getenv_opt "WFS_POR_BUDGET" with
-    | Some s -> ( try max 10_000 (int_of_string s) with Failure _ -> 2_000_000)
-    | None -> 2_000_000
-  in
-  (* The acceptance workload: the full solver census, unreduced vs
-     reduced, at the same node budget.  Verdicts, winning inits and the
-     printed table must match row for row; only node counts change. *)
-  let off, t_off = time_once (fun () -> Census.run ~max_nodes:budget ~por:false ()) in
-  let on_, t_on = time_once (fun () -> Census.run ~max_nodes:budget ~por:true ()) in
-  let outcome o = Fmt.str "%a" Census.pp_outcome o in
-  let total_off = ref 0 and total_on = ref 0 in
-  let all_match = ref true in
-  List.iter2
-    (fun (a : Census.measurement) (b : Census.measurement) ->
-      let (o2a, n2a) = a.Census.two_proc and (o3a, n3a) = a.Census.three_proc in
-      let (o2b, n2b) = b.Census.two_proc and (o3b, n3b) = b.Census.three_proc in
-      let verdicts_match =
-        outcome o2a = outcome o2b && outcome o3a = outcome o3b
-        && Option.equal Value.equal a.Census.winning_init2 b.Census.winning_init2
-        && Option.equal Value.equal a.Census.winning_init3 b.Census.winning_init3
-      in
-      (* At small budgets the unreduced search can hit the node cap
-         where the reduced one concludes — a budget-boundary artifact,
-         not a soundness difference (per-verdict results are identical
-         whenever both searches complete).  Only an uncapped mismatch
-         is alarming. *)
-      let budget_capped =
-        List.exists (fun o -> o = Census.Budget) [ o2a; o3a; o2b; o3b ]
-      in
-      if not (verdicts_match || budget_capped) then all_match := false;
-      total_off := !total_off + n2a + n3a;
-      total_on := !total_on + n2b + n3b;
-      let reduction =
-        if n2b + n3b > 0 then float_of_int (n2a + n3a) /. float_of_int (n2b + n3b)
-        else 1.
-      in
-      record_series ("por/census/" ^ a.Census.object_name)
-        (Obs.Json.obj
-           [
-             ("outcome2", Obs.Json.str (outcome o2b));
-             ("outcome3", Obs.Json.str (outcome o3b));
-             ("nodes2_nopor", Obs.Json.int n2a);
-             ("nodes2_por", Obs.Json.int n2b);
-             ("nodes3_nopor", Obs.Json.int n3a);
-             ("nodes3_por", Obs.Json.int n3b);
-             ("reduction", Obs.Json.float reduction);
-             ("verdicts_match", Obs.Json.bool verdicts_match);
-             ("budget_capped", Obs.Json.bool budget_capped);
-           ]);
-      Fmt.pr "  %-22s %-11s nodes %10d -> %10d  (%5.2fx)%s@."
-        a.Census.object_name
-        (outcome o2b ^ "/" ^ outcome o3b)
-        (n2a + n3a) (n2b + n3b) reduction
-        (if verdicts_match then ""
-         else if budget_capped then "  (budget-capped; not comparable)"
-         else "  VERDICT MISMATCH"))
-    off on_;
-  let total_reduction =
-    if !total_on > 0 then float_of_int !total_off /. float_of_int !total_on
-    else 1.
-  in
-  record_series "por/census-total"
-    (Obs.Json.obj
-       [
-         ("budget", Obs.Json.int budget);
-         ("nodes_nopor", Obs.Json.int !total_off);
-         ("nodes_por", Obs.Json.int !total_on);
-         ("reduction", Obs.Json.float total_reduction);
-         ("seconds_nopor", Obs.Json.float t_off);
-         ("seconds_por", Obs.Json.float t_on);
-         ("verdicts_match", Obs.Json.bool !all_match);
-       ]);
-  Fmt.pr "  census total: %d -> %d solver nodes (%.2fx), %.1fs -> %.1fs, \
-          verdicts %s@."
-    !total_off !total_on total_reduction t_off t_on
-    (if !all_match then "identical (where both searches complete)"
-     else "MISMATCH");
-  (* Explorer side: sleep-set pruning on the protocol verifications.
-     [explorer.por.pruned] counts edges never generated; all states are
-     still visited, so the stats structs stay byte-identical (the
-     engine.por suite asserts that — here we record the rates). *)
-  let pruned () =
-    Option.value ~default:0 (Obs.Metrics.counter_value "explorer.por.pruned")
-  in
-  let explore name protocol =
-    let r_off, t0 = time_once (fun () -> Protocol.verify ~por:false protocol) in
-    let p0 = pruned () in
-    let r_on, t1 = time_once (fun () -> Protocol.verify protocol) in
-    let edges_pruned = pruned () - p0 in
-    let same = r_off.Protocol.states = r_on.Protocol.states in
-    record_series ("por/explore/" ^ name)
-      (Obs.Json.obj
-         [
-           ("states", Obs.Json.int r_on.Protocol.states);
-           ("edges_pruned", Obs.Json.int edges_pruned);
-           ("seconds_nopor", Obs.Json.float t0);
-           ("seconds_por", Obs.Json.float t1);
-           ("states_match", Obs.Json.bool same);
-         ]);
-    Fmt.pr "  explore %-22s states %8d  pruned edges %8d  %.2fs -> %.2fs%s@."
-      name r_on.Protocol.states edges_pruned t0 t1
-      (if same then "" else "  STATE-COUNT MISMATCH")
-  in
-  explore "cas-n3" (Cas_consensus.protocol ~n:3 ());
-  explore "mem-swap-n3" (Swap_consensus.protocol ~n:3 ());
-  explore "aug-queue-n4" (Aug_queue_consensus.protocol ~n:4 ())
-
-(* ---------- PERF-TT: transposition caching + no-good learning ---------- *)
-
-let perf_tt () =
-  section
-    "PERF-TT  transposition table + σ-footprint no-good learning: census \
-     node counts across the {por, tt} grid at identical verdicts";
-  let budget =
-    match Sys.getenv_opt "WFS_TT_BUDGET" with
-    | Some s -> ( try max 10_000 (int_of_string s) with Failure _ -> 2_000_000)
-    | None -> 2_000_000
-  in
-  let tt_counters () =
-    ( counter_now "solver.tt.hits",
-      counter_now "solver.tt.misses",
-      counter_now "solver.tt.footprint_rejects",
-      counter_now "solver.tt.backjumps" )
-  in
-  let run ~por ~tt =
-    let h0, m0, r0, b0 = tt_counters () in
-    let ms, dt =
-      time_once (fun () -> Census.run ~max_nodes:budget ~por ~tt ())
-    in
-    let h1, m1, r1, b1 = tt_counters () in
-    (ms, dt, (h1 - h0, m1 - m0, r1 - r0, b1 - b0))
-  in
-  let total ms =
-    List.fold_left
-      (fun acc (m : Census.measurement) ->
-        acc + snd m.Census.two_proc + snd m.Census.three_proc)
-      0 ms
-  in
-  let outcome o = Fmt.str "%a" Census.pp_outcome o in
-  (* Verdict identity vs the chronological baseline, with the same
-     budget-boundary caveat as PERF-POR: a search that concludes under
-     the cap where a bigger one ran out is a budget artifact, not a
-     soundness difference. *)
-  let verdicts_vs_baseline base ms =
-    List.for_all2
-      (fun (a : Census.measurement) (b : Census.measurement) ->
-        let o2a, _ = a.Census.two_proc and o3a, _ = a.Census.three_proc in
-        let o2b, _ = b.Census.two_proc and o3b, _ = b.Census.three_proc in
-        let same =
-          outcome o2a = outcome o2b
-          && outcome o3a = outcome o3b
-          && Option.equal Value.equal a.Census.winning_init2
-               b.Census.winning_init2
-          && Option.equal Value.equal a.Census.winning_init3
-               b.Census.winning_init3
-        in
-        let capped =
-          List.exists (fun o -> o = Census.Budget) [ o2a; o3a; o2b; o3b ]
-        in
-        same || capped)
-      base ms
-  in
-  let base, t_base, _ = run ~por:false ~tt:false in
-  let n_base = total base in
-  let grid =
-    List.map
-      (fun (name, por, tt) ->
-        let ms, dt, deltas = run ~por ~tt in
-        (name, ms, dt, deltas))
-      [ ("por", true, false); ("tt", false, true); ("por+tt", true, true) ]
-  in
-  Fmt.pr "  %-10s %12s %8s %9s  verdicts@." "combo" "nodes" "sec"
-    "reduction";
-  Fmt.pr "  %-10s %12d %8.1f %8.2fx  -@." "baseline" n_base t_base 1.0;
-  record_series "tt/census/baseline"
-    (Obs.Json.obj
-       [
-         ("nodes", Obs.Json.int n_base);
-         ("seconds", Obs.Json.float t_base);
-       ]);
-  let all_match = ref true in
-  List.iter
-    (fun (name, ms, dt, (h, m, r, b)) ->
-      let n = total ms in
-      let ok = verdicts_vs_baseline base ms in
-      if not ok then all_match := false;
-      let reduction =
-        if n > 0 then float_of_int n_base /. float_of_int n else 1.
-      in
-      let hit_rate =
-        if h + m > 0 then float_of_int h /. float_of_int (h + m) else 0.
-      in
-      record_series ("tt/census/" ^ name)
-        (Obs.Json.obj
-           [
-             ("nodes", Obs.Json.int n);
-             ("seconds", Obs.Json.float dt);
-             ("reduction", Obs.Json.float reduction);
-             ("verdicts_match", Obs.Json.bool ok);
-             ("tt_hits", Obs.Json.int h);
-             ("tt_misses", Obs.Json.int m);
-             ("tt_hit_rate", Obs.Json.float hit_rate);
-             ("tt_footprint_rejects", Obs.Json.int r);
-             ("tt_backjumps", Obs.Json.int b);
-           ]);
-      Fmt.pr "  %-10s %12d %8.1f %8.2fx  %s%s@." name n dt reduction
-        (if ok then "identical (where both searches complete)"
-         else "MISMATCH")
-        (if h + m > 0 then
-           Fmt.str "  [tt hit %.1f%%, rejects %d, backjumps %d]"
-             (hit_rate *. 100.) r b
-         else ""))
-    grid;
-  (* Per-object breakdown of the headline comparison (por vs por+tt):
-     this is where the dominant conclusive rows — n-assignment n=3
-     above all — show the learning paying off. *)
-  (match
-     ( List.find_opt (fun (n, _, _, _) -> n = "por") grid,
-       List.find_opt (fun (n, _, _, _) -> n = "por+tt") grid )
-   with
-  | Some (_, por_ms, _, _), Some (_, both_ms, _, _) ->
-      List.iter2
-        (fun (a : Census.measurement) (b : Census.measurement) ->
-          let na = snd a.Census.two_proc + snd a.Census.three_proc in
-          let nb = snd b.Census.two_proc + snd b.Census.three_proc in
-          let reduction =
-            if nb > 0 then float_of_int na /. float_of_int nb else 1.
-          in
-          record_series ("tt/census-row/" ^ a.Census.object_name)
-            (Obs.Json.obj
-               [
-                 ("nodes_por", Obs.Json.int na);
-                 ("nodes_por_tt", Obs.Json.int nb);
-                 ("reduction", Obs.Json.float reduction);
-               ]);
-          Fmt.pr "  row %-22s nodes %10d -> %10d  (%5.2fx)@."
-            a.Census.object_name na nb reduction)
-        por_ms both_ms
-  | _ -> ());
-  record_series "tt/census-grid"
-    (Obs.Json.obj
-       [
-         ("budget", Obs.Json.int budget);
-         ("verdicts_match", Obs.Json.bool !all_match);
-       ]);
-  Fmt.pr "  verdicts across the grid: %s@."
-    (if !all_match then "identical (where both searches complete)"
-     else "MISMATCH")
-
 (* ---------- EXT-2: Lamport 1P/1C queue (§3.3) ---------- *)
 
 let lamport_queue_bench () =
@@ -1480,8 +1224,6 @@ let sections : (string * (unit -> unit)) list =
     ("lamport", lamport_queue_bench);
     ("fault", fault_bench);
     ("perf-par", perf_par);
-    ("perf-por", perf_por);
-    ("perf-tt", perf_tt);
     ("profile", profile_overhead);
     ("obs-causal", obs_causal);
   ]

@@ -48,29 +48,6 @@ let jobs_arg =
            1 = sequential engines, byte-identical to previous releases; \
            0 = one domain per core.")
 
-let no_por_arg =
-  Arg.(
-    value & flag
-    & info [ "no-por" ]
-        ~doc:
-          "Disable the sleep-set partial-order reductions in the \
-           explorer and solver. Verdicts, tables and counterexamples \
-           are identical either way; with the flag the unreduced \
-           searches of previous releases are reproduced byte for byte \
-           (differential runs, search-size comparisons).")
-
-let no_tt_arg =
-  Arg.(
-    value & flag
-    & info [ "no-tt" ]
-        ~doc:
-          "Disable the solver's transposition table and no-good \
-           learning (footprint-validated subgame caching and \
-           backjumping). Verdicts and synthesized strategies are \
-           identical either way; together with $(b,--no-por) the \
-           historical search is reproduced node for node \
-           (differential runs, search-size comparisons).")
-
 (* Returns [None] for invalid [j] so callers can exit 2 uniformly. *)
 let with_jobs j f =
   if j < 0 then None
@@ -82,6 +59,11 @@ let with_jobs j f =
 
 let bad_jobs j =
   Fmt.epr "-j must be >= 0 (got %d)@." j;
+  2
+
+(* Report an input error and return the bad-input exit code. *)
+let bad_input msg =
+  Fmt.epr "%s@." msg;
   2
 
 (* --- shared observability flags ---
@@ -220,13 +202,11 @@ let hierarchy_cmd =
       value & flag
       & info [ "full" ] ~doc:"Include the expensive solver instances (minutes).")
   in
-  let run full no_por no_tt j obs =
+  let run full j obs =
     obs_setup obs ~label:"hierarchy" (fun () ->
       match
         with_jobs j (fun pool ->
-            let table =
-              Table.generate ?pool ~full ~por:(not no_por) ~tt:(not no_tt) ()
-            in
+            let table = Table.generate ?pool ~full () in
             Fmt.pr "%a@." Table.pp table;
             if Table.consistent table then begin
               Fmt.pr "@.All rows consistent with Figure 1-1.@.";
@@ -242,7 +222,7 @@ let hierarchy_cmd =
   in
   Cmd.v
     (Cmd.info "hierarchy" ~doc:"Regenerate the Figure 1-1 hierarchy table")
-    Term.(const run $ full $ no_por_arg $ no_tt_arg $ jobs_arg $ obs_term)
+    Term.(const run $ full $ jobs_arg $ obs_term)
 
 (* --- verify --- *)
 
@@ -269,9 +249,7 @@ let check_crashes ~n crashes =
 (* Build a registry protocol at [n], or report why not (exit 2). *)
 let build_protocol key n =
   match (Registry.find key).Registry.build ~n with
-  | exception Invalid_argument msg ->
-      Fmt.epr "%s@." msg;
-      Error 2
+  | exception Invalid_argument msg -> Error (bad_input msg)
   | None ->
       Fmt.epr "%s does not support n = %d@." key n;
       Error 2
@@ -308,7 +286,7 @@ let verify_cmd =
             "On violation, export the counterexample schedule to $(docv) \
              as replayable JSON (see the replay subcommand).")
   in
-  let run key n max_states max_depth out crashes no_por j obs =
+  let run key n max_states max_depth out crashes j obs =
     match check_crashes ~n crashes with
     | Some code -> code
     | None -> (
@@ -319,40 +297,46 @@ let verify_cmd =
               (fun () ->
                 match
                   with_jobs j (fun pool ->
-                      let report =
-                        Protocol.verify ~max_states ~max_depth ~crashes
-                          ~por:(not no_por) ?pool protocol
-                      in
-                      Fmt.pr "%s (%s), n = %d:@.%a@." protocol.Protocol.name
-                        protocol.Protocol.theorem n Protocol.pp_report report;
-                      if report.Protocol.truncated then
-                        Fmt.pr
-                          "exploration truncated by the %s — raise \
-                           --max-states / --max-depth for a complete verdict@."
-                          (Protocol.truncation_label
-                             report.Protocol.truncation);
-                      if Protocol.passed report then 0
-                      else begin
-                        (match
-                           Protocol.find_violation ~max_states ~crashes ?pool
-                             protocol
-                         with
-                        | Some v ->
-                            Fmt.pr "@.counterexample: %a@."
-                              Protocol.pp_violation v;
-                            (match out with
-                            | Some path ->
-                                Obs.Counterexample.save path
-                                  (Protocol.violation_to_counterexample
-                                     ~protocol:key ~n v);
-                                Fmt.pr "counterexample written to %s@." path
-                            | None -> ())
-                        | None ->
+                      match
+                        Protocol.verify ~max_states ~max_depth ~crashes ?pool
+                          protocol
+                      with
+                      | exception Invalid_argument msg -> bad_input msg
+                      | report ->
+                          Fmt.pr "%s (%s), n = %d:@.%a@."
+                            protocol.Protocol.name protocol.Protocol.theorem n
+                            Protocol.pp_report report;
+                          if report.Protocol.truncated then
                             Fmt.pr
-                              "@.no schedule-shaped counterexample (failure \
-                               is a cycle, truncation or stuck process)@.");
-                        1
-                      end)
+                              "exploration truncated by the %s — raise \
+                               --max-states / --max-depth for a complete \
+                               verdict@."
+                              (Protocol.truncation_label
+                                 report.Protocol.truncation);
+                          if Protocol.passed report then 0
+                          else begin
+                            (match
+                               Protocol.find_violation ~max_states ~crashes
+                                 ?pool protocol
+                             with
+                            | Some v ->
+                                Fmt.pr "@.counterexample: %a@."
+                                  Protocol.pp_violation v;
+                                (match out with
+                                | Some path ->
+                                    Obs.Counterexample.save path
+                                      (Protocol.violation_to_counterexample
+                                         ~protocol:key ~n v);
+                                    Fmt.pr "counterexample written to %s@."
+                                      path
+                                | None -> ())
+                            | None ->
+                                Fmt.pr
+                                  "@.no schedule-shaped counterexample \
+                                   (failure is a cycle, truncation or stuck \
+                                   process)@.");
+                            1
+                          end)
                 with
                 | Some code -> code
                 | None -> bad_jobs j))
@@ -364,7 +348,7 @@ let verify_cmd =
           optionally under a crash-stop adversary (--crashes)")
     Term.(
       const run $ registry_key_arg $ n_arg $ max_states $ max_depth $ out
-      $ crashes $ no_por_arg $ jobs_arg $ obs_term)
+      $ crashes $ jobs_arg $ obs_term)
 
 (* --- replay --- *)
 
@@ -378,15 +362,11 @@ let replay_cmd =
   in
   let run file =
     match Obs.Counterexample.load file with
-    | exception Sys_error msg ->
-        Fmt.epr "%s@." msg;
-        2
+    | exception Sys_error msg -> bad_input msg
     | exception Obs.Json.Parse_error msg ->
         Fmt.epr "%s: malformed JSON: %s@." file msg;
         2
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s: %s@." file msg;
-        2
+    | exception Invalid_argument msg -> bad_input (file ^ ": " ^ msg)
     | ce -> (
         Fmt.pr "%a@." Obs.Counterexample.pp ce;
         match
@@ -402,9 +382,7 @@ let replay_cmd =
             | Error reason ->
                 Fmt.pr "@.NOT reproduced: %s@." reason;
                 1
-            | exception Invalid_argument msg ->
-                Fmt.epr "%s@." msg;
-                2))
+            | exception Invalid_argument msg -> bad_input msg))
   in
   Cmd.v
     (Cmd.info "replay"
@@ -439,17 +417,14 @@ let solve_cmd =
              solvable from some candidate initialization, sharing one \
              transposition context across the probes.")
   in
-  let run object_name n depth budget no_por no_tt critical =
+  let run object_name n depth budget critical =
     match Zoo.find object_name with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
+    | exception Invalid_argument msg -> bad_input msg
     | spec -> (
         try
           if critical then begin
             let c =
-              Census.critical_depth ~max_nodes:budget ~por:(not no_por)
-                ~tt:(not no_tt) ~n ~max_depth:depth spec
+              Census.critical_depth ~max_nodes:budget ~n ~max_depth:depth spec
             in
             Fmt.pr "%s, n = %d, max depth = %d:@.%a@." object_name n depth
               Census.pp_critical c;
@@ -457,18 +432,14 @@ let solve_cmd =
           end
           else
             let verdict =
-              Solver.solve ~max_nodes:budget ~por:(not no_por)
-                ~tt:(not no_tt)
-                (Solver.of_spec ~n ~depth spec)
+              Solver.solve ~max_nodes:budget (Solver.of_spec ~n ~depth spec)
             in
             Fmt.pr "%s, n = %d, depth = %d:@.%a@." object_name n depth
               Solver.pp_verdict verdict;
             match verdict with
             | Solver.Solvable _ | Solver.Unsolvable -> 0
             | Solver.Out_of_budget _ -> 1
-        with Invalid_argument msg ->
-          Fmt.epr "%s@." msg;
-          2)
+        with Invalid_argument msg -> bad_input msg)
   in
   Cmd.v
     (Cmd.info "solve"
@@ -476,8 +447,7 @@ let solve_cmd =
          "Decide bounded wait-free consensus solvability by strategy \
           synthesis; UNSOLVABLE is a machine-checked impossibility proof")
     Term.(
-      const run $ object_name $ n_arg $ depth $ budget $ no_por_arg
-      $ no_tt_arg $ critical)
+      const run $ object_name $ n_arg $ depth $ budget $ critical)
 
 (* --- universal --- *)
 
@@ -495,9 +465,7 @@ let universal_cmd =
   in
   let run target variant =
     match Zoo.find target with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
+    | exception Invalid_argument msg -> bad_input msg
     | spec ->
         let menu = Array.of_list spec.Object_spec.menu in
         let scripts =
@@ -533,14 +501,6 @@ let census_cmd =
       value & opt int 30_000_000
       & info [ "budget" ] ~doc:"Search-node budget per solver run.")
   in
-  let max_states =
-    Arg.(
-      value & opt (some int) None
-      & info [ "max-states" ]
-          ~doc:
-            "Cap on solver search nodes per run (lower of this and \
-             --budget wins).")
-  in
   let max_depth =
     Arg.(
       value & opt (some int) None
@@ -549,22 +509,16 @@ let census_cmd =
             "Cap on operations per process (bounds both the n=2 and n=3 \
              instances; defaults are 2 and 1).")
   in
-  let run budget max_states max_depth no_por no_tt j obs =
-    let max_nodes =
-      match max_states with Some s -> min s budget | None -> budget
-    in
+  let run budget max_depth j obs =
     let depth2 = match max_depth with Some d -> min d 2 | None -> 2 in
     let depth3 = match max_depth with Some d -> min d 1 | None -> 1 in
     obs_setup obs ~label:"census" (fun () ->
       match
         with_jobs j (fun pool ->
             match
-              Census.run ~depth2 ~depth3 ~max_nodes ~por:(not no_por)
-                ~tt:(not no_tt) ?pool ()
+              Census.run ~depth2 ~depth3 ~max_nodes:budget ?pool ()
             with
-            | exception Invalid_argument msg ->
-                Fmt.epr "%s@." msg;
-                2
+            | exception Invalid_argument msg -> bad_input msg
             | results ->
                 Fmt.pr
                   "solver-only census (bounded: n=2 within %d op(s), n=3 \
@@ -581,8 +535,8 @@ let census_cmd =
                 in
                 if budget_hit then begin
                   Fmt.pr
-                    "@.some verdicts hit the node budget — raise --budget / \
-                     --max-states for a conclusive census@.";
+                    "@.some verdicts hit the node budget — raise --budget \
+                     for a conclusive census@.";
                   1
                 end
                 else 0)
@@ -596,8 +550,7 @@ let census_cmd =
          "Measure every zoo object's bounded consensus number with the \
           solver alone")
     Term.(
-      const run $ budget $ max_states $ max_depth $ no_por_arg $ no_tt_arg
-      $ jobs_arg $ obs_term)
+      const run $ budget $ max_depth $ jobs_arg $ obs_term)
 
 (* --- critical --- *)
 
@@ -659,9 +612,7 @@ let fault_cmd =
   in
   let run n halts ops =
     match Runtime.Fault.stress_queue ~ops_per_proc:ops ~n ~halts () with
-    | exception Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        2
+    | exception Invalid_argument msg -> bad_input msg
     | s ->
         Fmt.pr "%a@." Runtime.Fault.pp_stress s;
         if Runtime.Fault.stress_passed s then 0 else 1
@@ -794,8 +745,7 @@ let load_cmd =
                 | exception Invalid_argument msg ->
                     (* an input error, not a crashed run: no post-mortem *)
                     ok := true;
-                    Fmt.epr "%s@." msg;
-                    2
+                    bad_input msg
                 | r ->
                     Fmt.pr "%a@." Runtime.Service.Load.pp_report r;
                     if Runtime.Service.Load.passed r then begin
@@ -847,9 +797,7 @@ let serve_cmd =
                 Runtime.Service.serve ~seed ~window ~canary ~clients
                   ~duration_s:duration ())
           with
-          | exception Invalid_argument msg ->
-              Fmt.epr "%s@." msg;
-              2
+          | exception Invalid_argument msg -> bad_input msg
           | r ->
               Fmt.pr "served %s operations in %.1fs (%s ops/s)@."
                 (Obs.Units.si_int r.Runtime.Service.served_ops)
@@ -908,17 +856,13 @@ let trace_cmd =
       with Sys_error msg -> Error msg
     in
     match contents with
-    | Error msg ->
-        Fmt.epr "%s@." msg;
-        2
+    | Error msg -> bad_input msg
     | Ok contents -> (
         match Obs.Causal.Audit.of_trace_json (Obs.Json.of_string contents) with
         | exception Obs.Json.Parse_error msg ->
             Fmt.epr "%s: not JSON: %s@." file msg;
             2
-        | exception Invalid_argument msg ->
-            Fmt.epr "%s: %s@." file msg;
-            2
+        | exception Invalid_argument msg -> bad_input (file ^ ": " ^ msg)
         | report ->
             Fmt.pr "%a@." Obs.Causal.Audit.pp report;
             if audit then
@@ -950,16 +894,20 @@ let randomized_cmd =
            ~doc:"Adversarial coin-sequence length for the exhaustive check.")
   in
   let run flips =
-    Fmt.pr
-      "randomized 2-process consensus from registers (Theorem 2 escapes@.\
-       via coin flips — §5's open problem, after Abrahamson):@.@.";
-    let v = Randomized.verify_all_coins ~flips () in
-    Fmt.pr
-      "exhaustive safety: ok=%b over %d configurations (%d joint states)@."
-      v.Randomized.ok v.Randomized.configurations v.Randomized.states;
-    Fmt.pr "aborts possible with only %d coins: %b@." flips
-      v.Randomized.aborts_possible;
-    if v.Randomized.ok then 0 else 1
+    match Randomized.verify_all_coins ~flips () with
+    | exception Invalid_argument msg -> bad_input msg
+    | v ->
+        Fmt.pr
+          "randomized 2-process consensus from registers (Theorem 2 \
+           escapes@.via coin flips — §5's open problem, after \
+           Abrahamson):@.@.";
+        Fmt.pr
+          "exhaustive safety: ok=%b over %d configurations (%d joint \
+           states)@."
+          v.Randomized.ok v.Randomized.configurations v.Randomized.states;
+        Fmt.pr "aborts possible with only %d coins: %b@." flips
+          v.Randomized.aborts_possible;
+        if v.Randomized.ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "randomized"

@@ -54,10 +54,8 @@ let terminal_agreement (t : Explorer.terminal) =
   | [] -> true
   | d0 :: rest -> List.for_all (Value.equal d0) rest
 
-let verify ?(max_states = 2_000_000) ?max_depth ?(crashes = 0) ?por ?pool t =
-  let stats =
-    Explorer.explore ~max_states ?max_depth ~crashes ?por ?pool t.config
-  in
+let verify ?(max_states = 2_000_000) ?max_depth ?(crashes = 0) ?pool t =
+  let stats = Explorer.explore ~max_states ?max_depth ~crashes ?pool t.config in
   let agreement = List.for_all terminal_agreement stats.Explorer.terminals in
   (* Validity is checked at every decide event during exploration — the
      paper's condition applied to every history prefix. *)

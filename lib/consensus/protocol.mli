@@ -46,13 +46,6 @@ val make :
     wait-freedom demands every surviving process decide on every
     schedule — the paper's own failure model, checked literally.
 
-    [por] (default true) is the explorer's sleep-set partial-order
-    reduction (see {!Explorer.explore}): every report field is
-    identical with it on or off — the reduction skips redundant
-    interleaving *edges*, never states — so [por:false] is an escape
-    hatch for differential runs and for reproducing the unreduced
-    traversal byte for byte.
-
     [pool] runs the exploration across a domain pool (see
     {!Explorer.explore}); verdicts on untruncated runs are identical to
     the sequential engine's. *)
@@ -60,7 +53,6 @@ val verify :
   ?max_states:int ->
   ?max_depth:int ->
   ?crashes:int ->
-  ?por:bool ->
   ?pool:Pool.t ->
   t ->
   report

@@ -129,7 +129,12 @@ let check_terminal ~inputs (node : Explorer.node) =
 
 (* Exhaustive safety check: all schedules x all coin assignments of the
    given length x all input combinations. *)
+let check_flips fn flips =
+  if flips < 0 then
+    invalid_arg (Fmt.str "Randomized.%s: flips must be >= 0 (got %d)" fn flips)
+
 let verify_all_coins ?(flips = 3) () =
+  check_flips "verify_all_coins" flips;
   let coin_choices = coin_lists flips in
   let states = ref 0 in
   let configurations = ref 0 in
@@ -177,6 +182,7 @@ let verify_all_coins ?(flips = 3) () =
 (* One run under a seeded schedule, for demos; abort probability decays
    with [flips]. *)
 let run ?(flips = 20) ~inputs ~seed () =
+  check_flips "run" flips;
   let state = ref (seed * 2654435761) in
   let coin () =
     state := (!state * 1103515245) + 12345;

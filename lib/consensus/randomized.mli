@@ -26,8 +26,10 @@ type verification = {
 }
 
 (** Exhaustive safety over all schedules × all coin sequences of length
-    [flips] (default 3) × all four input combinations. *)
+    [flips] (default 3) × all four input combinations.  Raises
+    [Invalid_argument] when [flips < 0]. *)
 val verify_all_coins : ?flips:int -> unit -> verification
 
-(** One seeded run with pseudo-random coins. *)
+(** One seeded run with pseudo-random coins.  Raises
+    [Invalid_argument] when [flips < 0]. *)
 val run : ?flips:int -> inputs:bool array -> seed:int -> unit -> Runner.outcome

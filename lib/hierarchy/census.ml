@@ -78,12 +78,10 @@ let candidate_inits ?(max_candidates = 16) (spec : Object_spec.t) =
 
 (* Solve for one process count, trying each candidate initialization
    until one admits a protocol.  All initializations of a row share one
-   solver context (when the transposition layer is on): the initial
-   environment state differs per candidate, but deeper subgames
+   solver context: the initial environment state differs per candidate, but deeper subgames
    transpose heavily across them, so later candidates replay verdicts
    the earlier ones paid for. *)
-let solve_any_init ?ctx ~n ~depth ~max_nodes ~por ~tt (spec : Object_spec.t)
-    inits =
+let solve_any_init ?ctx ~n ~depth ~max_nodes (spec : Object_spec.t) inits =
   Wfs_obs.Profile.span ~cat:"census"
     ~args:(fun () ->
       [
@@ -102,7 +100,7 @@ let solve_any_init ?ctx ~n ~depth ~max_nodes ~por ~tt (spec : Object_spec.t)
     | init :: rest -> (
         let spec' = { spec with Object_spec.init } in
         let verdict, nodes =
-          Solver.solve_with_stats ~max_nodes ~por ~tt ~ctx
+          Solver.solve_with_stats ~max_nodes ~ctx
             (Solver.of_spec ~n ~depth spec')
         in
         let total_nodes = total_nodes + nodes in
@@ -129,13 +127,10 @@ let assemble ~depth2 ~depth3 (spec : Object_spec.t) inits
   }
 
 let measure ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000)
-    ?(max_candidates = 16) ?(por = true) ?(tt = true)
-    (spec : Object_spec.t) =
+    ?(max_candidates = 16) (spec : Object_spec.t) =
   let inits = candidate_inits ~max_candidates spec in
-  let two = solve_any_init ~n:2 ~depth:depth2 ~max_nodes ~por ~tt spec inits in
-  let three =
-    solve_any_init ~n:3 ~depth:depth3 ~max_nodes ~por ~tt spec inits
-  in
+  let two = solve_any_init ~n:2 ~depth:depth2 ~max_nodes spec inits in
+  let three = solve_any_init ~n:3 ~depth:depth3 ~max_nodes spec inits in
   assemble ~depth2 ~depth3 spec inits two three
 
 (* The census over the whole zoo.  Objects whose 2-process protocols
@@ -162,8 +157,7 @@ let job_weight (spec, inits, n, depth) =
   let branch = float_of_int (List.length spec.Object_spec.menu + 1) in
   float_of_int (List.length inits) *. (branch ** float_of_int (n * depth))
 
-let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000) ?(por = true)
-    ?(tt = true) ?pool () =
+let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000) ?pool () =
   let specs = Zoo.all () in
   match pool with
   | Some p when Wfs_sim.Pool.size p > 1 ->
@@ -188,7 +182,7 @@ let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000) ?(por = true)
             let spec, inits, n, depth = jobs.(i) in
             (* each job builds its own context inside [solve_any_init]:
                the transposition store is single-domain state *)
-            solve_any_init ~n ~depth ~max_nodes ~por ~tt spec inits)
+            solve_any_init ~n ~depth ~max_nodes spec inits)
           order
       in
       let halves = Array.make (Array.length jobs) results.(0) in
@@ -202,7 +196,7 @@ let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000) ?(por = true)
         specs
   | _ ->
       List.map
-        (fun spec -> measure ~depth2 ~depth3 ~max_nodes ~por ~tt spec)
+        (fun spec -> measure ~depth2 ~depth3 ~max_nodes spec)
         specs
 
 (* Critical depth of an (object, n) row: the least step bound d at
@@ -226,8 +220,8 @@ type critical = {
   total_nodes : int;
 }
 
-let critical_depth ?(max_nodes = 20_000_000) ?(max_candidates = 16)
-    ?(por = true) ?(tt = true) ~n ~max_depth (spec : Object_spec.t) =
+let critical_depth ?(max_nodes = 20_000_000) ?(max_candidates = 16) ~n
+    ~max_depth (spec : Object_spec.t) =
   if max_depth < 1 then invalid_arg "Census.critical_depth: max_depth < 1";
   let inits = candidate_inits ~max_candidates spec in
   let ctx = Solver.Ctx.create ~n () in
@@ -236,7 +230,7 @@ let critical_depth ?(max_nodes = 20_000_000) ?(max_candidates = 16)
   let exact = ref true in
   let probe depth =
     let (outcome, nodes), _ =
-      solve_any_init ~ctx ~n ~depth ~max_nodes ~por ~tt spec inits
+      solve_any_init ~ctx ~n ~depth ~max_nodes spec inits
     in
     probes := { probe_depth = depth; probe_outcome = outcome; probe_nodes = nodes } :: !probes;
     total := !total + nodes;

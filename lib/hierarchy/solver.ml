@@ -27,7 +27,7 @@
    the bounded-depth game).
 
    On top of the chronological search sit two QBF-style learning layers
-   (default on, [tt:false] reproduces the bare search node for node):
+   (the bare search survives as the test oracle, test/solver_oracle.ml):
 
    - a TRANSPOSITION TABLE over canonicalized positions.  A position is
      the full forall-node game state — interned environment state, each
@@ -81,14 +81,14 @@ type verdict =
    re-hashing the view.  Keys are pure functions of (pid, view), so the
    caching is semantically invisible.
 
-   [env_id] and [chain] exist for the transposition layer only (-1/[]
-   with [tt:false]): [env_id] is the interned [Env.encode] of
-   [env_state], kept incrementally so position keys cost no
-   re-encoding; [chain] lists the serials of the choice frames whose
-   candidates formed this state — for σ-hit moves, the serial of the
-   frame that wrote the hit entry — which is what lets a conflict tell
-   "flipping this choice reshapes the refuted structure" apart from
-   "this choice is unrelated, skip it" (see [Tt]). *)
+   [env_id] and [chain] exist for the transposition layer: [env_id] is
+   the interned [Env.encode] of [env_state], kept incrementally so
+   position keys cost no re-encoding; [chain] lists the serials of the
+   choice frames whose candidates formed this state — for σ-hit moves,
+   the serial of the frame that wrote the hit entry — which is what
+   lets a conflict tell "flipping this choice reshapes the refuted
+   structure" apart from "this choice is unrelated, skip it" (see
+   [Tt]). *)
 type state = {
   views : Value.t array;  (* response history per process, latest first *)
   skeys : int array;  (* σ-key of each process's current view *)
@@ -220,21 +220,13 @@ let position_key ~depth ~n positions st =
    Views are response lists that deepen with every operation, so σ
    interns views to dense ids ([Wfs_sim.Intern], full-depth hashing)
    and is keyed by the single int [view_id * n + pid]. *)
-let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
+let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
   let n = inst.n in
-  let views =
-    match ctx with
-    | Some c -> c.Ctx.views
-    | None -> Intern.create ~size_hint:1024 ()
-  in
+  let views = ctx.Ctx.views in
   let sigma : (int, action) Hashtbl.t = Hashtbl.create 1024 in
   let sigma_key pid view = (Intern.intern views view * n) + pid in
   let sigma_find k = Hashtbl.find_opt sigma k in
-  let env_id env_state =
-    match ctx with
-    | Some c -> Intern.intern c.Ctx.envs (Env.encode env_state)
-    | None -> -1
-  in
+  let env_id env_state = Intern.intern ctx.Ctx.envs (Env.encode env_state) in
   let nodes = ref 0 in
   let memo_h = ref 0 and memo_m = ref 0 in
   let sleep_cut = ref 0 in
@@ -269,7 +261,6 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
     tt_r_flushed := !tt_r;
     tt_b_flushed := !tt_b
   in
-  let tt_on = ctx <> None in
   (* Transposition bookkeeping, all per-solve: the footprint-frame
      stack mirroring the open subproofs, the conflict carried by a
      propagating [false], a serial supply for choice frames, and the
@@ -278,9 +269,7 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
   let stack : (int, action) Tt.frame list ref = ref [] in
   let conflict : (int, action) Tt.conflict option ref = ref None in
   let serial = ref 0 in
-  let writer : (int, int) Hashtbl.t =
-    Hashtbl.create (if tt_on then 512 else 1)
-  in
+  let writer : (int, int) Hashtbl.t = Hashtbl.create 512 in
   let log_read key seen =
     match !stack with fr :: _ -> Tt.log_read fr key seen | [] -> ()
   in
@@ -317,7 +306,7 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
      derivation of the refuted structure, including the choice that
      produced the failing action. *)
   let refuted chain =
-    if tt_on then conflict := Some { Tt.c_fp = Some [||]; c_chain = chain };
+    conflict := Some { Tt.c_fp = Some [||]; c_chain = chain };
     false
   in
   (* [schedules st sleep k]: every schedule from [st] succeeds under the
@@ -330,9 +319,7 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
      explored, so any schedule moving it here is a transposition of an
      already-verified sibling schedule — same joint states, same views,
      same σ lookups, same game value.  Skipping it is the sleep-set
-     reduction over the universal player's choices; with [indep = None]
-     the mask is always 0 and the search is the original one, node for
-     node. *)
+     reduction over the universal player's choices. *)
   let rec schedules st sleep (k : unit -> bool) : bool =
     incr nodes;
     if !nodes land 8191 = 0 then live_flush ();
@@ -341,66 +328,62 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
       if agreement_ok st then k ()
       else begin
         (* terminal disagreement is position-determined *)
-        if tt_on then
-          conflict := Some { Tt.c_fp = Some [||]; c_chain = st.chain };
+        conflict := Some { Tt.c_fp = Some [||]; c_chain = st.chain };
         false
       end
     end
     else
-      match ctx with
-      | None -> explore st sleep k
-      | Some c -> (
-          let pos = position_key ~depth:inst.depth ~n c.Ctx.positions st in
-          match Tt.lookup c.Ctx.store ~find:sigma_find ~pos ~mask:sleep with
-          | Tt.Replay e ->
-              incr tt_h;
-              (* the replayed verdict depends on these σ values: they
-                 join the enclosing subproof's footprint *)
-              Array.iter (fun (fk, fv) -> log_read fk fv) e.Tt.e_fp;
-              if e.Tt.e_true then k ()
-              else begin
-                conflict :=
-                  Some { Tt.c_fp = Some e.Tt.e_fp; c_chain = st.chain };
-                false
-              end
-          | Tt.Miss rejected ->
-              incr tt_m;
-              tt_r := !tt_r + rejected;
-              let fr = Tt.frame () in
-              stack := fr :: !stack;
-              let kran = ref 0 in
-              let ok =
-                explore st sleep (fun () ->
-                    incr kran;
-                    k ())
-              in
-              stack := List.tl !stack;
-              (match !stack with
-              | parent :: _ -> Tt.merge ~child:fr ~parent
-              | [] -> ());
-              (if (not ok) && !kran = 0 then begin
-                 (* pure refutation: [k] never ran, so the false is a
-                    self-contained subgame impossibility — unless the
-                    frame is tainted/overflowed, in which case the
-                    inner conflict (still sound, possibly skip-derived)
-                    keeps propagating as-is *)
-                 match Tt.refutation_fp fr with
-                 | Some e_fp ->
-                     Tt.record c.Ctx.store ~pos
-                       { Tt.e_true = false; e_mask = sleep; e_fp };
-                     conflict :=
-                       Some { Tt.c_fp = Some e_fp; c_chain = st.chain }
-                 | None -> ()
-               end
-               else if ok && !kran = 1 then
-                 (* clean success: the subproof completed every schedule
-                    and handed off exactly once *)
-                 match Tt.success_fp ~find:sigma_find fr with
-                 | Some e_fp ->
-                     Tt.record c.Ctx.store ~pos
-                       { Tt.e_true = true; e_mask = sleep; e_fp }
-                 | None -> ());
-              ok)
+      let pos = position_key ~depth:inst.depth ~n ctx.Ctx.positions st in
+      match Tt.lookup ctx.Ctx.store ~find:sigma_find ~pos ~mask:sleep with
+      | Tt.Replay e ->
+          incr tt_h;
+          (* the replayed verdict depends on these σ values: they
+             join the enclosing subproof's footprint *)
+          Array.iter (fun (fk, fv) -> log_read fk fv) e.Tt.e_fp;
+          if e.Tt.e_true then k ()
+          else begin
+            conflict :=
+              Some { Tt.c_fp = Some e.Tt.e_fp; c_chain = st.chain };
+            false
+          end
+      | Tt.Miss rejected ->
+          incr tt_m;
+          tt_r := !tt_r + rejected;
+          let fr = Tt.frame () in
+          stack := fr :: !stack;
+          let kran = ref 0 in
+          let ok =
+            explore st sleep (fun () ->
+                incr kran;
+                k ())
+          in
+          stack := List.tl !stack;
+          (match !stack with
+          | parent :: _ -> Tt.merge ~child:fr ~parent
+          | [] -> ());
+          (if (not ok) && !kran = 0 then begin
+             (* pure refutation: [k] never ran, so the false is a
+                self-contained subgame impossibility — unless the
+                frame is tainted/overflowed, in which case the
+                inner conflict (still sound, possibly skip-derived)
+                keeps propagating as-is *)
+             match Tt.refutation_fp fr with
+             | Some e_fp ->
+                 Tt.record ctx.Ctx.store ~pos
+                   { Tt.e_true = false; e_mask = sleep; e_fp };
+                 conflict :=
+                   Some { Tt.c_fp = Some e_fp; c_chain = st.chain }
+             | None -> ()
+           end
+           else if ok && !kran = 1 then
+             (* clean success: the subproof completed every schedule
+                and handed off exactly once *)
+             match Tt.success_fp ~find:sigma_find fr with
+             | Some e_fp ->
+                 Tt.record ctx.Ctx.store ~pos
+                   { Tt.e_true = true; e_mask = sleep; e_fp }
+             | None -> ());
+          ok
   and explore st sleep k =
     let rec obligations pid =
       if pid >= inst.n then k ()
@@ -418,7 +401,7 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
      σ-dependent) *)
   and peek st pid =
     let r = sigma_find st.skeys.(pid) in
-    if tt_on then log_read st.skeys.(pid) r;
+    log_read st.skeys.(pid) r;
     r
   (* May the actions [aq] (by [q]) and [a] (by [pid]) be transposed at
      [st]?  Do/Do pairs consult the semantic diamond; a Decide naming a
@@ -432,11 +415,8 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
       not (j <> decider && j = mover && unstepped j)
     in
     match (aq, a) with
-    | Do (o1, op1), Do (o2, op2) -> (
-        match indep with
-        | Some ind ->
-            Independence.independent_at ind st.env_state o1 op1 o2 op2
-        | None -> false)
+    | Do (o1, op1), Do (o2, op2) ->
+        Independence.independent_at indep st.env_state o1 op1 o2 op2
     | Decide j, Do _ -> decide_indep q j pid
     | Do _, Decide j -> decide_indep pid j q
     | Decide j, Decide j' -> decide_indep q j pid && decide_indep pid j' q
@@ -448,40 +428,33 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
      necessarily set at or above this node's choice points, so they
      survive for the lifetime of the subtree. *)
   and child_sleep st sleep pid a =
-    match indep with
-    | None -> 0
-    | Some _ ->
-        let m = ref 0 in
-        for q = 0 to inst.n - 1 do
-          if
-            q <> pid
-            && st.decisions.(q) < 0
-            && (sleep land (1 lsl q) <> 0 || q < pid)
-          then
-            match peek st q with
-            | Some aq when indep_action st q aq pid a ->
-                m := !m lor (1 lsl q)
-            | _ -> ()
-        done;
-        !m
+    let m = ref 0 in
+    for q = 0 to inst.n - 1 do
+      if
+        q <> pid
+        && st.decisions.(q) < 0
+        && (sleep land (1 lsl q) <> 0 || q < pid)
+      then
+        match peek st q with
+        | Some aq when indep_action st q aq pid a -> m := !m lor (1 lsl q)
+        | _ -> ()
+    done;
+    !m
   and step st sleep pid k =
     let skey = st.skeys.(pid) in
     match sigma_find skey with
     | Some a ->
         incr memo_h;
-        if tt_on then begin
-          log_read skey (Some a);
-          (* the move is σ-determined: the state about to be built
-             hangs off the choice frame that wrote this entry *)
-          let chain' =
-            match Hashtbl.find_opt writer skey with
-            | Some ws -> ws :: st.chain
-            | None -> st.chain
-          in
-          apply st sleep pid a chain' k
-        end
-        else apply st sleep pid a st.chain k
-    | None -> (
+        log_read skey (Some a);
+        (* the move is σ-determined: the state about to be built hangs
+           off the choice frame that wrote this entry *)
+        let chain' =
+          match Hashtbl.find_opt writer skey with
+          | Some ws -> ws :: st.chain
+          | None -> st.chain
+        in
+        apply st sleep pid a chain' k
+    | None ->
         incr memo_m;
         let ops_allowed = st.steps.(pid) < inst.depth in
         let cands =
@@ -490,96 +463,86 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
            else [])
           @ decide_candidates
         in
-        match ctx with
-        | None ->
-            List.exists
-              (fun a ->
-                Hashtbl.replace sigma skey a;
-                let ok = apply st sleep pid a st.chain k in
-                if not ok then Hashtbl.remove sigma skey;
-                ok)
-              cands
-        | Some _ ->
-            (* the choice point observed σ(skey) unassigned: that is a
-               constraint of the ENCLOSING subproof (logged before the
-               step frame opens) *)
-            log_read skey None;
-            let fr = Tt.frame () in
-            stack := fr :: !stack;
-            let sn = !serial in
-            incr serial;
-            let chain' = sn :: st.chain in
-            (* purity per candidate: a candidate's [false] is a
-               self-contained subgame refutation exactly when the
-               step's continuation never ran during it — if [k] ran,
-               the failure involved obligations beyond this subgame
-               and the exhaustion below is context-dependent *)
-            let kran = ref 0 in
-            let kw () =
-              incr kran;
-              k ()
-            in
-            let all_pure = ref true in
-            let rec try_cands = function
-              | [] ->
-                  (* natural exhaustion (conflict is clear here: every
-                     continue-branch below resets it).  If every
-                     candidate failed purely within its own subgame and
-                     the frame is clean, that is a position-determined
-                     no-good: (this position, this mover) exhausts
-                     under the frame's σ-support. *)
-                  (if !all_pure then
-                     match Tt.refutation_fp fr with
-                     | Some _ as fp ->
-                         conflict := Some { Tt.c_fp = fp; c_chain = st.chain }
-                     | None -> ());
-                  false
-              | a :: rest -> (
-                  Hashtbl.replace sigma skey a;
-                  Tt.log_write fr skey;
-                  Hashtbl.replace writer skey sn;
-                  let kb = !kran in
-                  if apply st sleep pid a chain' kw then true
-                  else begin
-                    Hashtbl.remove sigma skey;
-                    if !kran > kb then all_pure := false;
-                    match !conflict with
-                    | Some { Tt.c_fp = Some fp; c_chain }
-                      when not (List.mem sn c_chain) ->
-                        (* this choice does not form the refuted
-                           structure; if its σ-support is intact, any
-                           completed search through the remaining
-                           candidates would re-demand and re-derive the
-                           same refutation — backjump past them,
-                           propagating the conflict unchanged (its
-                           global argument does not depend on this
-                           frame).  The skip proves global failure
-                           only, so the subproof is tainted against
-                           refutation caching. *)
-                        if Tt.fp_valid ~find:sigma_find fp then begin
-                          incr tt_b;
-                          Tt.taint fr;
-                          false
-                        end
-                        else begin
-                          conflict := None;
-                          try_cands rest
-                        end
-                    | Some _ | None ->
-                        (* our choice formed the refuted structure, or
-                           the support is unknown/invalidated: flipping
-                           the candidate genuinely reshapes the search
-                           — explore on *)
-                        conflict := None;
-                        try_cands rest
-                  end)
-            in
-            let ok = try_cands cands in
-            stack := List.tl !stack;
-            (match !stack with
-            | parent :: _ -> Tt.merge ~child:fr ~parent
-            | [] -> ());
-            ok)
+        (* the choice point observed σ(skey) unassigned: that is a
+           constraint of the ENCLOSING subproof (logged before the
+           step frame opens) *)
+        log_read skey None;
+        let fr = Tt.frame () in
+        stack := fr :: !stack;
+        let sn = !serial in
+        incr serial;
+        let chain' = sn :: st.chain in
+        (* purity per candidate: a candidate's [false] is a
+           self-contained subgame refutation exactly when the
+           step's continuation never ran during it — if [k] ran,
+           the failure involved obligations beyond this subgame
+           and the exhaustion below is context-dependent *)
+        let kran = ref 0 in
+        let kw () =
+          incr kran;
+          k ()
+        in
+        let all_pure = ref true in
+        let rec try_cands = function
+          | [] ->
+              (* natural exhaustion (conflict is clear here: every
+                 continue-branch below resets it).  If every
+                 candidate failed purely within its own subgame and
+                 the frame is clean, that is a position-determined
+                 no-good: (this position, this mover) exhausts
+                 under the frame's σ-support. *)
+              (if !all_pure then
+                 match Tt.refutation_fp fr with
+                 | Some _ as fp ->
+                     conflict := Some { Tt.c_fp = fp; c_chain = st.chain }
+                 | None -> ());
+              false
+          | a :: rest -> (
+              Hashtbl.replace sigma skey a;
+              Tt.log_write fr skey;
+              Hashtbl.replace writer skey sn;
+              let kb = !kran in
+              if apply st sleep pid a chain' kw then true
+              else begin
+                Hashtbl.remove sigma skey;
+                if !kran > kb then all_pure := false;
+                match !conflict with
+                | Some { Tt.c_fp = Some fp; c_chain }
+                  when not (List.mem sn c_chain) ->
+                    (* this choice does not form the refuted
+                       structure; if its σ-support is intact, any
+                       completed search through the remaining
+                       candidates would re-demand and re-derive the
+                       same refutation — backjump past them,
+                       propagating the conflict unchanged (its
+                       global argument does not depend on this
+                       frame).  The skip proves global failure
+                       only, so the subproof is tainted against
+                       refutation caching. *)
+                    if Tt.fp_valid ~find:sigma_find fp then begin
+                      incr tt_b;
+                      Tt.taint fr;
+                      false
+                    end
+                    else begin
+                      conflict := None;
+                      try_cands rest
+                    end
+                | Some _ | None ->
+                    (* our choice formed the refuted structure, or
+                       the support is unknown/invalidated: flipping
+                       the candidate genuinely reshapes the search
+                       — explore on *)
+                    conflict := None;
+                    try_cands rest
+              end)
+        in
+        let ok = try_cands cands in
+        stack := List.tl !stack;
+        (match !stack with
+        | parent :: _ -> Tt.merge ~child:fr ~parent
+        | [] -> ());
+        ok
   and apply st sleep pid a chain k =
     match a with
     | Decide j ->
@@ -627,15 +590,9 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
     let open Wfs_obs.Metrics in
     (* with a shared context the interner outlives the solve: flush
        deltas since the last flush, not cumulative totals *)
-    let hb, lb =
-      match ctx with
-      | Some c ->
-          let r = (c.Ctx.vh_flushed, c.Ctx.vl_flushed) in
-          c.Ctx.vh_flushed <- Intern.hits views;
-          c.Ctx.vl_flushed <- Intern.lookups views;
-          r
-      | None -> (0, 0)
-    in
+    let hb = ctx.Ctx.vh_flushed and lb = ctx.Ctx.vl_flushed in
+    ctx.Ctx.vh_flushed <- Intern.hits views;
+    ctx.Ctx.vl_flushed <- Intern.lookups views;
     Counter.add M.view_intern_hits (Intern.hits views - hb);
     Counter.add M.view_intern_lookups (Intern.lookups views - lb);
     Gauge.set_max M.view_arena_size (Intern.size views)
@@ -664,37 +621,33 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t option) inst =
   in
   (verdict, !nodes)
 
-let solve_with_stats ?(max_nodes = 20_000_000) ?(por = true) ?(tt = true) ?ctx
-    inst =
+let solve_with_stats ?(max_nodes = 20_000_000) ?ctx inst =
+  if max_nodes < 0 then
+    invalid_arg
+      (Fmt.str "Solver.solve: max_nodes must be >= 0 (got %d)" max_nodes);
   Wfs_obs.Profile.span ~cat:"solver"
     ~args:(fun () -> [ ("n", Wfs_obs.Json.int inst.n) ])
     "solver.solve"
     (fun () ->
       let indep =
-        if por then
-          Some
-            (Wfs_obs.Profile.span ~cat:"solver" "solver.independence"
-               (fun () -> Independence.of_env inst.env))
-        else None
+        Wfs_obs.Profile.span ~cat:"solver" "solver.independence" (fun () ->
+            Independence.of_env inst.env)
       in
       let ctx =
-        if not tt then None
-        else
-          match ctx with
-          | Some c ->
-              if c.Ctx.n <> inst.n then
-                invalid_arg
-                  (Fmt.str
-                     "Solver.solve: shared ctx built for n=%d, instance has \
-                      n=%d"
-                     c.Ctx.n inst.n);
-              Some c
-          | None -> Some (Ctx.create ~n:inst.n ())
+        match ctx with
+        | Some c ->
+            if c.Ctx.n <> inst.n then
+              invalid_arg
+                (Fmt.str
+                   "Solver.solve: shared ctx built for n=%d, instance has \
+                    n=%d"
+                   c.Ctx.n inst.n);
+            c
+        | None -> Ctx.create ~n:inst.n ()
       in
       search ~max_nodes ~indep ~ctx inst)
 
-let solve ?max_nodes ?por ?tt ?ctx inst =
-  fst (solve_with_stats ?max_nodes ?por ?tt ?ctx inst)
+let solve ?max_nodes ?ctx inst = fst (solve_with_stats ?max_nodes ?ctx inst)
 
 let pp_action ppf = function
   | Do (obj, op) -> Fmt.pf ppf "%s.%a" obj Op.pp op

@@ -44,8 +44,7 @@ val of_spec :
     replay subgames classified by earlier ones.  Positions encode
     remaining (not consumed) step budget, which is what makes entries
     transpose across different depth bounds; σ-footprints keep reuse
-    sound even though each solve grows a fresh strategy table.  Only
-    consulted with [tt] on. *)
+    sound even though each solve grows a fresh strategy table. *)
 module Ctx : sig
   type t
 
@@ -59,26 +58,27 @@ end
     interned view ids ([Wfs_sim.Intern], full-depth hashing), and a
     decision conflicting with one already output fails at decide time.
 
-    [por] (default true) enables sleep-set pruning of scheduler
-    branches dominated under the semantic independence relation
-    ({!Wfs_sim.Independence}): a schedule moving a slept process is a
-    transposition of an already-verified sibling schedule, so the game
-    value is unchanged — identical verdicts and synthesized strategies,
-    far fewer nodes.
+    Two sound reductions sit on the chronological exists/forall search;
+    neither changes a verdict or a synthesized strategy, only the node
+    count:
 
-    [tt] (default true) enables the transposition table with
-    σ-footprint-validated no-good learning ({!Tt}): subgame verdicts
-    are cached at canonicalized positions and replayed when the current
-    partial strategy agrees with the σ-entries the recorded subproof
-    actually consulted, and conflict analysis backjumps past
-    existential choice points a refutation never touched — identical
-    verdicts and synthesized strategies, far fewer nodes.  [ctx]
-    (requires [tt]; must match the instance's [n]) shares arenas and the transposition store across
-    solves, as the census does per row.
+    - sleep sets prune scheduler branches dominated under the semantic
+      independence relation ({!Wfs_sim.Independence}): a schedule
+      moving a slept process is a transposition of an already-verified
+      sibling schedule, so the game value is unchanged;
+    - the transposition table with σ-footprint-validated no-good
+      learning ({!Tt}) caches subgame verdicts at canonicalized
+      positions, replays them when the current partial strategy agrees
+      with the σ-entries the recorded subproof consulted, and backjumps
+      past existential choice points a refutation never touched.
 
-    Node counts differ across [por]/[tt] settings, so [Out_of_budget]
-    instances may become conclusive; [por:false] with [tt:false]
-    reproduces the historical search node for node.
+    [ctx] (must match the instance's [n]) shares arenas and the
+    transposition store across solves, as the census does per row;
+    without it each solve builds a fresh one.  The unreduced search is
+    kept as a test oracle (test/solver_oracle.ml), not as a mode.
+
+    Raises [Invalid_argument] when [max_nodes < 0]; a budget of 0 is
+    legal (every non-trivial instance is then [Out_of_budget]).
 
     Each run feeds [solver.runs], [solver.nodes],
     [solver.cutoff.sleep], the [solver.tt.hits] /
@@ -87,22 +87,11 @@ end
     [solver.view_intern.hits] / [solver.view_intern.lookups] /
     [solver.view_intern.arena_size] in the default [Wfs_obs.Metrics]
     registry. *)
-val solve :
-  ?max_nodes:int ->
-  ?por:bool ->
-  ?tt:bool ->
-  ?ctx:Ctx.t ->
-  instance ->
-  verdict
+val solve : ?max_nodes:int -> ?ctx:Ctx.t -> instance -> verdict
 
 (** As {!solve}, also returning the number of search nodes explored. *)
 val solve_with_stats :
-  ?max_nodes:int ->
-  ?por:bool ->
-  ?tt:bool ->
-  ?ctx:Ctx.t ->
-  instance ->
-  verdict * int
+  ?max_nodes:int -> ?ctx:Ctx.t -> instance -> verdict * int
 
 val pp_action : action Fmt.t
 val pp_assignment : assignment Fmt.t

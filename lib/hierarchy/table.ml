@@ -29,17 +29,17 @@ type t = row list
 
 (* --- evidence builders --- *)
 
-let verify_protocol ?(max_states = 2_000_000) ?pool ?por (p : Protocol.t) =
-  let report = Protocol.verify ~max_states ?pool ?por p in
+let verify_protocol ?(max_states = 2_000_000) ?pool (p : Protocol.t) =
+  let report = Protocol.verify ~max_states ?pool p in
   if Protocol.passed report then
     Protocol_verified
       { n = p.Protocol.processes; states = report.Protocol.states;
         protocol = p.Protocol.name }
   else Protocol_failed { n = p.Protocol.processes; protocol = p.Protocol.name }
 
-let run_solver ?(max_nodes = 20_000_000) ?por ?tt ~n ~depth spec =
+let run_solver ?(max_nodes = 20_000_000) ~n ~depth spec =
   let outcome =
-    match Solver.solve ~max_nodes ?por ?tt (Solver.of_spec ~n ~depth spec) with
+    match Solver.solve ~max_nodes (Solver.of_spec ~n ~depth spec) with
     | Solver.Solvable _ -> `Solvable
     | Solver.Unsolvable -> `Unsolvable
     | Solver.Out_of_budget _ -> `Budget
@@ -88,11 +88,8 @@ let classify_cas () =
    so the big verifications never straggle behind a drained batch, and
    the rows are reassembled in plan order — the table is byte-identical
    either way. *)
-let plan ~full ~por ~tt :
+let plan ~full :
     (string * string * (int * (unit -> evidence list)) list) list =
-  let run_solver ?max_nodes ~n ~depth spec =
-    run_solver ?max_nodes ~por ~tt ~n ~depth spec
-  in
   (* One thunk per (protocol, n) of a registry key, skipping sizes the
      registry cannot build.  The weight is a scheduling rank only —
      verification cost climbs steeply with n. *)
@@ -103,7 +100,7 @@ let plan ~full ~por ~tt :
           fun () ->
             let entry = Registry.find key in
             match entry.Registry.build ~n with
-            | Some p -> [ verify_protocol ~por p ]
+            | Some p -> [ verify_protocol p ]
             | None -> [] ))
       ns
   in
@@ -193,8 +190,8 @@ let plan ~full ~por ~tt :
       reg "ordered-broadcast" [ 2; 3 ] );
   ]
 
-let generate ?pool ?(full = false) ?(por = true) ?(tt = true) () : t =
-  let rows = plan ~full ~por ~tt in
+let generate ?pool ?(full = false) () : t =
+  let rows = plan ~full in
   let force_evidence family th =
     Wfs_obs.Profile.span ~cat:"table"
       ~args:(fun () -> [ ("family", Wfs_obs.Json.str family) ])

@@ -19,26 +19,19 @@ type row = {
 type t = row list
 
 (** Verify one protocol over all schedules and package the verdict as
-    table evidence; [pool] and [por] forward to
-    {!Wfs_consensus.Protocol.verify} (intra-exploration parallel run;
-    sleep-set reduction, on by default, identical report either way). *)
+    table evidence; [pool] forwards to
+    {!Wfs_consensus.Protocol.verify} (intra-exploration parallel run). *)
 val verify_protocol :
-  ?max_states:int -> ?pool:Wfs_sim.Pool.t -> ?por:bool ->
-  Wfs_consensus.Protocol.t -> evidence
+  ?max_states:int -> ?pool:Wfs_sim.Pool.t -> Wfs_consensus.Protocol.t ->
+  evidence
 
 (** Build the table; [full] adds the expensive solver instances
     (Theorem 11's queue impossibility at n = 3, deeper register
-    bounds).  [por] (default true) forwards the sleep-set reductions to
-    every explorer and solver run — all evidence is identical either
-    way.  [tt] (default true) forwards the solver's transposition /
-    no-good layer — identical verdicts, fewer nodes; [por:false] with
-    [tt:false] reproduces the unreduced searches.  [pool] shards
-    the registry-wide evidence plan — one job per protocol
-    verification, classification or solver run, issued heaviest-first —
-    across a domain pool, reassembling rows in plan order: the table is
-    byte-identical to a sequential [generate]. *)
-val generate :
-  ?pool:Wfs_sim.Pool.t -> ?full:bool -> ?por:bool -> ?tt:bool -> unit -> t
+    bounds).  [pool] shards the registry-wide evidence plan — one job
+    per protocol verification, classification or solver run, issued
+    heaviest-first — across a domain pool, reassembling rows in plan
+    order: the table is byte-identical to a sequential [generate]. *)
+val generate : ?pool:Wfs_sim.Pool.t -> ?full:bool -> unit -> t
 
 (** Every piece of evidence agrees with the paper's claimed level. *)
 val consistent : t -> bool

@@ -178,6 +178,8 @@ type stress = {
 
 let stress_queue ?(ops_per_proc = 7) ~n ~halts () =
   if halts < 0 || halts >= n then invalid_arg "Fault.stress_queue: halts";
+  if ops_per_proc < 0 then
+    invalid_arg "Fault.stress_queue: ops_per_proc must be >= 0";
   if n * ops_per_proc > Wfs_history.Linearizability.max_ops then
     invalid_arg "Fault.stress_queue: workload exceeds checker capacity";
   let open Wfs_spec in

@@ -120,7 +120,7 @@ type stress = {
     (the hardest case for the checker).  Survivors must complete
     [ops_per_proc] operations each (default 7; the total is validated
     against {!Wfs_history.Linearizability.max_ops}).  Raises
-    [Invalid_argument] unless [0 <= halts < n]. *)
+    [Invalid_argument] unless [0 <= halts < n] and [ops_per_proc >= 0]. *)
 val stress_queue : ?ops_per_proc:int -> n:int -> halts:int -> unit -> stress
 
 (** All halts landed, survivors completed, history well-formed and

@@ -315,6 +315,7 @@ module Load = struct
       ~ops_per_client () =
     if clients <= 0 then invalid_arg "Load.run: clients";
     if ops_per_client < 0 then invalid_arg "Load.run: ops_per_client";
+    if halts < 0 then invalid_arg "Load.run: halts must be >= 0";
     (* default to the counter: its state is O(1), so million-op runs
        measure the construction rather than the spec's list churn (the
        queue's Value-list state makes enq-biased random streams

@@ -1069,15 +1069,21 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep config
   }
 
 let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
-    ?(symmetry = false) ?(crashes = 0) ?(por = true) ?pool config =
+    ?(symmetry = false) ?(crashes = 0) ?pool config =
   if crashes < 0 then invalid_arg "Explorer.explore: crashes < 0";
+  if max_states < 0 then
+    invalid_arg
+      (Fmt.str "Explorer.explore: max_states must be >= 0 (got %d)" max_states);
+  if max_depth < 0 then
+    invalid_arg
+      (Fmt.str "Explorer.explore: max_depth must be >= 0 (got %d)" max_depth);
   (* The reduction composes with crashes and the parallel engine;
      [symmetry] already collapses orbits whose interaction with
      path-dependent sleep masks is not covered by the soundness
      argument, so it disables it.  Masks pack step and crash bits
      into one int, which caps the process count. *)
   let indep =
-    if por && (not symmetry) && Array.length config.procs <= crash_shift then
+    if (not symmetry) && Array.length config.procs <= crash_shift then
       Some
         (Wfs_obs.Profile.span ~cat:"explore" "explore.independence"
            (fun () -> Independence.of_env config.env))

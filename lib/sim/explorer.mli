@@ -91,7 +91,8 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     ({!Intern}, full-depth hashing) and computes the longest-path step
     bounds post-order during the single iterative DFS — no second
     traversal, no re-derived successors, no stack-overflow risk at
-    large [max_depth].
+    large [max_depth].  A negative [max_states], [max_depth] or
+    [crashes] raises [Invalid_argument]; budgets of 0 are legal.
 
     [symmetry] (default false) keys the visited set by
     {!canonical_key}, collapsing process-permutation orbits; enable it
@@ -103,7 +104,7 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     orbit collapsing permutes pid labels along a path.  Cyclicity (and
     hence [wait_free]) is exact either way.
 
-    [por] (default true) prunes redundant interleavings with sleep
+    Redundant interleavings are pruned with sleep
     sets over the semantic independence relation ({!Independence},
     computed once per call from the environment's sequential
     semantics): an edge whose action was already explored at an
@@ -119,9 +120,9 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     edges feed [explorer.por.pruned].  The reduction composes with
     [crashes] and [pool]; it is disabled automatically under
     [symmetry] (orbit collapsing and path-dependent sleep masks are
-    separate reductions), and for more than 16 processes.  [por:false]
-    reproduces the unreduced edge traversal of previous releases,
-    byte for byte.
+    separate reductions), and for more than 16 processes.  The
+    unreduced search is kept as a test oracle
+    (test/explorer_oracle.ml), not as a mode.
 
     [crashes] (default 0) is the crash-stop adversary's budget: the
     exploration additionally quantifies over every point at which up to
@@ -164,7 +165,6 @@ val explore :
   ?max_depth:int ->
   ?symmetry:bool ->
   ?crashes:int ->
-  ?por:bool ->
   ?pool:Pool.t ->
   config ->
   stats

@@ -17,6 +17,20 @@ let test_randomized_safety_flips3 () =
   let v = Wfs_consensus.Randomized.verify_all_coins ~flips:3 () in
   Alcotest.(check bool) "safe at flips=3" true v.Wfs_consensus.Randomized.ok
 
+(* a negative coin count is bad input: there are no coin lists of that
+   length to enumerate *)
+let test_randomized_rejects_negative_flips () =
+  Alcotest.check_raises "verify_all_coins"
+    (Invalid_argument
+       "Randomized.verify_all_coins: flips must be >= 0 (got -1)") (fun () ->
+      ignore (Wfs_consensus.Randomized.verify_all_coins ~flips:(-1) ()));
+  Alcotest.check_raises "run"
+    (Invalid_argument "Randomized.run: flips must be >= 0 (got -1)")
+    (fun () ->
+      ignore
+        (Wfs_consensus.Randomized.run ~flips:(-1) ~inputs:[| false; true |]
+           ~seed:1 ()))
+
 let test_randomized_same_inputs_never_abort () =
   (* with equal inputs there is never a conflict, hence no coin is
      needed: every schedule decides, even with zero coins *)
@@ -275,6 +289,8 @@ let suite =
           test_randomized_safety_exhaustive;
         Alcotest.test_case "exhaustive safety, flips=3" `Quick
           test_randomized_safety_flips3;
+        Alcotest.test_case "negative flips rejected" `Quick
+          test_randomized_rejects_negative_flips;
         Alcotest.test_case "equal inputs never abort" `Quick
           test_randomized_same_inputs_never_abort;
         Alcotest.test_case "seeded runs decide" `Quick

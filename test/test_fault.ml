@@ -194,9 +194,13 @@ let test_stress_queue_validates_arguments () =
   (match Fault.stress_queue ~n:2 ~halts:2 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "halts must be < n");
-  match Fault.stress_queue ~ops_per_proc:1000 ~n:4 ~halts:1 () with
+  (match Fault.stress_queue ~ops_per_proc:1000 ~n:4 ~halts:1 () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "workload must fit the linearizability checker"
+  | _ -> Alcotest.fail "workload must fit the linearizability checker");
+  (* a negative operation count is named, not a bare Array.init failure *)
+  Alcotest.check_raises "ops_per_proc = -1"
+    (Invalid_argument "Fault.stress_queue: ops_per_proc must be >= 0")
+    (fun () -> ignore (Fault.stress_queue ~ops_per_proc:(-1) ~n:4 ~halts:2 ()))
 
 let suite =
   [

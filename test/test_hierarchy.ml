@@ -192,6 +192,28 @@ let test_of_spec_rejects_bad_sizes () =
     (Invalid_argument "Solver.of_spec: depth < 0") (fun () ->
       ignore (Census.measure ~depth2:(-1) spec))
 
+(* a negative budget is bad input, not an exhausted search: the layers
+   built on the solver and the explorer inherit their checks *)
+let test_negative_budgets_rejected () =
+  let spec = preloaded_queue () in
+  let negative_budget b =
+    Invalid_argument (Fmt.str "Solver.solve: max_nodes must be >= 0 (got %d)" b)
+  in
+  Alcotest.check_raises "solve budget = -1" (negative_budget (-1)) (fun () ->
+      ignore (Solver.solve ~max_nodes:(-1) (Solver.of_spec ~n:2 ~depth:2 spec)));
+  Alcotest.check_raises "census budget = -5" (negative_budget (-5)) (fun () ->
+      ignore (Census.measure ~max_nodes:(-5) spec));
+  Alcotest.check_raises "table evidence max_states = -3"
+    (Invalid_argument "Explorer.explore: max_states must be >= 0 (got -3)")
+    (fun () ->
+      ignore
+        (Table.verify_protocol ~max_states:(-3)
+           (Wfs_consensus.Cas_consensus.protocol ~n:2 ())));
+  (* a budget of 0 is legal: the root node alone exhausts it *)
+  match Solver.solve ~max_nodes:0 (Solver.of_spec ~n:2 ~depth:2 spec) with
+  | Solver.Out_of_budget { nodes = 1 } -> ()
+  | v -> Alcotest.failf "budget 0: got %a" Solver.pp_verdict v
+
 (* the guards' edges are legal sizes: one process decides its own input
    without a step, two cannot agree without one *)
 let test_of_spec_boundary_sizes () =
@@ -289,6 +311,8 @@ let suite =
         Alcotest.test_case "budget reporting" `Quick test_budget_reported;
         Alcotest.test_case "of_spec rejects bad sizes" `Quick
           test_of_spec_rejects_bad_sizes;
+        Alcotest.test_case "negative budgets rejected" `Quick
+          test_negative_budgets_rejected;
         Alcotest.test_case "of_spec accepts boundary sizes" `Quick
           test_of_spec_boundary_sizes;
         Alcotest.test_case "synthesized strategy verifies" `Quick

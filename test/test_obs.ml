@@ -265,13 +265,14 @@ let tas_config () =
 
 let counter name = Option.value ~default:0 (Metrics.counter_value name)
 
-(* [por:false]: the dedup-hit assertions below need the unreduced edge
-   traversal — with the sleep-set reduction on, this small protocol's
-   redundant interleavings are pruned before they ever hit the dedup
-   table. *)
+(* The augmented-queue protocol: its processes take two steps each, so
+   interleavings still converge on shared states after the sleep-set
+   reduction (one-step protocols such as test-and-set are pruned before
+   they ever hit the dedup table). *)
 let test_explorer_metrics_feed () =
   Metrics.reset ();
-  let stats = Explorer.explore ~por:false (tas_config ()) in
+  let config = (Aug_queue_consensus.protocol ~n:2 ()).Protocol.config in
+  let stats = Explorer.explore config in
   Alcotest.(check int)
     "states matches stats" stats.Explorer.states
     (counter "explorer.states");

@@ -185,6 +185,19 @@ let test_explorer_differential_handmade () =
         (Fmt.str "borrowed-decision n=%d" n)
         (borrowed_decision_config n))
     [ 2; 3 ];
+  (* the deliberately broken registry entries: same failing graph, and
+     the verifier still catches them *)
+  List.iter
+    (fun (e : Registry.entry) ->
+      Option.iter
+        (fun (p : Protocol.t) ->
+          let name = e.Registry.key ^ " n=2" in
+          check_against_oracle name p.Protocol.config;
+          Alcotest.(check bool)
+            (name ^ ": still caught") false
+            (Protocol.passed (Protocol.verify p)))
+        (e.Registry.build ~n:2))
+    Registry.broken;
   (* the configs really reach those branches *)
   let spin = Explorer.explore (symmetric_spin_config 2) in
   Alcotest.(check bool) "sym-spin is cyclic" true spin.Explorer.cyclic;

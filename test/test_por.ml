@@ -1,199 +1,91 @@
-(* Differential tests for the sleep-set partial-order reductions: the
-   reduced searches must be observationally identical to the unreduced
-   ones.  The explorer's reduction removes redundant interleaving edges,
-   never states, so every stats field must match exactly; the solver's
-   cutoffs remove dominated game branches, so verdicts and synthesized
-   strategies must match while the node count only shrinks.  Both are
-   exercised over the whole registry, alone and composed with crash
-   budgets, truncation, symmetry and a domain pool. *)
+(* Tests for the sleep-set partial-order reductions beyond the oracle
+   differentials: the explorer's reduction composed with a domain pool
+   must report exactly what the sequential reduced engine reports; it
+   stays off under the symmetry quotient and above 16 processes;
+   [find_violation] agrees with [verify]; and both reductions actually
+   fire.  Equality with the unreduced
+   searches is checked against the reference oracles in
+   engine.differential (explorer) and engine.tt (solver). *)
 
 open Wfs_spec
 open Wfs_sim
 open Wfs_consensus
 open Wfs_hierarchy
 
-let value = Alcotest.testable Value.pp Value.equal
 let check_stats_equal = Test_perf_engine.check_stats_equal
 let registry_protocols = Test_perf_engine.registry_protocols
-let verdict_sig = Test_perf_engine.verdict_sig
 
-(* --- explorer: por on = por off on every registry protocol --- *)
-
-let test_explore_differential () =
-  List.iter
-    (fun (name, (p : Protocol.t)) ->
-      let run ?max_states ?max_depth ?crashes por =
-        Explorer.explore ?max_states ?max_depth ?crashes ~por p.Protocol.config
-      in
-      check_stats_equal name (run false) (run true);
-      check_stats_equal
-        (name ^ " [crashes=1]")
-        (run ~crashes:1 false) (run ~crashes:1 true);
-      check_stats_equal
-        (name ^ " [max_states=40]")
-        (run ~max_states:40 false)
-        (run ~max_states:40 true);
-      check_stats_equal
-        (name ^ " [max_depth=3]")
-        (run ~max_depth:3 false) (run ~max_depth:3 true))
-    (registry_protocols ())
-
-(* por composed with a pool: both polarities at j=2 against the
-   sequential reference *)
+(* por composed with a pool at j=2 against the sequential reference *)
 let test_explore_pool () =
   Pool.with_pool ~domains:2 (fun pool ->
       List.iter
         (fun (name, (p : Protocol.t)) ->
-          let seq = Explorer.explore p.Protocol.config in
           check_stats_equal
             (name ^ " [j=2 por]")
-            seq
-            (Explorer.explore ~pool p.Protocol.config);
-          check_stats_equal
-            (name ^ " [j=2 no-por]")
-            seq
-            (Explorer.explore ~por:false ~pool p.Protocol.config))
+            (Explorer.explore p.Protocol.config)
+            (Explorer.explore ~pool p.Protocol.config))
         (registry_protocols ()))
-
-(* por is auto-disabled under the symmetry quotient: requesting it must
-   change nothing there *)
-let test_symmetry_guard () =
-  List.iter
-    (fun n ->
-      check_stats_equal
-        (Fmt.str "sym-tas n=%d [symmetry]" n)
-        (Explorer.explore ~symmetry:true ~por:false
-           (Test_perf_engine.symmetric_tas_config n))
-        (Explorer.explore ~symmetry:true ~por:true
-           (Test_perf_engine.symmetric_tas_config n)))
-    [ 2; 3 ]
-
-(* --- verify: reports agree field by field --- *)
-
-let check_reports_equal name (a : Protocol.report) (b : Protocol.report) =
-  Alcotest.(check bool)
-    (name ^ ": agreement") a.Protocol.agreement b.Protocol.agreement;
-  Alcotest.(check bool)
-    (name ^ ": validity") a.Protocol.validity b.Protocol.validity;
-  Alcotest.(check bool)
-    (name ^ ": wait_free") a.Protocol.wait_free b.Protocol.wait_free;
-  Alcotest.(check int) (name ^ ": states") a.Protocol.states b.Protocol.states;
-  Alcotest.(check (option (array int)))
-    (name ^ ": step_bounds") a.Protocol.step_bounds b.Protocol.step_bounds;
-  Alcotest.(check (list value))
-    (name ^ ": decisions_seen")
-    a.Protocol.decisions_seen b.Protocol.decisions_seen;
-  Alcotest.(check bool)
-    (name ^ ": truncated") a.Protocol.truncated b.Protocol.truncated
-
-let test_verify_differential () =
-  List.iter
-    (fun (name, p) ->
-      check_reports_equal name
-        (Protocol.verify ~por:false p)
-        (Protocol.verify p))
-    (registry_protocols ())
-
-(* --- failing protocols: same verdict, same counterexample schedule ---
-
-   [find_violation] is a separate pruned DFS that the reduction does not
-   touch, so the schedule a failing [verify --out] exports is identical
-   with por on or off; the broken registry entries prove it end to
-   end. *)
-
-let schedule_sig (v : Protocol.violation) =
-  List.map
-    (function
-      | Protocol.Step p -> Fmt.str "S%d" p | Protocol.Crash p -> Fmt.str "C%d" p)
-    v.Protocol.schedule
-
-let test_broken_protocols () =
-  List.iter
-    (fun (e : Registry.entry) ->
-      match e.Registry.build ~n:2 with
-      | None -> ()
-      | Some p ->
-          let name = e.Registry.key ^ " n=2" in
-          let off = Protocol.verify ~por:false p in
-          let on = Protocol.verify p in
-          check_reports_equal name off on;
-          Alcotest.(check bool)
-            (name ^ ": still caught") false (Protocol.passed on);
-          let v_off = Protocol.find_violation p in
-          let v_on = Protocol.find_violation p in
-          Alcotest.(check (option (list string)))
-            (name ^ ": counterexample schedule")
-            (Option.map schedule_sig v_off)
-            (Option.map schedule_sig v_on))
-    Registry.broken
-
-(* --- solver: verdict and strategy identical, nodes only shrink --- *)
-
-let check_solver name inst =
-  let v_off, n_off = Solver.solve_with_stats ~por:false inst in
-  let v_on, n_on = Solver.solve_with_stats inst in
-  Alcotest.(check (list string))
-    (name ^ ": verdict + strategy")
-    (verdict_sig v_off) (verdict_sig v_on);
-  Alcotest.(check bool)
-    (name ^ ": no more nodes than unreduced")
-    true (n_on <= n_off)
-
-let test_solver_differential () =
-  let reg =
-    Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
-  in
-  let queue ?(initial = []) () =
-    Queues.fifo ~name:"q" ~initial ~items:[ Value.str "a"; Value.str "b" ] ()
-  in
-  check_solver "T2 register n=2 d=2" (Solver.of_spec ~n:2 ~depth:2 reg);
-  check_solver "T9 queue n=2 d=2"
-    (Solver.of_spec ~n:2 ~depth:2
-       (queue ~initial:[ Value.str "a"; Value.str "b" ] ()));
-  check_solver "T11 queue n=3 d=1"
-    (Solver.of_spec ~n:3 ~depth:1
-       (queue ~initial:[ Value.str "a"; Value.str "b" ] ()));
-  check_solver "TAS n=3 d=1"
-    (Solver.of_spec ~n:3 ~depth:1 (Zoo.test_and_set ()))
-
-(* census measurements agree on everything except the node counts,
-   which the reduction shrinks by design *)
-let test_census_measure () =
-  List.iter
-    (fun spec ->
-      let name = spec.Object_spec.name in
-      let off = Census.measure ~max_nodes:2_000_000 ~por:false spec in
-      let on = Census.measure ~max_nodes:2_000_000 spec in
-      Alcotest.(check string)
-        (name ^ ": interpretation")
-        off.Census.interpretation on.Census.interpretation;
-      Alcotest.(check bool)
-        (name ^ ": n=2 outcome")
-        true
-        (fst off.Census.two_proc = fst on.Census.two_proc);
-      Alcotest.(check bool)
-        (name ^ ": n=3 outcome")
-        true
-        (fst off.Census.three_proc = fst on.Census.three_proc);
-      Alcotest.(check (option value))
-        (name ^ ": winning init n=2")
-        off.Census.winning_init2 on.Census.winning_init2;
-      Alcotest.(check (option value))
-        (name ^ ": winning init n=3")
-        off.Census.winning_init3 on.Census.winning_init3)
-    [ Zoo.test_and_set (); Zoo.fetch_and_add () ]
-
-(* --- non-vacuity: the reductions actually fire --- *)
 
 let counter name =
   Option.value ~default:0 (Wfs_obs.Metrics.counter_value name)
 
+let pruned () = counter "explorer.por.pruned"
+
+(* --- the explorer's reduction is off exactly where the code says --- *)
+
+(* Pruned edges and stats of one sym-tas run (see [symmetric_tas_config]). *)
+let sym_tas ?max_states ?symmetry n =
+  let e0 = pruned () in
+  let config = Test_perf_engine.symmetric_tas_config n in
+  let stats = Explorer.explore ?max_states ?symmetry config in
+  (pruned () - e0, config, stats)
+
+(* sym-tas n=3 prunes on the full graph ("reductions actually fire"),
+   never under the quotient *)
+let test_symmetry_guard () =
+  List.iter
+    (fun n ->
+      let cut, _, stats = sym_tas ~symmetry:true n in
+      Alcotest.(check int) (Fmt.str "n=%d: no pruned edges" n) 0 cut;
+      Alcotest.(check bool) "wait-free" true (Explorer.wait_free stats))
+    [ 2; 3 ]
+
+(* Sleep masks keep q's crash at bit [q + 16], so the reduction runs for
+   at most 16 processes: at 17 it is off and matches the oracle. *)
+let test_process_cap_guard () =
+  let cut, config, stats = sym_tas ~max_states:200 17 in
+  Alcotest.(check int) "n=17: no pruned edges" 0 cut;
+  check_stats_equal "n=17 [max_states=200]"
+    (Explorer_oracle.explore ~max_states:200 config)
+    stats;
+  let cut, _, _ = sym_tas ~max_states:200 16 in
+  Alcotest.(check bool) "n=16: pruned edges" true (cut > 0)
+
+(* Every registry protocol at n=2, sound and broken: [find_violation]'s
+   pruned DFS returns a schedule exactly when [verify] reports a safety
+   failure, and of the kind the report names. *)
+let test_violation_matches_report () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      Option.iter
+        (fun (p : Protocol.t) ->
+          let r = Protocol.verify p in
+          Alcotest.(check bool)
+            (e.Registry.key ^ ": violation kind = report") true
+            (match Option.map (fun v -> v.Protocol.kind)
+                     (Protocol.find_violation p) with
+            | None -> r.Protocol.agreement && r.Protocol.validity
+            | Some `Disagreement -> not r.Protocol.agreement
+            | Some `Invalid_decision -> not r.Protocol.validity))
+        (e.Registry.build ~n:2))
+    (Registry.entries @ Registry.broken)
+
+(* --- non-vacuity: the reductions actually fire --- *)
+
 let test_reductions_fire () =
-  let e0 = counter "explorer.por.pruned" in
+  let e0 = pruned () in
   ignore (Explorer.explore (Test_perf_engine.symmetric_tas_config 3));
-  Alcotest.(check bool)
-    "explorer pruned edges" true
-    (counter "explorer.por.pruned" > e0);
+  Alcotest.(check bool) "explorer pruned edges" true (pruned () > e0);
   let s0 = counter "solver.cutoff.sleep" in
   let reg =
     Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
@@ -207,20 +99,14 @@ let suite =
   [
     ( "engine.por",
       [
-        Alcotest.test_case "explorer: por = no-por on registry" `Quick
-          test_explore_differential;
         Alcotest.test_case "explorer: por under a pool (j=2)" `Quick
           test_explore_pool;
         Alcotest.test_case "explorer: symmetry disables por" `Quick
           test_symmetry_guard;
-        Alcotest.test_case "verify: por = no-por reports" `Quick
-          test_verify_differential;
-        Alcotest.test_case "broken protocols: same counterexamples" `Quick
-          test_broken_protocols;
-        Alcotest.test_case "solver: por = no-por verdicts" `Quick
-          test_solver_differential;
-        Alcotest.test_case "census: por = no-por measurements" `Quick
-          test_census_measure;
+        Alcotest.test_case "explorer: por off above 16 processes" `Quick
+          test_process_cap_guard;
+        Alcotest.test_case "find_violation agrees with verify" `Quick
+          test_violation_matches_report;
         Alcotest.test_case "reductions actually fire" `Quick
           test_reductions_fire;
       ] );

@@ -67,11 +67,15 @@ let test_load_with_crashes () =
   Alcotest.(check bool) "some ops completed" true (r.Service.Load.total_ops > 0)
 
 let test_load_crash_capacity_guard () =
-  match
-    Service.Load.run ~halts:1 ~clients:4 ~ops_per_client:1000 ()
-  with
+  (match
+     Service.Load.run ~halts:1 ~clients:4 ~ops_per_client:1000 ()
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "oversized crash workload must be rejected"
+  | _ -> Alcotest.fail "oversized crash workload must be rejected");
+  (* a negative halt count is named, not a bare List.init failure *)
+  Alcotest.check_raises "halts = -1"
+    (Invalid_argument "Load.run: halts must be >= 0") (fun () ->
+      ignore (Service.Load.run ~halts:(-1) ~clients:3 ~ops_per_client:5 ()))
 
 let test_serve () =
   let r = Service.serve ~clients:2 ~duration_s:0.2 () in

@@ -291,6 +291,21 @@ let test_explorer_truncation_causes () =
   Alcotest.(check bool) "complete run has no cause" true
     (stats.Explorer.truncation = None)
 
+(* negative budgets are bad input; a budget of 0 cuts the run at the root *)
+let test_explorer_negative_budgets () =
+  Alcotest.check_raises "max_states = -3"
+    (Invalid_argument "Explorer.explore: max_states must be >= 0 (got -3)")
+    (fun () -> ignore (Explorer.explore ~max_states:(-3) (tas_config ())));
+  Alcotest.check_raises "max_depth = -1"
+    (Invalid_argument "Explorer.explore: max_depth must be >= 0 (got -1)")
+    (fun () -> ignore (Explorer.explore ~max_depth:(-1) (tas_config ())));
+  let stats = Explorer.explore ~max_states:0 (tas_config ()) in
+  Alcotest.(check bool) "max_states = 0 names the states budget" true
+    (stats.Explorer.truncation = Some Explorer.Budget_states);
+  let stats = Explorer.explore ~max_depth:0 (tas_config ()) in
+  Alcotest.(check bool) "max_depth = 0 names the depth budget" true
+    (stats.Explorer.truncation = Some Explorer.Budget_depth)
+
 let test_menu_for_ownership () =
   let ch =
     Channels.fifo_point_to_point ~name:"ch" ~processes:2
@@ -320,6 +335,8 @@ let extra_suite =
         test_explorer_truncation_flag;
       Alcotest.test_case "explorer truncation causes" `Quick
         test_explorer_truncation_causes;
+      Alcotest.test_case "explorer negative budgets rejected" `Quick
+        test_explorer_negative_budgets;
       Alcotest.test_case "ownership menus" `Quick test_menu_for_ownership;
     ] )
 

@@ -1,7 +1,7 @@
 (* Differential and unit tests for the transposition/no-good layer: the
-   cached search must be observationally identical to the chronological
-   one.  Verdicts and synthesized strategies match across every
-   {por, tt} combination while node counts only shrink;
+   engine must be observationally identical to the chronological
+   reference in [Solver_oracle].  Verdicts and synthesized strategies
+   match while node counts only shrink, per instance and per census row;
    the footprint machinery in [Tt] is exercised directly (validation,
    overflow, taint, mask subsumption, eviction); budget exhaustion still
    flushes the node counters; and the census critical-depth binary
@@ -12,30 +12,19 @@ open Wfs_hierarchy
 
 let verdict_sig = Test_perf_engine.verdict_sig
 
-(* --- solver: tt = no-tt verdicts, across the por grid --- *)
+(* --- solver: engine = reference oracle --- *)
 
-(* The four {por, tt} ablations: same verdict and strategy everywhere,
-   and the cached searches never explore more nodes than their uncached
-   counterparts. *)
-let check_grid name inst =
-  let solve ~por ~tt () = Solver.solve_with_stats ~por ~tt inst in
-  let v_ref, n_ref = solve ~por:false ~tt:false () in
-  let sig_ref = verdict_sig v_ref in
-  let check_combo combo (v, n) =
-    Alcotest.(check (list string))
-      (Fmt.str "%s: verdict + strategy (%s)" name combo)
-      sig_ref (verdict_sig v);
-    n
-  in
-  let n_tt = check_combo "tt" (solve ~por:false ~tt:true ()) in
-  let n_por = check_combo "por" (solve ~por:true ~tt:false ()) in
-  let n_both = check_combo "por+tt" (solve ~por:true ~tt:true ()) in
+(* Same verdict and strategy as the chronological search in
+   [Solver_oracle], never more nodes. *)
+let check_oracle name inst =
+  let v_ref, n_ref = Solver_oracle.solve inst in
+  let v, n = Solver.solve_with_stats inst in
+  Alcotest.(check (list string))
+    (name ^ ": verdict + strategy")
+    (verdict_sig v_ref) (verdict_sig v);
   Alcotest.(check bool)
-    (name ^ ": tt no more nodes than chronological")
-    true (n_tt <= n_ref);
-  Alcotest.(check bool)
-    (name ^ ": por+tt no more nodes than por alone")
-    true (n_both <= n_por)
+    (Fmt.str "%s: engine nodes %d <= oracle nodes %d" name n n_ref)
+    true (n <= n_ref)
 
 let register () =
   Registers.atomic ~name:"r" ~init:(Value.int 0) [ Value.int 0; Value.int 1 ]
@@ -46,11 +35,13 @@ let queue () =
     ~items:[ Value.str "a"; Value.str "b" ]
     ()
 
-let test_solver_grid () =
-  check_grid "T2 register n=2 d=2" (Solver.of_spec ~n:2 ~depth:2 (register ()));
-  check_grid "T9 queue n=2 d=2" (Solver.of_spec ~n:2 ~depth:2 (queue ()));
-  check_grid "T11 queue n=3 d=1" (Solver.of_spec ~n:3 ~depth:1 (queue ()));
-  check_grid "TAS n=3 d=1" (Solver.of_spec ~n:3 ~depth:1 (Zoo.test_and_set ()))
+let test_solver_oracle () =
+  check_oracle "T2 register n=2 d=2"
+    (Solver.of_spec ~n:2 ~depth:2 (register ()));
+  check_oracle "T9 queue n=2 d=2" (Solver.of_spec ~n:2 ~depth:2 (queue ()));
+  check_oracle "T11 queue n=3 d=1" (Solver.of_spec ~n:3 ~depth:1 (queue ()));
+  check_oracle "TAS n=3 d=1"
+    (Solver.of_spec ~n:3 ~depth:1 (Zoo.test_and_set ()))
 
 (* A shared context carries verdicts across solves: the second identical
    solve replays from the store and must agree with the first. *)
@@ -66,36 +57,42 @@ let test_shared_ctx () =
   Alcotest.(check bool)
     "shared ctx: replay shrinks the second solve" true (n2 < n1)
 
-(* --- census: tt = no-tt measurements --- *)
+(* --- census: engine rows = oracle rows --- *)
 
-let test_census_measure () =
+(* Every zoo row at one budget per solver run: outcome and winning
+   initialization from [Census.measure] against the oracle's row over
+   the same candidate initializations.  A row in which either side hit
+   the budget is a budget-boundary artifact, not a verdict, and is
+   skipped (the oracle may be capped on an initialization the engine
+   solves, and then name a later winner); the count of rows actually
+   compared is pinned so the test cannot go vacuous. *)
+let census_budget = 20_000
+
+let test_census_oracle () =
+  let compared = ref 0 in
   List.iter
     (fun spec ->
-      let name = spec.Object_spec.name in
-      let off = Census.measure ~max_nodes:2_000_000 ~tt:false spec in
-      let on = Census.measure ~max_nodes:2_000_000 spec in
-      Alcotest.(check string)
-        (name ^ ": interpretation")
-        off.Census.interpretation on.Census.interpretation;
-      Alcotest.(check bool)
-        (name ^ ": n=2 outcome")
-        true
-        (fst off.Census.two_proc = fst on.Census.two_proc);
-      Alcotest.(check bool)
-        (name ^ ": n=3 outcome")
-        true
-        (fst off.Census.three_proc = fst on.Census.three_proc);
-      Alcotest.(check bool)
-        (name ^ ": winning init n=2")
-        true
-        (Option.equal Value.equal off.Census.winning_init2
-           on.Census.winning_init2);
-      Alcotest.(check bool)
-        (name ^ ": winning init n=3")
-        true
-        (Option.equal Value.equal off.Census.winning_init3
-           on.Census.winning_init3))
-    [ Zoo.test_and_set (); Zoo.fetch_and_add () ]
+      let m = Census.measure ~max_nodes:census_budget spec in
+      let check n depth (engine, _) winning =
+        let oracle, _, oracle_init, capped =
+          Solver_oracle.row ~max_nodes:census_budget ~n ~depth spec
+        in
+        if engine <> Census.Budget && not capped then begin
+          incr compared;
+          let name = Fmt.str "%s n=%d" spec.Object_spec.name n in
+          Alcotest.(check string)
+            (name ^ ": outcome")
+            (Fmt.str "%a" Census.pp_outcome oracle)
+            (Fmt.str "%a" Census.pp_outcome engine);
+          Alcotest.(check bool)
+            (name ^ ": winning init") true
+            (Option.equal Value.equal oracle_init winning)
+        end
+      in
+      check 2 m.Census.depth2 m.Census.two_proc m.Census.winning_init2;
+      check 3 m.Census.depth3 m.Census.three_proc m.Census.winning_init3)
+    (Zoo.all ());
+  Alcotest.(check int) "rows compared" 21 !compared
 
 (* --- Tt: footprint machinery, directly --- *)
 
@@ -360,11 +357,10 @@ let suite =
   [
     ( "engine.tt",
       [
-        Alcotest.test_case "solver: {por,tt,backend} grid verdicts" `Quick
-          test_solver_grid;
+        Alcotest.test_case "solver: oracle = engine" `Quick test_solver_oracle;
         Alcotest.test_case "solver: shared ctx replays" `Quick test_shared_ctx;
-        Alcotest.test_case "census: tt = no-tt measurements" `Quick
-          test_census_measure;
+        Alcotest.test_case "census: oracle = engine rows" `Quick
+          test_census_oracle;
         Alcotest.test_case "tt: refutation footprint" `Quick test_refutation_fp;
         Alcotest.test_case "tt: success footprint" `Quick test_success_fp;
         Alcotest.test_case "tt: taint blocks refutations" `Quick test_taint;
