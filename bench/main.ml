@@ -100,7 +100,12 @@ let write_results path sections_run =
   let json =
     Obs.Json.obj
       [
-        (* /9 drops the perf/* and solver-ablation/* series and the
+        (* /11 rebuilds the fault/stress/* series on the load
+           harness's crash runs: survivor_ops/crashed_ops become
+           completed_ops (every client's completed operations) and
+           pending_ops; /10 drops the por/* and tt/* series with the
+           perf-por and perf-tt sections; /9 drops the perf/* and
+           solver-ablation/* series and the
            universal-service un-batched leg (unbatched-wait-free and
            summary.batched_speedup) with the code they measured; /8
            adds the obs-causal/* series (sampled causal tracing
@@ -115,7 +120,7 @@ let write_results path sections_run =
            added shard_states / shard_imbalance / stripe_contention to
            the perf-par series; /3 added section_timings; /2 the
            provenance stamps; /1 fields unchanged. *)
-        ("schema", Obs.Json.str "wfs-bench/10");
+        ("schema", Obs.Json.str "wfs-bench/11");
         ("generated_unix_time", Obs.Json.float (Unix.time ()));
         ("domains_used", Obs.Json.int (Domain.recommended_domain_count ()));
         ("git_rev", Obs.Json.str (git_rev ()));
@@ -970,9 +975,10 @@ let lamport_queue_bench () =
    state space grows (every placement of up to k halts is explored), and
    every sound registry protocol must keep passing, while the naive
    register protocol must fail with a crash-bearing schedule.  Runtime
-   side: halt k of n domains mid-operation against the wait-free
-   universal queue; survivors must complete and the recorded history
-   (crashed operations left pending) must linearize. *)
+   side: the load harness's crash runs ([Service.Load.run ~halts]) halt
+   k of n clients mid-operation on the served FIFO queue; every halt
+   must land, survivors must complete and the recorded history (crashed
+   operations left pending) must linearize. *)
 
 let fault_bench () =
   section "FAULT  crash-stop adversary: sim crash budgets + runtime halts";
@@ -1026,21 +1032,23 @@ let fault_bench () =
         crashing);
   List.iter
     (fun (n, halts) ->
-      let s, dt =
-        time_once (fun () -> Runtime.Fault.stress_queue ~n ~halts ())
+      let r, dt =
+        time_once (fun () ->
+            Runtime.Service.Load.run ~spec:(Zoo.queue ()) ~halts ~clients:n
+              ~ops_per_client:7 ())
       in
+      let passed = Runtime.Service.Load.passed r in
       let name = Fmt.str "fault/stress/n%d-h%d" n halts in
       record_series name
         (Obs.Json.obj
            [
              ("ms", Obs.Json.float (dt *. 1e3));
-             ("survivor_ops", Obs.Json.int s.Runtime.Fault.survivor_ops);
-             ("crashed_ops", Obs.Json.int s.Runtime.Fault.crashed_ops);
-             ("passed", Obs.Json.bool (Runtime.Fault.stress_passed s));
+             ("completed_ops", Obs.Json.int r.Runtime.Service.Load.total_ops);
+             ("pending_ops", Obs.Json.int r.Runtime.Service.Load.pending_ops);
+             ("passed", Obs.Json.bool passed);
            ]);
-      Fmt.pr "  %-44s %8.1f ms  crashed-ops=%d passed=%b@." name (dt *. 1e3)
-        s.Runtime.Fault.crashed_ops
-        (Runtime.Fault.stress_passed s))
+      Fmt.pr "  %-44s %8.1f ms  pending-ops=%d passed=%b@." name (dt *. 1e3)
+        r.Runtime.Service.Load.pending_ops passed)
     [ (2, 1); (4, 1); (4, 2); (4, 3) ]
 
 (* ---------- profile: span profiler overhead ----------

@@ -10,12 +10,11 @@
      census      measure every zoo object's bounded consensus number
      universal   run a universal-construction object exhaustively
      critical    find a critical (bivalent) state of a protocol
-     fault       crash-stop stress on real domains (halt k, survivors
-                 must complete, recorded history must linearize)
      load        closed-loop load generator for the universal object
-                 service (differential / linearizability checked)
-     serve       hold the universal object service under sustained
-                 load, exporting live metrics for wfs top
+                 service, checked differentially or, with --halts k,
+                 as a crash run (halt k clients, survivors must
+                 complete, recorded history must linearize); watch it
+                 live with --metrics-port and wfs top
      randomized  check the randomized register-consensus extension
      stats       run a fixed workload and dump the metrics snapshot
                  (--watch N live-renders a humanized summary meanwhile)
@@ -92,7 +91,7 @@ let profile_arg =
         ~doc:
           "Record a span profile of the run and write it to $(docv) as \
            Chrome trace_event JSON (load in ui.perfetto.dev or \
-           chrome://tracing).  Under load and serve the file also \
+           chrome://tracing).  Under load the file also \
            carries the causal invocation trace (help edges as flow \
            arrows between domain tracks); audit it with wfs trace.")
 
@@ -594,39 +593,7 @@ let critical_cmd =
           the engine of the paper's impossibility proofs")
     Term.(const run $ registry_key_arg $ n_arg $ crashes)
 
-(* --- fault --- *)
-
-let fault_cmd =
-  let n =
-    Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of domains.")
-  in
-  let halts =
-    Arg.(
-      value & opt int 1
-      & info [ "halts" ]
-          ~doc:"Domains to halt mid-operation (must be < n).")
-  in
-  let ops =
-    Arg.(
-      value & opt int 7 & info [ "ops" ] ~doc:"Operations per domain.")
-  in
-  let run n halts ops =
-    match Runtime.Fault.stress_queue ~ops_per_proc:ops ~n ~halts () with
-    | exception Invalid_argument msg -> bad_input msg
-    | s ->
-        Fmt.pr "%a@." Runtime.Fault.pp_stress s;
-        if Runtime.Fault.stress_passed s then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "fault"
-       ~doc:
-         "Crash-stop stress on real domains: halt some domains \
-          mid-operation against the wait-free universal queue and check \
-          the survivors complete and the recorded history (crashed \
-          operations left pending) still linearizes")
-    Term.(const run $ n $ halts $ ops)
-
-(* --- universal object service: load & serve --- *)
+(* --- universal object service: load --- *)
 
 let service_object_arg =
   Arg.(
@@ -652,7 +619,7 @@ let service_spec name =
     (fun s -> s.Object_spec.name = name)
     (Runtime.Service.default_specs ())
 
-(* --- causal tracing plumbing (shared by load and serve) --- *)
+(* --- causal tracing plumbing --- *)
 
 let trace_sample_arg =
   Arg.(
@@ -674,19 +641,6 @@ let help_canary_arg =
            race.  Only meaningful while tracing; defaults to 64 when \
            --profile is given, else off.")
 
-let resolve_canary (obs : obs) ~help_canary =
-  match help_canary with
-  | Some c -> c
-  | None -> if obs.profile <> None then 64 else 0
-
-(* A sampling period below 1 is a bad-input exit before any work. *)
-let with_trace_sample n f =
-  if n >= 1 then f ()
-  else begin
-    Fmt.epr "--trace-sample must be >= 1 (got %d)@." n;
-    2
-  end
-
 let load_cmd =
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Client domains.")
@@ -702,12 +656,17 @@ let load_cmd =
       value & opt int 0
       & info [ "halts" ]
           ~doc:
-            "Clients to halt mid-operation; crash runs record the history \
-             and check it for linearizability, so --ops must stay small.")
+            "Clients to halt mid-operation (client k inside its (k+1)-th \
+             operation, so --ops must be at least this); crash runs \
+             record the history and check it for linearizability, so \
+             --ops must also stay small.")
   in
   let run clients ops object_name window seed halts trace_sample help_canary
       obs =
-    with_trace_sample trace_sample @@ fun () ->
+    (* a sampling period below 1 is a bad-input exit before any work *)
+    if trace_sample < 1 then
+      bad_input (Fmt.str "--trace-sample must be >= 1 (got %d)" trace_sample)
+    else
     obs_setup obs ~label:"load" (fun () ->
         match service_spec object_name with
         | None ->
@@ -719,7 +678,11 @@ let load_cmd =
                hot path stays within budget): the rings double as the
                crash flight recorder, dumped as JSONL whenever the run
                fails its checks or the harness dies mid-flight. *)
-            let canary = resolve_canary obs ~help_canary in
+            let canary =
+              match help_canary with
+              | Some c -> c
+              | None -> if obs.profile <> None then 64 else 0
+            in
             Obs.Causal.enable ~sample:trace_sample ();
             let flight_path =
               match obs.profile with
@@ -761,70 +724,14 @@ let load_cmd =
           drive one object from many client domains through the batched + \
           truncating wait-free construction, then prove the run correct — \
           differentially against the sequential specification (crash-free) \
-          or with the linearizability checker (--halts).  Reports \
+          or, with --halts, by checking that every halt landed, every \
+          survivor finished and the recorded history linearizes.  Reports \
           throughput, latency quantiles and truncation telemetry; watch it \
           live with --metrics-port and wfs top.")
     Term.(
       const run $ clients $ ops $ service_object_arg $ service_window_arg
       $ service_seed_arg $ halts $ trace_sample_arg $ help_canary_arg
       $ obs_term)
-
-let serve_cmd =
-  let clients =
-    Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Client domains.")
-  in
-  let duration =
-    Arg.(
-      value & opt float 10.
-      & info [ "duration" ] ~docv:"SECONDS"
-          ~doc:"How long to keep the service under load before exiting.")
-  in
-  let run clients duration window seed trace_sample help_canary obs =
-    with_trace_sample trace_sample @@ fun () ->
-    obs_setup obs ~label:"serve" (fun () ->
-        if clients <= 0 || duration <= 0. then begin
-          Fmt.epr "serve: clients and duration must be positive@.";
-          2
-        end
-        else begin
-          let canary = resolve_canary obs ~help_canary in
-          if obs.profile <> None then
-            Obs.Causal.enable ~sample:trace_sample ();
-          match
-            Fun.protect
-              ~finally:Obs.Causal.disable
-              (fun () ->
-                Runtime.Service.serve ~seed ~window ~canary ~clients
-                  ~duration_s:duration ())
-          with
-          | exception Invalid_argument msg -> bad_input msg
-          | r ->
-              Fmt.pr "served %s operations in %.1fs (%s ops/s)@."
-                (Obs.Units.si_int r.Runtime.Service.served_ops)
-                (float_of_int r.Runtime.Service.serve_duration_ns *. 1e-9)
-                (Obs.Units.rate
-                   (float_of_int r.Runtime.Service.served_ops
-                   /. (float_of_int r.Runtime.Service.serve_duration_ns
-                      *. 1e-9)));
-              List.iter
-                (fun (name, len) ->
-                  Fmt.pr "  %-12s %s ops threaded@." name
-                    (Obs.Units.si_int len))
-                r.Runtime.Service.per_object;
-              0
-        end)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the universal object service under sustained load: every \
-          registry object (queue, counter, kv-map) lifted wait-free and \
-          driven round-robin by client domains until the deadline.  Meant \
-          to be watched live: --metrics-port P exposes OpenMetrics for \
-          wfs top, --metrics-out F appends a scrapeable file sink.")
-    Term.(
-      const run $ clients $ duration $ service_window_arg $ service_seed_arg
-      $ trace_sample_arg $ help_canary_arg $ obs_term)
 
 (* --- trace: summarize / audit a causal trace file --- *)
 
@@ -834,7 +741,7 @@ let trace_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
-          ~doc:"Trace JSON written by a wfs load or serve --profile run.")
+          ~doc:"Trace JSON written by a wfs load --profile run.")
   in
   let audit =
     Arg.(
@@ -879,7 +786,7 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Summarize a causal trace recorded by wfs load/serve --profile: \
+         "Summarize a causal trace recorded by wfs load --profile: \
           help-chain depth distribution, own-step and help-round maxima, \
           top helpers — and with --audit, verify the wait-freedom bound \
           (own steps within the construction's 2n+8) and that help edges \
@@ -1428,7 +1335,7 @@ let main =
           constructions of Herlihy (PODC 1988), executable")
     [
       hierarchy_cmd; verify_cmd; replay_cmd; solve_cmd; universal_cmd;
-      census_cmd; critical_cmd; fault_cmd; load_cmd; serve_cmd; trace_cmd;
+      census_cmd; critical_cmd; load_cmd; trace_cmd;
       randomized_cmd; stats_cmd; top_cmd; zoo_cmd;
     ]
 

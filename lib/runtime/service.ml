@@ -1,14 +1,14 @@
-(* The universal object service: named `lib/spec` objects served by the
-   batched + truncating wait-free construction, plus a closed-loop load
-   harness.
+(* The universal object service: `lib/spec` objects served by the
+   batched + truncating wait-free construction, plus the closed-loop load
+   harness — the runtime's one service and crash harness.
 
    This is the "long-lived service" shape of §4's universality theorem:
-   a registry of sequential object specifications ([Object_spec.t] —
-   queue, counter, map out of the box), each lifted to a linearizable
-   wait-free shared object over [Universal_rt.Wait_free].  Because the
-   specs speak [Value.t]/[Op.t], one service layer serves every object
-   type, and a recorded execution can be fed straight to the
-   linearizability checker.
+   a sequential object specification ([Object_spec.t] — queue, counter,
+   map out of the box) lifted to a linearizable wait-free shared object
+   over [Universal_rt.Wait_free].  Because the specs speak
+   [Value.t]/[Op.t], one service layer serves every object type, and a
+   recorded execution can be fed straight to the linearizability
+   checker.
 
    The load harness drives a service object from many client domains in
    a closed loop (each client issues its next operation as soon as the
@@ -24,7 +24,8 @@
    - crash runs (halt k of n mid-operation) keep the workload within
      the exhaustive checker's capacity and verify the recorded history
      — crashed operations left pending — with
-     [Wfs_history.Linearizability]. *)
+     [Wfs_history.Linearizability]; every requested halt must land and
+     every surviving client must finish its workload. *)
 
 open Wfs_spec
 
@@ -77,34 +78,6 @@ let make_handle ?window ?canary ~n spec =
 let default_specs () =
   [ Zoo.queue (); Collections.counter (); Collections.kv_map () ]
 
-type t = { n : int; handles : (string * handle) list }
-
-let create ?window ?canary ~n ?(specs = default_specs ()) () =
-  if n <= 0 then invalid_arg "Service.create: n";
-  let handles =
-    List.map (fun s -> (s.Object_spec.name, make_handle ?window ?canary ~n s)) specs
-  in
-  (match
-     List.find_opt
-       (fun (name, _) ->
-         List.length (List.filter (fun (n', _) -> n' = name) handles) > 1)
-       handles
-   with
-  | Some (name, _) -> invalid_arg ("Service.create: duplicate object " ^ name)
-  | None -> ());
-  { n; handles }
-
-let names t = List.map fst t.handles
-
-let find t name =
-  match List.assoc_opt name t.handles with
-  | Some h -> h
-  | None ->
-      invalid_arg
-        (Fmt.str "Service.find: unknown object %S (have %a)" name
-           Fmt.(list ~sep:comma string)
-           (names t))
-
 (* --- seeded operation scripts ------------------------------------- *)
 
 (* Deterministic per-client operation streams: client [pid] of a run
@@ -123,7 +96,7 @@ module Load = struct
     spec_name : string;
     clients : int;
     ops_per_client : int;
-    total_ops : int;  (* operations that completed (survivors') *)
+    total_ops : int;  (* operations that completed *)
     window : int;
     duration_ns : int;
     throughput : float;  (* completed operations per wall second *)
@@ -134,7 +107,10 @@ module Load = struct
     log_length : int;
     max_retained : int;  (* high-water mark of the sampled window *)
     final_watermark : int;
+    halts : int;  (* requested halt count *)
     halted : int list;
+    pending_ops : int;  (* operations the halted clients left pending *)
+    survivors_completed : bool;
     differential_ok : bool option;  (* crash-free runs *)
     linearizable : bool option;  (* crash runs *)
   }
@@ -233,17 +209,26 @@ module Load = struct
       log_length = h.length ();
       max_retained;
       final_watermark = h.watermark ();
+      halts = 0;
       halted = [];
+      pending_ops = 0;
+      survivors_completed = true;
       differential_ok = Some differential_ok;
       linearizable = None;
     }
 
   (* Crash mode: halt [halts] of the clients mid-operation (after the
      effect boundary — the hard case: a pending operation that DID
-     happen) and verify the recorded history exhaustively.  The
-     workload must fit the checker ([Linearizability.max_ops]). *)
+     happen) and verify the recorded history exhaustively.  Client [k]
+     halts inside its (k+1)-th operation, so every halt lands only if
+     each client runs at least [halts] operations.  The workload must
+     fit the checker ([Linearizability.max_ops]). *)
   let run_with_halts ~seed ~window ?canary ~clients ~ops_per_client ~spec ~halts () =
     if halts >= clients then invalid_arg "Load.run: halts must be < clients";
+    if ops_per_client < halts then
+      invalid_arg
+        "Load.run: ops_per_client must be >= halts (client k halts inside \
+         its (k+1)-th operation)";
     if clients * ops_per_client > Wfs_history.Linearizability.max_ops then
       invalid_arg
         (Fmt.str
@@ -289,6 +274,16 @@ module Load = struct
     let total_ops =
       List.fold_left (fun acc (c, _) -> acc + c) 0 per_client
     in
+    let pending_ops =
+      List.length
+        (List.filter Wfs_history.History.is_pending
+           (Wfs_history.History.operations history))
+    in
+    let survivors_completed =
+      List.for_all2
+        (fun pid (c, _) -> List.mem pid halted || c = ops_per_client)
+        (List.init clients Fun.id) per_client
+    in
     {
       spec_name = obj;
       clients;
@@ -306,7 +301,10 @@ module Load = struct
       log_length = h.length ();
       max_retained = List.fold_left (fun acc (_, r) -> max acc r) 0 per_client;
       final_watermark = h.watermark ();
+      halts;
       halted;
+      pending_ops;
+      survivors_completed;
       differential_ok = None;
       linearizable = Some linearizable;
     }
@@ -328,33 +326,44 @@ module Load = struct
         ~halts ()
 
   (* The checks a run must pass: results replay sequentially (or the
-     recorded crash history linearizes), truncation keeps the retained
-     window bounded (the transient factor-2 covers an in-flight
-     snapshot fill; +1 for the snapshot node itself), and — unless
-     nothing ran — the watermark advanced off the origin. *)
+     recorded crash history linearizes, every requested halt landed and
+     every surviving client finished its workload), truncation keeps
+     the retained window bounded (the transient factor-2 covers an
+     in-flight snapshot fill; +1 for the snapshot node itself), and —
+     unless nothing ran — the watermark advanced off the origin. *)
   let passed r =
     Option.value ~default:true r.differential_ok
     && Option.value ~default:true r.linearizable
+    && r.halted = List.init r.halts Fun.id
+    && r.survivors_completed
     && r.max_retained <= (2 * r.window) + 1
     && (r.total_ops = 0 || r.final_watermark > 0)
+
+  let pp_latency ppf r =
+    (* crash runs time no operations *)
+    if r.halts > 0 then Fmt.string ppf "n/a"
+    else
+      Fmt.pf ppf "p50=%s p95=%s p99=%s max=%s"
+        (Wfs_obs.Units.ns r.lat_p50_ns)
+        (Wfs_obs.Units.ns r.lat_p95_ns)
+        (Wfs_obs.Units.ns r.lat_p99_ns)
+        (Wfs_obs.Units.ns r.lat_max_ns)
 
   let pp_report ppf r =
     Fmt.pf ppf
       "@[<v>object=%s clients=%d ops/client=%d total=%d window=%d@ \
        duration=%.3fs throughput=%s ops/s@ \
-       latency p50=%s p95=%s p99=%s max=%s@ \
-       log length=%d retained<=%d watermark=%d@ halted=[%a]@ \
+       latency %a@ \
+       log length=%d retained<=%d watermark=%d@ \
+       halts=%d halted=[%a] pending=%d survivors-completed=%b@ \
        differential=%s linearizable=%s@]"
       r.spec_name r.clients r.ops_per_client r.total_ops r.window
       (float_of_int r.duration_ns *. 1e-9)
-      (Wfs_obs.Units.rate r.throughput)
-      (Wfs_obs.Units.ns r.lat_p50_ns)
-      (Wfs_obs.Units.ns r.lat_p95_ns)
-      (Wfs_obs.Units.ns r.lat_p99_ns)
-      (Wfs_obs.Units.ns r.lat_max_ns)
-      r.log_length r.max_retained r.final_watermark
+      (Wfs_obs.Units.si r.throughput)
+      pp_latency r
+      r.log_length r.max_retained r.final_watermark r.halts
       Fmt.(list ~sep:(any "; ") int)
-      r.halted
+      r.halted r.pending_ops r.survivors_completed
       (match r.differential_ok with
       | None -> "n/a"
       | Some true -> "ok"
@@ -364,49 +373,3 @@ module Load = struct
       | Some true -> "ok"
       | Some false -> "FAILED")
 end
-
-(* --- open-ended serving ------------------------------------------- *)
-
-type serve_report = {
-  served_ops : int;
-  serve_duration_ns : int;
-  per_object : (string * int) list;  (* final log length per object *)
-}
-
-(* Drive every object of a fresh service round-robin from [clients]
-   domains until the deadline; the point is to hold the service under
-   load while the sampler exports live metrics (`wfs serve` + `wfs
-   top`), so nothing is recorded per-operation beyond the metrics. *)
-let serve ?(seed = 1) ?window ?canary ?specs ~clients ~duration_s () =
-  if clients <= 0 then invalid_arg "Service.serve: clients";
-  let t = create ?window ?canary ~n:clients ?specs () in
-  let handles = Array.of_list (List.map snd t.handles) in
-  let deadline =
-    Wfs_obs.Clock.mono_ns () + int_of_float (duration_s *. 1e9)
-  in
-  let client pid =
-    let streams =
-      Array.map (fun h -> op_stream ~seed ~pid h.spec.Object_spec.menu) handles
-    in
-    let count = ref 0 in
-    while Wfs_obs.Clock.mono_ns () < deadline do
-      let k = !count mod Array.length handles in
-      let op = streams.(k) () in
-      let t0 = Wfs_obs.Clock.mono_ns () in
-      ignore (handles.(k).apply ~pid op);
-      if Wfs_obs.Metrics.hot () then begin
-        Wfs_obs.Metrics.Counter.incr M.ops;
-        Wfs_obs.Metrics.Histogram.observe M.latency_ns
-          (Wfs_obs.Clock.mono_ns () - t0)
-      end;
-      incr count
-    done;
-    !count
-  in
-  let t0 = Wfs_obs.Clock.mono_ns () in
-  let counts = Primitives.run_domains clients client in
-  {
-    served_ops = List.fold_left ( + ) 0 counts;
-    serve_duration_ns = Wfs_obs.Clock.mono_ns () - t0;
-    per_object = List.map (fun (name, h) -> (name, h.length ())) t.handles;
-  }

@@ -1,8 +1,9 @@
-(** The universal object service: named {!Wfs_spec.Object_spec} objects
+(** The universal object service: {!Wfs_spec.Object_spec} objects
     (queue, counter, map by default) served by the batched + truncating
-    wait-free construction, with a closed-loop load harness whose runs
-    are checked — differentially against the sequential specification
-    when crash-free, with the exhaustive linearizability checker when
+    wait-free construction, with a closed-loop load harness — the
+    runtime's one service and crash harness — whose runs are checked:
+    differentially against the sequential specification when
+    crash-free, with the exhaustive linearizability checker when
     crashes are injected. *)
 
 open Wfs_spec
@@ -28,20 +29,8 @@ type handle = {
     with its spec name in causal trace events. *)
 val make_handle : ?window:int -> ?canary:int -> n:int -> Object_spec.t -> handle
 
-(** The default registry contents: FIFO queue, counter, kv-map. *)
+(** The served objects: FIFO queue, counter, kv-map. *)
 val default_specs : unit -> Object_spec.t list
-
-type t
-
-(** [create ?window ?canary ~n ?specs ()] builds a registry of served
-    objects; object names must be distinct. *)
-val create :
-  ?window:int -> ?canary:int -> n:int -> ?specs:Object_spec.t list -> unit -> t
-
-val names : t -> string list
-
-(** Raises [Invalid_argument] for unknown names. *)
-val find : t -> string -> handle
 
 module Load : sig
   type report = {
@@ -59,7 +48,11 @@ module Load : sig
     log_length : int;
     max_retained : int;
     final_watermark : int;
-    halted : int list;
+    halts : int;  (** requested halt count *)
+    halted : int list;  (** clients actually halted, ascending *)
+    pending_ops : int;  (** operations the halted clients left pending *)
+    survivors_completed : bool;
+        (** every client that did not halt ran its full workload *)
     differential_ok : bool option;  (** crash-free runs *)
     linearizable : bool option;  (** crash runs *)
   }
@@ -68,9 +61,13 @@ module Load : sig
       counter) from [clients] closed-loop client domains.  With
       [halts = 0] every operation's result and linearization position
       are recorded and replayed against the sequential spec; with
-      [halts = k > 0] clients [0..k-1] halt mid-operation and the
-      recorded history is checked for linearizability instead (the
-      workload must fit {!Wfs_history.Linearizability.max_ops}).
+      [halts = k > 0] clients [0..k-1] halt mid-operation — client [i]
+      inside its (i+1)-th operation, after its effect — and the recorded
+      history is checked for linearizability instead (the workload must
+      fit {!Wfs_history.Linearizability.max_ops}).  Raises
+      [Invalid_argument] unless [clients > 0], [ops_per_client >= 0],
+      [0 <= halts < clients] and, when [halts > 0],
+      [ops_per_client >= halts] (so every halt lands).
       Deterministic for a fixed [seed].  [canary] routes every
       [canary]-th announce ticket through the helped slow path while
       causal tracing is enabled (for recording help edges on machines
@@ -86,29 +83,11 @@ module Load : sig
     unit ->
     report
 
-  (** Differential / linearizability verdicts hold, the retained window
-      stayed within its bound, and the watermark advanced. *)
+  (** Differential / linearizability verdicts hold, every requested
+      halt landed ([halted = [0..halts-1]]), every survivor completed,
+      the retained window stayed within its bound, and the watermark
+      advanced. *)
   val passed : report -> bool
 
   val pp_report : report Fmt.t
 end
-
-type serve_report = {
-  served_ops : int;
-  serve_duration_ns : int;
-  per_object : (string * int) list;
-}
-
-(** [serve ~clients ~duration_s ()] drives a fresh service's objects
-    round-robin from [clients] domains until the deadline — the
-    open-ended mode behind [wfs serve], meant to be watched live via
-    the metrics sampler. *)
-val serve :
-  ?seed:int ->
-  ?window:int ->
-  ?canary:int ->
-  ?specs:Object_spec.t list ->
-  clients:int ->
-  duration_s:float ->
-  unit ->
-  serve_report

@@ -6,7 +6,8 @@
    n-1 (wait-freedom checked literally), and the naive register protocol
    must fail with a crash-bearing schedule that replays and round-trips
    through the on-disk counterexample format.  Runtime side: the
-   deterministic injector and the halt-k-of-n stress harness. *)
+   deterministic injector (the halt-k-of-n crash runs are the load
+   harness's, tested in runtime.service). *)
 
 open Wfs_consensus
 open Wfs_runtime
@@ -156,51 +157,58 @@ let test_injector_validates_plan () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for out-of-range pid"
 
-let test_wrapped_cas_crash_after_effect () =
+(* [protect] around a plain primitive: each case checks one face of a
+   pending operation, and that the other face does not leak. *)
+
+let test_protected_cas_crash_after_effect () =
   (* halting at the second boundary (odd) crashes *after* the CAS took
      effect: the caller never learns the outcome, but survivors see it *)
-  let inj = Fault.create ~n:2 [ Fault.Halt { pid = 0; boundary = 1 } ] in
-  let c = Fault.Cas.make inj 0 in
-  (match Fault.Cas.compare_and_set c ~pid:0 0 5 with
+  let inj =
+    Fault.create ~n:2
+      [
+        Fault.Halt { pid = 0; boundary = 1 };
+        Fault.Halt { pid = 1; boundary = 0 };
+      ]
+  in
+  let c = Primitives.Cas.make 0 in
+  (match
+     Fault.protect inj ~pid:0 (fun () -> Primitives.Cas.compare_and_set c 0 5)
+   with
   | exception Fault.Halted 0 -> ()
   | _ -> Alcotest.fail "expected Halted before the response");
-  Alcotest.(check int) "effect visible to a survivor" 5
-    (Fault.Cas.read c ~pid:1)
+  Alcotest.(check int) "effect visible to a survivor" 5 (Primitives.Cas.read c);
+  (* a halt at the first boundary suppresses the CAS *)
+  (match
+     Fault.protect inj ~pid:1 (fun () -> Primitives.Cas.compare_and_set c 5 7)
+   with
+  | exception Fault.Halted 1 -> ()
+  | _ -> Alcotest.fail "expected Halted before the effect");
+  Alcotest.(check int) "before-effect halt leaves it" 5 (Primitives.Cas.read c)
 
-let test_wrapped_register_crash_before_effect () =
+let test_protected_register_crash_before_effect () =
   (* boundary 0 is *before* the operation: the write must not happen *)
-  let inj = Fault.create ~n:2 [ Fault.Halt { pid = 0; boundary = 0 } ] in
-  let r = Fault.Register.make inj 1 in
-  (match Fault.Register.write r ~pid:0 99 with
+  let inj =
+    Fault.create ~n:2
+      [
+        Fault.Halt { pid = 0; boundary = 0 };
+        Fault.Halt { pid = 1; boundary = 1 };
+      ]
+  in
+  let r = Primitives.Register.make 1 in
+  (match
+     Fault.protect inj ~pid:0 (fun () -> Primitives.Register.write r 99)
+   with
   | exception Fault.Halted 0 -> ()
   | () -> Alcotest.fail "expected Halted before the effect");
-  Alcotest.(check int) "effect suppressed" 1 (Fault.Register.read r ~pid:1)
-
-(* --- the stress harness --- *)
-
-let test_stress_queue_survivors_linearize () =
-  List.iter
-    (fun (n, halts) ->
-      let s = Fault.stress_queue ~n ~halts () in
-      Alcotest.(check bool)
-        (Fmt.str "n=%d halts=%d passes" n halts)
-        true (Fault.stress_passed s);
-      Alcotest.(check int)
-        (Fmt.str "n=%d halts=%d pending ops" n halts)
-        halts s.Fault.crashed_ops)
-    [ (2, 0); (2, 1); (3, 2); (4, 3) ]
-
-let test_stress_queue_validates_arguments () =
-  (match Fault.stress_queue ~n:2 ~halts:2 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "halts must be < n");
-  (match Fault.stress_queue ~ops_per_proc:1000 ~n:4 ~halts:1 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "workload must fit the linearizability checker");
-  (* a negative operation count is named, not a bare Array.init failure *)
-  Alcotest.check_raises "ops_per_proc = -1"
-    (Invalid_argument "Fault.stress_queue: ops_per_proc must be >= 0")
-    (fun () -> ignore (Fault.stress_queue ~ops_per_proc:(-1) ~n:4 ~halts:2 ()))
+  Alcotest.(check int) "effect suppressed" 1 (Primitives.Register.read r);
+  (* a halt at the second boundary lets the write land *)
+  (match
+     Fault.protect inj ~pid:1 (fun () -> Primitives.Register.write r 42)
+   with
+  | exception Fault.Halted 1 -> ()
+  | () -> Alcotest.fail "expected Halted before the response");
+  Alcotest.(check int) "after-effect halt keeps it" 42
+    (Primitives.Register.read r)
 
 let suite =
   [
@@ -230,16 +238,8 @@ let suite =
           test_injector_stall_is_transparent;
         Alcotest.test_case "plan validation" `Quick test_injector_validates_plan;
         Alcotest.test_case "cas crash after effect" `Quick
-          test_wrapped_cas_crash_after_effect;
+          test_protected_cas_crash_after_effect;
         Alcotest.test_case "register crash before effect" `Quick
-          test_wrapped_register_crash_before_effect;
-      ] );
-    ( "fault.stress",
-      [
-        Alcotest.test_case "halted domains leave pending ops, history \
-                            linearizes"
-          `Quick test_stress_queue_survivors_linearize;
-        Alcotest.test_case "argument validation" `Quick
-          test_stress_queue_validates_arguments;
+          test_protected_register_crash_before_effect;
       ] );
   ]

@@ -707,8 +707,8 @@ let test_tickets_independent_batched () =
   Alcotest.(check int) "first object's tickets" 5 (W.tickets_issued a);
   Alcotest.(check int) "second object's tickets" 3 (W.tickets_issued b)
 
-(* the truncation window must be positive (wfs serve and wfs load map
-   the rejection to exit 2); a window of one node is the smallest legal
+(* the truncation window must be positive (wfs load maps the rejection
+   to exit 2); a window of one node is the smallest legal
    one and still serves every operation *)
 let test_window_must_be_positive () =
   let module WF = Universal_rt.Wait_free (Seq_objects.Counter) in

@@ -1,25 +1,9 @@
-(* The universal object service: registry, closed-loop load harness,
+(* The universal object service: closed-loop load harness,
    differential and crash-mode linearizability checks. *)
 
 open Wfs_runtime
 open Wfs_spec
-
-let test_registry () =
-  let s = Service.create ~n:2 () in
-  Alcotest.(check (list string))
-    "default objects"
-    [ "fifo-queue"; "counter"; "kv-map" ]
-    (Service.names s);
-  let h = Service.find s "counter" in
-  Alcotest.(check bool) "apply works" true
-    (Value.equal (h.Service.apply ~pid:0 Collections.incr) (Value.int 1));
-  Alcotest.(check int) "length counts" 1 (h.Service.length ());
-  (match Service.find s "no-such-object" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument");
-  match Service.create ~n:2 ~specs:[ Collections.counter (); Collections.counter () ] () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate names must be rejected"
+module Load = Service.Load
 
 let check_load ?spec ?halts ~clients ~ops_per_client ~window () =
   let r =
@@ -63,8 +47,85 @@ let test_load_with_crashes () =
   Alcotest.(check (list int)) "both halted" [ 0; 1 ] r.Service.Load.halted;
   Alcotest.(check (option bool))
     "linearizable" (Some true) r.Service.Load.linearizable;
+  Alcotest.(check int) "one pending op per halt" 2 r.Service.Load.pending_ops;
   (* crashed clients completed fewer ops than survivors *)
   Alcotest.(check bool) "some ops completed" true (r.Service.Load.total_ops > 0)
+
+(* A FIFO queue whose enqueues draw from a wide item menu, so enqueued
+   values stay nearly distinct, and whose menu interleaves as many
+   dequeues: the crash grid's histories constrain the order. *)
+let wide_queue () =
+  let items = List.init 100 Value.int in
+  let q = Queues.fifo ~items () in
+  {
+    q with
+    Object_spec.menu =
+      List.concat_map (fun v -> [ Queues.enq v; Queues.deq ]) items;
+  }
+
+let test_crash_grid () =
+  List.iter
+    (fun (clients, halts) ->
+      let r =
+        Load.run ~spec:(wide_queue ()) ~halts ~clients ~ops_per_client:7 ()
+      in
+      Alcotest.(check bool)
+        (Fmt.str "n=%d halts=%d passes: %a" clients halts Load.pp_report r)
+        true (Load.passed r);
+      Alcotest.(check int)
+        (Fmt.str "n=%d halts=%d pending ops" clients halts)
+        halts r.Load.pending_ops)
+    [ (2, 0); (2, 1); (3, 2); (4, 3) ]
+
+(* Client k halts inside its (k+1)-th operation: fewer operations than
+   halts would leave requested halts unlanded, and the run unchecked. *)
+let test_halts_need_ops () =
+  Alcotest.check_raises "3 clients, 1 op, 2 halts"
+    (Invalid_argument
+       "Load.run: ops_per_client must be >= halts (client k halts inside \
+        its (k+1)-th operation)")
+    (fun () -> ignore (Load.run ~halts:2 ~clients:3 ~ops_per_client:1 ()));
+  let r = Load.run ~halts:2 ~clients:3 ~ops_per_client:2 () in
+  Alcotest.(check (list int)) "ops = halts: every halt lands" [ 0; 1 ]
+    r.Load.halted;
+  Alcotest.(check bool) "and passes" true (Load.passed r)
+
+(* [passed] itself rejects a crash run short of a halt or a survivor's
+   workload, whatever the linearizability verdict. *)
+let test_passed_needs_halts_and_survivors () =
+  let r =
+    Load.run ~spec:(Zoo.queue ()) ~halts:2 ~clients:4 ~ops_per_client:5 ()
+  in
+  Alcotest.(check bool) "the run passes" true (Load.passed r);
+  Alcotest.(check bool) "a missing halt fails" false
+    (Load.passed { r with Load.halted = [ 0 ] });
+  Alcotest.(check bool) "an unrequested halt fails" false
+    (Load.passed { r with Load.halted = [ 0; 1; 2 ] });
+  Alcotest.(check bool) "an unfinished survivor fails" false
+    (Load.passed { r with Load.survivors_completed = false })
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_report_text () =
+  let text r = Fmt.str "%a" Load.pp_report r in
+  let crash_free = text (Load.run ~clients:2 ~ops_per_client:50 ()) in
+  let crash = text (Load.run ~halts:1 ~clients:2 ~ops_per_client:3 ()) in
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("one rate unit: " ^ text) false
+        (contains ~sub:"/s ops/s" text);
+      Alcotest.(check bool) ("ops/s printed: " ^ text) true
+        (contains ~sub:" ops/s" text))
+    [ crash_free; crash ];
+  Alcotest.(check bool) "crash-free latency quantiles" true
+    (contains ~sub:"latency p50=" crash_free);
+  Alcotest.(check bool) "crash runs time no operations" true
+    (contains ~sub:"latency n/a" crash && not (contains ~sub:"p50=" crash))
 
 let test_load_crash_capacity_guard () =
   (match
@@ -75,15 +136,15 @@ let test_load_crash_capacity_guard () =
   (* a negative halt count is named, not a bare List.init failure *)
   Alcotest.check_raises "halts = -1"
     (Invalid_argument "Load.run: halts must be >= 0") (fun () ->
-      ignore (Service.Load.run ~halts:(-1) ~clients:3 ~ops_per_client:5 ()))
-
-let test_serve () =
-  let r = Service.serve ~clients:2 ~duration_s:0.2 () in
-  Alcotest.(check bool) "ops served" true (r.Service.served_ops > 0);
-  let logged =
-    List.fold_left (fun acc (_, l) -> acc + l) 0 r.Service.per_object
-  in
-  Alcotest.(check int) "every op threaded" r.Service.served_ops logged
+      ignore (Service.Load.run ~halts:(-1) ~clients:3 ~ops_per_client:5 ()));
+  Alcotest.check_raises "halts = clients"
+    (Invalid_argument "Load.run: halts must be < clients") (fun () ->
+      ignore (Load.run ~halts:2 ~clients:2 ~ops_per_client:7 ()));
+  Alcotest.check_raises "ops_per_client = -1"
+    (Invalid_argument "Load.run: ops_per_client") (fun () ->
+      ignore (Load.run ~halts:2 ~clients:4 ~ops_per_client:(-1) ()));
+  Alcotest.check_raises "clients = 0" (Invalid_argument "Load.run: clients")
+    (fun () -> ignore (Load.run ~clients:0 ~ops_per_client:7 ()))
 
 (* Random scripts through the service agree with the sequential fold —
    the qcheck face of the differential check, across every default
@@ -122,7 +183,6 @@ let suite =
   [
     ( "runtime.service",
       [
-        Alcotest.test_case "registry" `Quick test_registry;
         Alcotest.test_case "closed-loop load: queue" `Quick test_load_queue;
         Alcotest.test_case "closed-loop load: counter" `Quick
           test_load_counter;
@@ -131,7 +191,14 @@ let suite =
           test_load_with_crashes;
         Alcotest.test_case "crash-mode capacity guard" `Quick
           test_load_crash_capacity_guard;
-        Alcotest.test_case "serve drives every object" `Quick test_serve;
+        Alcotest.test_case "halted clients leave pending ops, history \
+                            linearizes"
+          `Quick test_crash_grid;
+        Alcotest.test_case "requested halts need ops" `Quick
+          test_halts_need_ops;
+        Alcotest.test_case "passed needs every halt and survivor" `Quick
+          test_passed_needs_halts_and_survivors;
+        Alcotest.test_case "report text" `Quick test_report_text;
       ] );
     ( "runtime.service-differential",
       List.map QCheck_alcotest.to_alcotest
