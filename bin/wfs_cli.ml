@@ -17,11 +17,17 @@
                  live with --metrics-port and wfs top
      randomized  check the randomized register-consensus extension
      stats       run a fixed workload and dump the metrics snapshot
-                 (--watch N live-renders a humanized summary meanwhile)
+                 (--watch N live-renders a humanized summary meanwhile,
+                 from the metrics sampler's hook)
      top         live terminal view of a concurrent run's telemetry,
                  polling the OpenMetrics file or HTTP endpoint that
                  --metrics-out / --metrics-port publish
      zoo         list the object zoo
+
+   Live telemetry has one source: the metrics sampler ([Obs.Sampler])
+   snapshots the registry once per interval and feeds the
+   --metrics-out file, the --metrics-port endpoint, the --progress
+   heartbeat and stats --watch.
 
    Exit codes, uniformly: 0 = checked and passed, 1 = a violation /
    failed check / exhausted budget, 2 = bad input (unknown protocol,
@@ -80,8 +86,10 @@ let progress_arg =
     value & flag
     & info [ "progress" ]
         ~doc:
-          "Print a heartbeat line to stderr (states, rate, elapsed) at \
-           most once per second while the exploration runs.")
+          "Print a heartbeat line to stderr once per second while the \
+           run is in flight (states, per-second rate, frontier, pruned \
+           edges, elapsed), then a final line with the exact state \
+           total.")
 
 let profile_arg =
   Arg.(
@@ -139,58 +147,79 @@ let with_writable what path f =
       Option.iter close_out oc;
       f ()
 
+(* A write after the run (profile, trace) that fails — a full disk —
+   is reported like the up-front check: a message and exit 2. *)
+let write_output what f =
+  match f () with
+  | () -> 0
+  | exception Sys_error msg ->
+      Fmt.epr "cannot write %s: %s@." what msg;
+      2
+
+(* Ports are 16-bit: out-of-range values would otherwise wrap. *)
+let valid_port p = 0 <= p && p <= 65535
+
+let bad_port flag p =
+  bad_input (Fmt.str "%s must be in [0, 65535] (got %d)" flag p)
+
 let obs_setup { progress; profile; metrics_out; metrics_port } ~label
     ?(crashes = 0) f =
+  match metrics_port with
+  | Some p when not (valid_port p) -> bad_port "--metrics-port" p
+  | _ ->
   with_writable "profile" profile @@ fun () ->
-  (* the sampler starts first so its ring already has a baseline when
-     the pool spawns, and stops last so the final file-sink rewrite
-     carries the complete end-of-run values *)
+  (* one sampler feeds every live consumer: the file sink, the HTTP
+     endpoint and the heartbeat hook.  It starts first so its ring
+     already has a baseline when the pool spawns *)
+  let on_sample =
+    if progress then Some (Obs.Sampler.progress ~label ~crashes ()) else None
+  in
   let sampler =
-    match (metrics_out, metrics_port) with
-    | None, None -> Ok None
-    | out_file, port -> (
-        try Ok (Some (Obs.Sampler.start ?out_file ?port ()))
-        with Unix.Unix_error (e, _, _) ->
-          Error (Unix.error_message e))
+    if (not progress) && metrics_out = None && metrics_port = None then
+      Ok None
+    else
+      try
+        Ok
+          (Some
+             (Obs.Sampler.start ?out_file:metrics_out ?port:metrics_port
+                ?on_sample ()))
+      with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   in
   match sampler with
   | Error msg ->
       Fmt.epr "cannot start metrics sampler: %s@." msg;
       2
   | Ok sampler -> (
-      if progress then Obs.Progress.start ~crashes label;
       (match profile with Some _ -> Obs.Profile.enable () | None -> ());
-      (* a live sampler implies the hot-path counters should record:
+      (* a published scrape implies the hot-path counters should record:
          without this the runtime's gated universal_rt/service metrics
-         export as zeros *)
+         export as zeros.  The heartbeat alone leaves the per-op path
+         as it is. *)
       let was_hot = Obs.Metrics.hot () in
-      if sampler <> None then Obs.Metrics.set_hot true;
+      if metrics_out <> None || metrics_port <> None then
+        Obs.Metrics.set_hot true;
+      (* the sampler stops first, so the final heartbeat, file rewrite
+         and progress counter tracks carry the end-of-run values even
+         when a profile write then fails *)
       let finish () =
+        Option.iter Obs.Sampler.stop sampler;
         Obs.Metrics.set_hot was_hot;
-        if progress then Obs.Progress.finish ();
-        (match profile with
+        Option.iter (Fmt.epr "metrics written to %s@.") metrics_out;
+        match profile with
+        | None -> 0
         | Some path ->
             Obs.Profile.disable ();
-            Obs.Profile.write path;
-            Fmt.epr "profile written to %s (%d events%s)@." path
-              (Obs.Profile.recorded ())
-              (let d = Obs.Profile.dropped () in
-               if d = 0 then "" else Fmt.str ", %d dropped" d)
-        | None -> ());
-        match sampler with
-        | Some s ->
-            Obs.Sampler.stop s;
-            Option.iter
-              (fun path -> Fmt.epr "metrics written to %s@." path)
-              metrics_out
-        | None -> ()
+            write_output "profile" (fun () ->
+                Obs.Profile.write path;
+                Fmt.epr "profile written to %s (%d events%s)@." path
+                  (Obs.Profile.recorded ())
+                  (let d = Obs.Profile.dropped () in
+                   if d = 0 then "" else Fmt.str ", %d dropped" d))
       in
       match f () with
-      | code ->
-          finish ();
-          code
+      | code -> ( match finish () with 0 -> code | failed -> failed)
       | exception e ->
-          finish ();
+          ignore (finish ());
           raise e)
 
 (* --- hierarchy --- *)
@@ -903,16 +932,17 @@ module Live = struct
     add "%s  %s\n\n" (bold title)
       (dim (Printf.sprintf "interval %.1fs" dt));
     (* exploration: states/sec is the headline number of every engine *)
-    add "%s  %s states  %s   frontier %s%s\n"
-      (bold "explore ")
-      (Obs.Units.si (v "wfs_explorer_states_total"))
-      (rate "wfs_explorer_states_total")
-      (Obs.Units.si (v "wfs_explorer_frontier"))
-      (let p = v "wfs_explorer_por_pruned_total" in
-       if p > 0. then
-         Printf.sprintf "   por-pruned %s  %s" (Obs.Units.si p)
-           (rate "wfs_explorer_por_pruned_total")
-       else "");
+    if v "wfs_explorer_states_total" > 0. then
+      add "%s  %s states  %s   frontier %s%s\n"
+        (bold "explore ")
+        (Obs.Units.si (v "wfs_explorer_states_total"))
+        (rate "wfs_explorer_states_total")
+        (Obs.Units.si (v "wfs_explorer_frontier"))
+        (let p = v "wfs_explorer_por_pruned_total" in
+         if p > 0. then
+           Printf.sprintf "   por-pruned %s  %s" (Obs.Units.si p)
+             (rate "wfs_explorer_por_pruned_total")
+         else "");
     (* per-shard load: one row per pool member with any series *)
     (match shards cur with
     | [] -> ()
@@ -1120,6 +1150,7 @@ let top_cmd =
     | _ when interval <= 0. ->
         Fmt.epr "--interval must be positive@.";
         2
+    | _, Some p when not (valid_port p) -> bad_port "--port" p
     | _ ->
         let source, title =
           match from with
@@ -1256,55 +1287,39 @@ let stats_cmd =
           done
         done)
     in
-    if watch <= 0 then workload ()
-    else begin
-      (* run the workload on its own domain and re-render the live page
-         from the sampler ring until it finishes *)
-      let sampler = Obs.Sampler.start ~interval_ms:(watch * 1000) () in
-      let finished = Atomic.make false in
-      let worker =
-        Domain.spawn (fun () ->
-            Fun.protect
-              ~finally:(fun () -> Atomic.set finished true)
-              workload)
-      in
-      let ansi = Unix.isatty Unix.stdout in
-      let frame_of (snap : Obs.Sampler.snap) =
-        {
-          Live.at = float_of_int snap.Obs.Sampler.at_ns /. 1e9;
-          samples = Obs.Export.parse (Obs.Export.of_dump snap.Obs.Sampler.values);
-        }
-      in
-      let prev = ref None in
-      let last_render = ref 0. in
-      while not (Atomic.get finished) do
-        Unix.sleepf 0.1;
-        let now = Unix.gettimeofday () in
-        if now -. !last_render >= float_of_int watch then begin
-          last_render := now;
-          match Obs.Sampler.latest sampler with
-          | None -> ()
-          | Some snap ->
-              let cur = frame_of snap in
-              let p = Option.value ~default:cur !prev in
-              if ansi then Fmt.epr "\027[2J\027[H";
-              Fmt.epr "%s%!"
-                (Live.render ~ansi ~title:"wfs stats — fixed workload"
-                   ~prev:p ~cur);
-              prev := Some cur
-        end
-      done;
-      Domain.join worker;
-      Obs.Sampler.stop sampler
-    end;
-    Option.iter
-      (fun path ->
-        Obs.Profile.disable ();
-        let lines = Obs.Profile.dump_jsonl path in
-        Fmt.epr "trace written to %s (%d lines)@." path lines)
-      trace_file;
+    (if watch <= 0 then workload ()
+     else
+       (* the workload runs here; the sampler's hook re-renders the live
+          page from each consecutive pair of snapshots *)
+       let ansi = Unix.isatty Unix.stderr in
+       let frame_of (snap : Obs.Sampler.snap) =
+         {
+           Live.at = float_of_int snap.Obs.Sampler.at_ns /. 1e9;
+           samples =
+             Obs.Export.parse (Obs.Export.of_dump snap.Obs.Sampler.values);
+         }
+       in
+       let render ~final:_ ~prev ~cur =
+         if ansi then Fmt.epr "\027[2J\027[H";
+         Fmt.epr "%s%!"
+           (Live.render ~ansi ~title:"wfs stats — fixed workload"
+              ~prev:(frame_of prev) ~cur:(frame_of cur))
+       in
+       let sampler =
+         Obs.Sampler.start ~interval_ms:(watch * 1000) ~on_sample:render ()
+       in
+       Fun.protect ~finally:(fun () -> Obs.Sampler.stop sampler) workload);
+    let code =
+      match trace_file with
+      | None -> 0
+      | Some path ->
+          Obs.Profile.disable ();
+          write_output "trace" (fun () ->
+              let lines = Obs.Profile.dump_jsonl path in
+              Fmt.epr "trace written to %s (%d lines)@." path lines)
+    in
     Fmt.pr "%s@." (Obs.Metrics.snapshot_string ());
-    0
+    code
   in
   Cmd.v
     (Cmd.info "stats"

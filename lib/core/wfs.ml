@@ -76,7 +76,6 @@ module Obs = struct
   module Clock = Wfs_obs.Clock
   module Counterexample = Wfs_obs.Counterexample
   module Profile = Wfs_obs.Profile
-  module Progress = Wfs_obs.Progress
   module Causal = Wfs_obs.Causal
 end
 

@@ -139,65 +139,44 @@ let measure ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000)
    negative; the protocol-verified table covers those — the census is
    the solver-only view.
 
-   With [pool], the (object, n) solver instances — two per zoo entry —
-   become independent pool jobs; every instance allocates its own
-   solver tables, so jobs share nothing.  Jobs are issued to the pool
-   heaviest-first — instance cost grows steeply with the process count
-   and the branching factor (menu × candidate initializations), and a
-   heavy job dispatched last leaves every other domain idle behind it —
-   then results are inverse-permuted so measurements are reassembled in
-   zoo order, making the census output byte-identical to the sequential
-   one. *)
+   The (object, n) solver instances — two per zoo entry — are
+   independent jobs; every instance allocates its own solver tables, so
+   jobs share nothing.  With [pool] they are issued heaviest-first
+   (instance cost grows steeply with the process count and the
+   branching factor, menu × candidate initializations) and reassembled
+   in zoo order, so the census output is byte-identical to the
+   sequential one. *)
 
 (* A cheap static cost proxy for scheduling only: the game tree
    branches on roughly (menu + decide) moves per ply over n·depth
-   plies, once per candidate initialization.  Only the relative order
-   matters. *)
+   plies, once per candidate initialization. *)
 let job_weight (spec, inits, n, depth) =
   let branch = float_of_int (List.length spec.Object_spec.menu + 1) in
   float_of_int (List.length inits) *. (branch ** float_of_int (n * depth))
 
 let run ?(depth2 = 2) ?(depth3 = 1) ?(max_nodes = 20_000_000) ?pool () =
   let specs = Zoo.all () in
-  match pool with
-  | Some p when Wfs_sim.Pool.size p > 1 ->
-      let jobs =
-        Array.of_list
-          (List.concat_map
-             (fun spec ->
-               let inits = candidate_inits spec in
-               [ (spec, inits, 2, depth2); (spec, inits, 3, depth3) ])
-             specs)
-      in
-      let order = Array.init (Array.length jobs) (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          match compare (job_weight jobs.(j)) (job_weight jobs.(i)) with
-          | 0 -> compare i j
-          | c -> c)
-        order;
-      let results =
-        Wfs_sim.Pool.parallel_map p
-          (fun i ->
-            let spec, inits, n, depth = jobs.(i) in
-            (* each job builds its own context inside [solve_any_init]:
-               the transposition store is single-domain state *)
-            solve_any_init ~n ~depth ~max_nodes spec inits)
-          order
-      in
-      let halves = Array.make (Array.length jobs) results.(0) in
-      Array.iteri (fun k i -> halves.(i) <- results.(k)) order;
-      List.mapi
-        (fun i spec ->
-          let spec', inits, _, _ = jobs.(2 * i) in
-          assert (spec' == spec);
-          assemble ~depth2 ~depth3 spec inits halves.(2 * i)
-            halves.((2 * i) + 1))
-        specs
-  | _ ->
-      List.map
-        (fun spec -> measure ~depth2 ~depth3 ~max_nodes spec)
-        specs
+  let jobs =
+    Array.of_list
+      (List.concat_map
+         (fun spec ->
+           let inits = candidate_inits spec in
+           [ (spec, inits, 2, depth2); (spec, inits, 3, depth3) ])
+         specs)
+  in
+  let halves =
+    Wfs_sim.Pool.map_heaviest_first pool ~weight:job_weight
+      (fun (spec, inits, n, depth) ->
+        (* each job builds its own context inside [solve_any_init]:
+           the transposition store is single-domain state *)
+        solve_any_init ~n ~depth ~max_nodes spec inits)
+      jobs
+  in
+  List.mapi
+    (fun i spec ->
+      let _, inits, _, _ = jobs.(2 * i) in
+      assemble ~depth2 ~depth3 spec inits halves.(2 * i) halves.((2 * i) + 1))
+    specs
 
 (* Critical depth of an (object, n) row: the least step bound d at
    which n-process consensus is solvable from some candidate

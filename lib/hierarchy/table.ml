@@ -81,13 +81,12 @@ let classify_cas () =
    expensive solver instances (minutes rather than seconds).
 
    Each row is planned as a list of evidence thunks — one per protocol
-   verification, classification or solver run.  Sequentially the thunks
-   are forced in place; with [pool] they flatten into one registry-wide
-   job array (each verification is an independent job with its own
-   explorer/solver state), issued heaviest-first by a static cost rank
-   so the big verifications never straggle behind a drained batch, and
-   the rows are reassembled in plan order — the table is byte-identical
-   either way. *)
+   verification, classification or solver run.  They flatten into one
+   registry-wide job array (each verification is an independent job
+   with its own explorer/solver state); with [pool] the jobs are issued
+   heaviest-first by a static cost rank so the big verifications never
+   straggle behind a drained batch, and the rows are reassembled in
+   plan order — the table is byte-identical either way. *)
 let plan ~full :
     (string * string * (int * (unit -> evidence list)) list) list =
   (* One thunk per (protocol, n) of a registry key, skipping sizes the
@@ -192,58 +191,34 @@ let plan ~full :
 
 let generate ?pool ?(full = false) () : t =
   let rows = plan ~full in
-  let force_evidence family th =
-    Wfs_obs.Profile.span ~cat:"table"
-      ~args:(fun () -> [ ("family", Wfs_obs.Json.str family) ])
-      "table.evidence" th
+  let jobs =
+    Array.of_list
+      (List.concat_map
+         (fun (family, _, ts) -> List.map (fun (w, th) -> (family, w, th)) ts)
+         rows)
   in
-  match pool with
-  | Some p when Wfs_sim.Pool.size p > 1 ->
-      let jobs =
-        Array.of_list
-          (List.concat_map
-             (fun (family, _, ts) ->
-               List.map (fun (w, th) -> (family, w, th)) ts)
-             rows)
+  let results =
+    Wfs_sim.Pool.map_heaviest_first pool
+      ~weight:(fun (_, w, _) -> float_of_int w)
+      (fun (family, _, th) ->
+        Wfs_obs.Profile.span ~cat:"table"
+          ~args:(fun () -> [ ("family", Wfs_obs.Json.str family) ])
+          "table.evidence" th)
+      jobs
+  in
+  let idx = ref 0 in
+  List.map
+    (fun (object_family, paper_level, ts) ->
+      let evidence =
+        List.concat_map
+          (fun _ ->
+            let r = results.(!idx) in
+            incr idx;
+            r)
+          ts
       in
-      let order = Array.init (Array.length jobs) (fun i -> i) in
-      Array.sort
-        (fun i j ->
-          let _, wi, _ = jobs.(i) and _, wj, _ = jobs.(j) in
-          match compare wj wi with 0 -> compare i j | c -> c)
-        order;
-      let permuted =
-        Wfs_sim.Pool.parallel_map p
-          (fun i ->
-            let family, _, th = jobs.(i) in
-            force_evidence family th)
-          order
-      in
-      let results = Array.make (Array.length jobs) [] in
-      Array.iteri (fun k i -> results.(i) <- permuted.(k)) order;
-      let idx = ref 0 in
-      List.map
-        (fun (object_family, paper_level, ts) ->
-          let evidence =
-            List.concat_map
-              (fun _ ->
-                let r = results.(!idx) in
-                incr idx;
-                r)
-              ts
-          in
-          { object_family; paper_level; evidence })
-        rows
-  | _ ->
-      List.map
-        (fun (object_family, paper_level, ts) ->
-          {
-            object_family;
-            paper_level;
-            evidence =
-              List.concat_map (fun (_, t) -> force_evidence object_family t) ts;
-          })
-        rows
+      { object_family; paper_level; evidence })
+    rows
 
 (* --- consistency with the paper --- *)
 

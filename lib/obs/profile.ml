@@ -427,9 +427,12 @@ let args_field e = match e.args with [] -> [] | a -> [ ("args", Json.obj a) ]
 let meta_fields m =
   [ ("obj", Json.str m.m_obj); ("n", Json.int m.m_n); ("bound", Json.int m.m_bound) ]
 
+(* The flush inside the body makes a failed write (a full disk) raise
+   its own [Sys_error] rather than vanish in the close. *)
 let with_out path f =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+  Out_channel.with_open_text path (fun oc ->
+      f oc;
+      flush oc)
 
 (* ---------- Chrome trace_event export ---------- *)
 

@@ -3,17 +3,22 @@
    The sampler domain wakes every [interval_ms], takes a lock-free
    [Metrics.dump] and publishes it by atomically swapping a fresh
    immutable ring (newest-first list, capacity-truncated) into an
-   [Atomic.t].  Readers — `wfs top`, the HTTP endpoint, `wfs stats
-   --watch` — just [Atomic.get] the ring: no locks, no tearing, and a
-   reader holding an old ring keeps a consistent (if stale) view.
+   [Atomic.t].  Readers — the HTTP endpoint, [ring] and [latest] —
+   just [Atomic.get] the ring: no locks, no tearing, and a reader
+   holding an old ring keeps a consistent (if stale) view.
 
-   Sinks, both optional:
+   Consumers, all optional:
    - a file sink rewrites [out_file] atomically (write tmp + rename)
      with the OpenMetrics exposition of the newest snapshot;
    - a minimal blocking HTTP server (stdlib [Unix] only) serves the
-     newest exposition at GET /metrics from its own domain. *)
+     newest exposition at GET /metrics from its own domain;
+   - an [on_sample] hook sees each (previous, newest) snapshot pair on
+     the sampler domain — the `--progress` heartbeat and `wfs stats
+     --watch` are hooks. *)
 
 type snap = { at_ns : int; values : (string * Metrics.dumped) list }
+
+type hook = final:bool -> prev:snap -> cur:snap -> unit
 
 (* everything both domains and the API need; the domain handles live in
    the outer [t] so [core] can be built before spawning *)
@@ -24,6 +29,7 @@ type core = {
   ring : snap list Atomic.t;  (* newest first *)
   stopping : bool Atomic.t;
   out_file : string option;
+  on_sample : hook option;
 }
 
 type t = {
@@ -47,10 +53,9 @@ let push_snap core snap =
 
 let write_file_atomically path contents =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents);
+  Out_channel.with_open_text tmp (fun oc ->
+      output_string oc contents;
+      flush oc);
   (* rename is atomic on POSIX: readers see the old file or the new
      one, never a partial write *)
   Unix.rename tmp path
@@ -62,10 +67,14 @@ let sink core snap =
       try write_file_atomically path (Export.of_dump snap.values)
       with Sys_error _ | Unix.Unix_error _ -> ())
 
-let sample_once core =
+let sample_once ?(final = false) core =
+  let prev = Atomic.get core.ring in
   let snap = take_snap core.registry in
   push_snap core snap;
-  sink core snap
+  sink core snap;
+  match (core.on_sample, prev) with
+  | Some hook, p :: _ -> hook ~final ~prev:p ~cur:snap
+  | _ -> ()
 
 let sampler_main core () =
   (* sleep in short slices so [stop] takes effect promptly *)
@@ -173,12 +182,78 @@ let listen_on port =
   Unix.listen fd 8;
   fd
 
+(* --- heartbeat ---
+
+   The `--progress` line, built from two snapshots alone: every engine
+   feeds [explorer.states] (the solver adds its schedule nodes), so the
+   line is right for any of them, and the post-run snapshot makes the
+   final count exact. *)
+
+let int_value snap name =
+  match List.assoc_opt name snap.values with
+  | Some (Metrics.D_counter v | Metrics.D_gauge v) -> v
+  | _ -> 0
+
+type beat = {
+  states : int;
+  rate : float;
+  frontier : int;
+  pruned : int;
+  elapsed : float;
+}
+
+let beat ~t0_ns ~final ~prev ~cur =
+  let states = int_value cur "explorer.states" in
+  let secs ns = float_of_int ns /. 1e9 in
+  let elapsed = secs (cur.at_ns - t0_ns) in
+  (* per-interval rate while running; the whole run's on the final line *)
+  let num, dt =
+    if final then (states, elapsed)
+    else
+      ( states - int_value prev "explorer.states",
+        secs (cur.at_ns - prev.at_ns) )
+  in
+  {
+    states;
+    rate = (if dt > 0. then float_of_int num /. dt else 0.);
+    frontier = int_value cur "explorer.frontier";
+    pruned =
+      int_value cur "explorer.por.pruned" + int_value cur "solver.cutoff.sleep";
+    elapsed;
+  }
+
+let line ~label ~crashes ~final b =
+  Printf.sprintf "[wfs %s] states=%d %s states/s%s%s elapsed=%.1fs%s%s" label
+    b.states (Units.si b.rate)
+    (if final then "" else Printf.sprintf " frontier=%d" b.frontier)
+    (if b.pruned > 0 then Printf.sprintf " pruned=%d" b.pruned else "")
+    b.elapsed
+    (if crashes > 0 then Printf.sprintf " crashes<=%d" crashes else "")
+    (if final then " done" else "")
+
+let heartbeat ~label ~crashes ~t0_ns ~final ~prev ~cur =
+  line ~label ~crashes ~final (beat ~t0_ns ~final ~prev ~cur)
+
+let progress ~label ~crashes () =
+  let t0_ns = Clock.now_ns () in
+  fun ~final ~prev ~cur ->
+    let b = beat ~t0_ns ~final ~prev ~cur in
+    prerr_endline (line ~label ~crashes ~final b);
+    Profile.counter "progress.states" [ ("states", float_of_int b.states) ];
+    Profile.counter "progress.rate" [ ("states_per_s", b.rate) ];
+    if b.pruned > 0 then
+      Profile.counter "progress.pruned" [ ("edges", float_of_int b.pruned) ]
+
 (* --- lifecycle --- *)
 
 let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
-    ?port () =
+    ?port ?on_sample () =
   if interval_ms <= 0 then invalid_arg "Sampler.start: interval_ms <= 0";
   if capacity <= 0 then invalid_arg "Sampler.start: capacity <= 0";
+  (match port with
+  | Some p when p < 0 || p > 65535 ->
+      invalid_arg (Printf.sprintf "Sampler.start: port %d outside 0-65535" p)
+  | _ -> ());
   let core =
     {
       registry;
@@ -187,6 +262,7 @@ let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
       ring = Atomic.make [];
       stopping = Atomic.make false;
       out_file;
+      on_sample;
     }
   in
   (* seed the ring so the endpoint and `wfs top` have a baseline before
@@ -220,5 +296,5 @@ let stop t =
   Domain.join t.sampler_domain;
   (match t.http with Some (_, d) -> Domain.join d | None -> ());
   (* final sample so short runs still leave complete end-of-run values
-     in the ring and the file sink *)
-  sample_once t.core
+     in the ring, the file sink and the hook *)
+  sample_once ~final:true t.core

@@ -558,16 +558,12 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config =
           (if !truncation = None then truncation := Some Budget_depth)
         else begin
           incr visited;
-          (* masked heartbeat: the batched live flush and the progress
-             tick share one modulo test per 1024 states *)
+          (* batched live flush: one modulo test per 1024 states *)
           if !visited land 1023 = 0 then begin
             live_flushed := !live_flushed + 1024;
             Wfs_obs.Metrics.Counter.add M.states 1024;
             Wfs_obs.Metrics.Gauge.set M.frontier (Stack.length stack);
-            Pool.note_states 1024;
-            if Wfs_obs.Progress.enabled () then
-              Wfs_obs.Progress.tick ~states:!visited
-                ~frontier:(Stack.length stack)
+            Pool.note_states 1024
           end;
           if is_terminal node then begin
             let decisions = Array.copy node.decided in
@@ -906,11 +902,7 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep config
               incr ticks;
               if !ticks land 255 = 0 then begin
                 flush_claims rec_;
-                Wfs_obs.Metrics.Gauge.set M.frontier (Stack.length stack);
-                if Wfs_obs.Progress.enabled () then
-                  Wfs_obs.Progress.tick
-                    ~states:(Atomic.get visited)
-                    ~frontier:(Stack.length stack)
+                Wfs_obs.Metrics.Gauge.set M.frontier (Stack.length stack)
               end
             done;
             flush_claims rec_;

@@ -391,3 +391,16 @@ let parallel_map t f arr =
   end
 
 let map_list t f l = Array.to_list (parallel_map t f (Array.of_list l))
+
+let map_heaviest_first pool ~weight f jobs =
+  match pool with
+  | Some t when t.pool_size > 1 ->
+      let w = Array.map weight jobs in
+      let order = Array.init (Array.length jobs) Fun.id in
+      (* stable: equal weights keep plan order *)
+      Array.stable_sort (fun i j -> Float.compare w.(j) w.(i)) order;
+      let permuted = parallel_map t (fun i -> f jobs.(i)) order in
+      let slot = Array.make (Array.length jobs) 0 in
+      Array.iteri (fun k i -> slot.(i) <- k) order;
+      Array.map (fun k -> permuted.(k)) slot
+  | _ -> Array.map f jobs

@@ -69,6 +69,16 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** List version of {!parallel_map}; same ordering guarantees. *)
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
+(** [map_heaviest_first pool ~weight f jobs] is [Array.map f jobs].
+    With a pool of more than one domain the jobs are issued
+    heaviest-first by [weight] (ties in plan order) — a heavy job
+    dispatched last leaves every other domain idle behind it — and the
+    results are put back in plan order.  With no pool, or a size-1
+    pool, the jobs run on the caller in plan order.  [weight] is a
+    scheduling rank only; only the relative order matters. *)
+val map_heaviest_first :
+  t option -> weight:('a -> float) -> ('a -> 'b) -> 'a array -> 'b array
+
 (** Terminate and join the worker domains.  Idempotent.  Using the pool
     after [shutdown] raises [Invalid_argument]. *)
 val shutdown : t -> unit

@@ -1,5 +1,6 @@
 (* Tests for the OpenMetrics exposition (Wfs_obs.Export), the sampler
-   ring (Wfs_obs.Sampler), and the humanized units (Wfs_obs.Units).
+   ring, hook and heartbeat line (Wfs_obs.Sampler), and the humanized
+   units (Wfs_obs.Units).
 
    Everything runs against private registries so the process-wide
    default registry (exercised concurrently by other suites) never
@@ -258,6 +259,132 @@ let test_sampler_ring_and_file_sink () =
     "file sink has final value" (Some 100.0)
     (Export.find (Export.parse text) "wfs_ticks_total" [])
 
+(* --- sampler hook ---
+
+   The hook sees consecutive (prev, cur) pairs on the sampler domain,
+   then exactly one final pair from [stop], and nothing afterwards. *)
+
+let test_sampler_hook_pairs () =
+  let r = Metrics.create () in
+  let c = Metrics.Counter.make ~registry:r "ticks" in
+  let calls = ref [] in
+  let hook ~final ~prev ~cur = calls := (final, prev, cur) :: !calls in
+  let s = Sampler.start ~registry:r ~interval_ms:5 ~on_sample:hook () in
+  for _ = 1 to 10 do
+    Metrics.Counter.add c 10;
+    Unix.sleepf 0.02
+  done;
+  Sampler.stop s;
+  (* [stop] joined the sampler domain: [calls] is quiescent *)
+  let seen = List.rev !calls in
+  let n = List.length seen in
+  Metrics.Counter.add c 1;
+  Unix.sleepf 0.1;
+  Alcotest.(check int) "no call after stop returns" n (List.length !calls);
+  Alcotest.(check bool) "sampled while running, then a final call" true
+    (n >= 2);
+  Alcotest.(check (list bool))
+    "only the last call is final"
+    (List.init n (fun i -> i = n - 1))
+    (List.map (fun (f, _, _) -> f) seen);
+  let rec consecutive = function
+    | (_, _, cur) :: ((_, prev, _) :: _ as rest) ->
+        prev == cur && consecutive rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "each prev is the previous call's cur" true
+    (consecutive seen);
+  List.iter
+    (fun (_, prev, cur) ->
+      Alcotest.(check bool) "prev not newer than cur" true
+        (prev.Sampler.at_ns <= cur.Sampler.at_ns))
+    seen;
+  (match List.rev seen with
+  | (_, _, cur) :: _ ->
+      Alcotest.(check bool) "final pair carries the end value" true
+        (List.assoc_opt "ticks" cur.Sampler.values
+        = Some (Metrics.D_counter 100))
+  | [] -> ());
+  Alcotest.(check bool) "final sample is the ring's newest" true
+    (match (List.rev seen, Sampler.latest s) with
+    | (_, _, cur) :: _, Some latest -> cur == latest
+    | _ -> false)
+
+let test_sampler_port_range () =
+  let r = Metrics.create () in
+  List.iter
+    (fun port ->
+      match Sampler.start ~registry:r ~port () with
+      | exception Invalid_argument _ -> ()
+      | s ->
+          Sampler.stop s;
+          Alcotest.failf "port %d accepted" port)
+    [ -1; 65536; 99999 ]
+
+(* --- heartbeat line ---
+
+   Fed a registry holding only what the solver writes: its schedule
+   nodes land in [explorer.states], its sleep cutoffs in
+   [solver.cutoff.sleep]; nothing sets [explorer.frontier]. *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_heartbeat_solver_registry () =
+  let r = Metrics.create () in
+  let states = Metrics.Counter.make ~registry:r "explorer.states" in
+  let sleep = Metrics.Counter.make ~registry:r "solver.cutoff.sleep" in
+  let snap at_ns =
+    { Sampler.at_ns; values = Metrics.dump ~registry:r () }
+  in
+  let t0_ns = 1_000_000_000 in
+  Metrics.Counter.add states 8192;
+  let prev = snap (t0_ns + 1_000_000_000) in
+  Metrics.Counter.add states 16384;
+  Metrics.Counter.add sleep 42;
+  let cur = snap (t0_ns + 3_000_000_000) in
+  let line =
+    Sampler.heartbeat ~label:"census" ~crashes:0 ~t0_ns ~final:false ~prev
+      ~cur
+  in
+  Alcotest.(check string)
+    "running line: total, per-interval rate, frontier, pruned"
+    "[wfs census] states=24576 8.2k states/s frontier=0 pruned=42 \
+     elapsed=3.0s"
+    line;
+  let final =
+    Sampler.heartbeat ~label:"verify cas n=3" ~crashes:1 ~t0_ns ~final:true
+      ~prev ~cur
+  in
+  Alcotest.(check string)
+    "final line: whole-run rate, crash budget, done"
+    "[wfs verify cas n=3] states=24576 8.2k states/s pruned=42 \
+     elapsed=3.0s crashes<=1 done"
+    final
+
+(* The final line reads the post-run snapshot, so a count that is not
+   a multiple of any flush batch still comes out exact. *)
+let test_heartbeat_final_count_exact () =
+  let r = Metrics.create () in
+  let states = Metrics.Counter.make ~registry:r "explorer.states" in
+  let last = ref "" in
+  let hook ~final ~prev ~cur =
+    if final then
+      last :=
+        Sampler.heartbeat ~label:"t" ~crashes:0 ~t0_ns:0 ~final ~prev ~cur
+  in
+  let s = Sampler.start ~registry:r ~interval_ms:5 ~on_sample:hook () in
+  Metrics.Counter.add states 2048;
+  Unix.sleepf 0.06;
+  Metrics.Counter.add states 665;
+  Sampler.stop s;
+  Alcotest.(check bool)
+    (Printf.sprintf "final line %S has states=2713" !last)
+    true
+    (contains !last "states=2713 " && contains !last " done")
+
 (* --- HTTP response framing ---
 
    Scrapers hang on /metrics for exactly two reasons: no Content-Length
@@ -399,6 +526,8 @@ let suite =
           test_empty_histogram;
         Alcotest.test_case "parse recovers every dumped value" `Quick
           test_round_trip_matches_snapshot;
+        Alcotest.test_case "sampler rejects ports outside 0-65535" `Quick
+          test_sampler_port_range;
         QCheck_alcotest.to_alcotest prop_label_value_survives_exposition;
         QCheck_alcotest.to_alcotest prop_counter_value_round_trips;
       ] );
@@ -406,6 +535,12 @@ let suite =
       [
         Alcotest.test_case "ring capacity, order, final sample, file sink"
           `Quick test_sampler_ring_and_file_sink;
+        Alcotest.test_case "hook: consecutive pairs, one final call" `Quick
+          test_sampler_hook_pairs;
+        Alcotest.test_case "heartbeat line from a solver-only registry"
+          `Quick test_heartbeat_solver_registry;
+        Alcotest.test_case "heartbeat final count is exact" `Quick
+          test_heartbeat_final_count_exact;
         Alcotest.test_case "HTTP response framing" `Quick
           test_http_response_framing;
         Alcotest.test_case "HTTP request termination" `Quick

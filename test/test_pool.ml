@@ -44,6 +44,28 @@ let test_map_list () =
         [ "0"; "1"; "2"; "3"; "4" ]
         (Pool.map_list pool string_of_int [ 0; 1; 2; 3; 4 ]))
 
+(* Heaviest-first issue, plan-order results; with no pool the jobs run
+   on the caller in plan order. *)
+let test_map_heaviest_first () =
+  let jobs = [| 3.; 9.; 1.; 9.; 0.; 5. |] in
+  let expect = Array.map (fun w -> w *. 2.) jobs in
+  Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check (array (float 0.)))
+        "pooled results in plan order" expect
+        (Pool.map_heaviest_first (Some pool) ~weight:Fun.id
+           (fun w -> w *. 2.)
+           jobs));
+  let ran = ref [] in
+  Alcotest.(check (array (float 0.)))
+    "no pool: same results" expect
+    (Pool.map_heaviest_first None ~weight:Fun.id
+       (fun w ->
+         ran := w :: !ran;
+         w *. 2.)
+       jobs);
+  Alcotest.(check (list (float 0.)))
+    "no pool: plan order" (Array.to_list jobs) (List.rev !ran)
+
 exception Boom of int
 
 let test_exception_lowest_index () =
@@ -275,6 +297,8 @@ let suite =
         Alcotest.test_case "parallel_map order and values" `Quick
           test_map_order;
         Alcotest.test_case "map_list" `Quick test_map_list;
+        Alcotest.test_case "map_heaviest_first: plan-order results" `Quick
+          test_map_heaviest_first;
         Alcotest.test_case "lowest-index exception wins" `Quick
           test_exception_lowest_index;
         Alcotest.test_case "reuse across batches" `Quick
