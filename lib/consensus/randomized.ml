@@ -140,6 +140,7 @@ let verify_all_coins ?(flips = 3) () =
   let configurations = ref 0 in
   let aborts = ref false in
   let failure = ref None in
+  let wait_free = ref true in
   List.iter
     (fun (i0, i1) ->
       let inputs = [| i0; i1 |] in
@@ -148,31 +149,23 @@ let verify_all_coins ?(flips = 3) () =
           List.iter
             (fun c1 ->
               incr configurations;
-              let cfg = config ~inputs ~coins:[| c0; c1 |] in
-              let seen : (Value.t, unit) Hashtbl.t = Hashtbl.create 256 in
-              let rec dfs node =
-                let k = Explorer.key node in
-                if not (Hashtbl.mem seen k) then begin
-                  Hashtbl.replace seen k ();
-                  if Explorer.is_terminal node then begin
-                    match check_terminal ~inputs node with
-                    | Ok `Aborted -> aborts := true
-                    | Ok `Decided -> ()
-                    | Error e -> if !failure = None then failure := Some e
-                  end
-                  else
-                    List.iter
-                      (fun (_, succ) -> dfs succ)
-                      (Explorer.successors cfg node)
-                end
+              let on_terminal node =
+                match check_terminal ~inputs node with
+                | Ok `Aborted -> aborts := true
+                | Ok `Decided -> ()
+                | Error e -> if !failure = None then failure := Some e
               in
-              dfs (Explorer.initial cfg);
-              states := !states + Hashtbl.length seen)
+              let stats =
+                Explorer.explore ~on_terminal
+                  (config ~inputs ~coins:[| c0; c1 |])
+              in
+              if not (Explorer.wait_free stats) then wait_free := false;
+              states := !states + stats.Explorer.states)
             coin_choices)
         coin_choices)
     [ (false, false); (false, true); (true, false); (true, true) ];
   {
-    ok = !failure = None;
+    ok = !failure = None && !wait_free;
     configurations = !configurations;
     states = !states;
     aborts_possible = !aborts;

@@ -26,7 +26,8 @@ type verification = {
 }
 
 (** Exhaustive safety over all schedules × all coin sequences of length
-    [flips] (default 3) × all four input combinations.  Raises
+    [flips] (default 3) × all four input combinations; [ok] also
+    requires every configuration's exploration to be wait-free.  Raises
     [Invalid_argument] when [flips < 0]. *)
 val verify_all_coins : ?flips:int -> unit -> verification
 

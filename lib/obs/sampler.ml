@@ -28,6 +28,8 @@ type core = {
   capacity : int;
   ring : snap list Atomic.t;  (* newest first *)
   stopping : bool Atomic.t;
+  wake : Unix.file_descr * Unix.file_descr;
+      (* pipe: [stop] writes a byte to cut the sampler's wait short *)
   out_file : string option;
   on_sample : hook option;
 }
@@ -77,17 +79,11 @@ let sample_once ?(final = false) core =
   | _ -> ()
 
 let sampler_main core () =
-  (* sleep in short slices so [stop] takes effect promptly *)
-  let slice_s = 0.05 in
-  let slices =
-    max 1 (int_of_float (ceil (float_of_int core.interval_ms /. 50.0)))
-  in
+  (* wait one interval, or until [stop] makes the pipe readable *)
+  let interval_s = float_of_int core.interval_ms /. 1000. in
   while not (Atomic.get core.stopping) do
-    let k = ref 0 in
-    while (not (Atomic.get core.stopping)) && !k < slices do
-      Unix.sleepf slice_s;
-      incr k
-    done;
+    (try ignore (Unix.select [ fst core.wake ] [] [] interval_s)
+     with Unix.Unix_error (Unix.EINTR, _, _) -> ());
     if not (Atomic.get core.stopping) then sample_once core
   done
 
@@ -254,6 +250,9 @@ let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
   | Some p when p < 0 || p > 65535 ->
       invalid_arg (Printf.sprintf "Sampler.start: port %d outside 0-65535" p)
   | _ -> ());
+  (* bind first: a port that cannot be bound raises before the wake
+     pipe exists *)
+  let listen_fd = Option.map listen_on port in
   let core =
     {
       registry;
@@ -261,6 +260,7 @@ let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
       capacity;
       ring = Atomic.make [];
       stopping = Atomic.make false;
+      wake = Unix.pipe ~cloexec:true ();
       out_file;
       on_sample;
     }
@@ -269,11 +269,7 @@ let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
      the first interval elapses *)
   sample_once core;
   let http =
-    Option.map
-      (fun p ->
-        let fd = listen_on p in
-        (fd, Domain.spawn (http_main core fd)))
-      port
+    Option.map (fun fd -> (fd, Domain.spawn (http_main core fd))) listen_fd
   in
   { core; sampler_domain = Domain.spawn (sampler_main core); http }
 
@@ -284,6 +280,8 @@ let latest t =
 
 let stop t =
   Atomic.set t.core.stopping true;
+  let wake_r, wake_w = t.core.wake in
+  ignore (Unix.write_substring wake_w "x" 0 1);
   (match t.http with
   | Some (fd, _) ->
       (* shutdown BEFORE close: closing a listening socket from another
@@ -294,6 +292,8 @@ let stop t =
       ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
   Domain.join t.sampler_domain;
+  Unix.close wake_r;
+  Unix.close wake_w;
   (match t.http with Some (_, d) -> Domain.join d | None -> ());
   (* final sample so short runs still leave complete end-of-run values
      in the ring, the file sink and the hook *)

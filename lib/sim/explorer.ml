@@ -273,7 +273,10 @@ let crash_shift = 16
    coded [-2 - pid].  Slept monotone edges are skipped entirely — no
    [Env.apply], no interning; [on_pruned] counts them.  [note_invalid]
    fires for every generated decide edge failing validity, pruned or
-   not; [on_crash] counts kept crash edges. *)
+   not; [on_crash] counts kept crash edges.  With [ind = None] (the
+   reduction is off) every child mask is 0, so from a 0 root mask
+   nothing is ever pruned: this is then the unreduced successor
+   relation. *)
 let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
     config node arrival =
   let n = Array.length config.procs in
@@ -286,7 +289,7 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
       acts.(pid) <- Some (Process.action config.procs.(pid) node.locals.(pid))
   done;
   (* may the pending steps [aq] and [a] be transposed at this state? *)
-  let indep_step aq a =
+  let indep_step ind aq a =
     match (aq, a) with
     | ( Process.Invoke { obj = o1; op = op1; _ },
         Process.Invoke { obj = o2; op = op2; _ } ) ->
@@ -300,24 +303,29 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
      branch is covered at this node — slept on arrival or explored as
      an earlier sibling — and it is independent of [a]. *)
   let child_mask pid a =
-    let m = ref 0 in
-    for q = 0 to n - 1 do
-      if q <> pid && live q then begin
-        (match acts.(q) with
-        | Some aq
-          when (arrival land (1 lsl q) <> 0
-               || !earlier_steps land (1 lsl q) <> 0)
-               && (match a with None -> true | Some a -> indep_step aq a) ->
-            m := !m lor (1 lsl q)
-        | _ -> ());
-        if
-          crash_budget
-          && (arrival land (1 lsl (q + crash_shift)) <> 0
-             || !earlier_crashes land (1 lsl q) <> 0)
-        then m := !m lor (1 lsl (q + crash_shift))
-      end
-    done;
-    !m
+    match ind with
+    | None -> 0
+    | Some ind ->
+        let m = ref 0 in
+        for q = 0 to n - 1 do
+          if q <> pid && live q then begin
+            (match acts.(q) with
+            | Some aq
+              when (arrival land (1 lsl q) <> 0
+                   || !earlier_steps land (1 lsl q) <> 0)
+                   && (match a with
+                      | None -> true
+                      | Some a -> indep_step ind aq a) ->
+                m := !m lor (1 lsl q)
+            | _ -> ());
+            if
+              crash_budget
+              && (arrival land (1 lsl (q + crash_shift)) <> 0
+                 || !earlier_crashes land (1 lsl q) <> 0)
+            then m := !m lor (1 lsl (q + crash_shift))
+          end
+        done;
+        !m
   in
   let kept = ref [] in
   if crash_budget then
@@ -437,6 +445,20 @@ let flush_metrics ?(states_flushed = 0) ~states ~hits ~lookups ~deepest
       ])
     "explorer.done"
 
+(* Terminals are deduplicated by outcome: decision vector plus the
+   stepped and crashed masks. *)
+let terminal_key node =
+  Value.pair
+    (Value.list (Array.to_list (Array.map Value.of_option node.decided)))
+    (Value.pair (Value.int node.stepped) (Value.int node.crashed))
+
+let terminal_of node =
+  {
+    decisions = Array.copy node.decided;
+    who_stepped = node.stepped;
+    who_crashed = node.crashed;
+  }
+
 (* --- the fused single-pass engine --- *)
 
 (* One frame per node being expanded.  [f_best] accumulates the
@@ -462,10 +484,14 @@ let white = '\000'
 let gray = '\001'
 let black = '\002'
 
-let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config =
+let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep ~on_terminal
+    config =
   let n = Array.length config.procs in
   let encode = if symmetry then canonical_key else key in
-  let size_hint = max 16 (min max_states 8192) in
+  (* small start, grown on demand: callers such as the randomized
+     consensus check run thousands of explorations of a few hundred
+     states each, where pre-sizing to the budget dominated *)
+  let size_hint = max 16 (min max_states 256) in
   let tbl = Intern.create ~size_hint () in
   (* colors and DP bounds are arrays indexed by interned id, grown in
      lockstep with the arena *)
@@ -506,27 +532,12 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config =
       if v > best.(p) then best.(p) <- v
     done
   in
-  (* successors as [(pid_code, succ, child_mask)] with all edge-level
-     noting done — the sleep-set path and the unreduced path produce
-     the same shape, the latter with empty masks *)
   let expand_node node arrival =
-    match indep with
-    | Some ind ->
-        successors_with_sleep ~crashes ~ind
-          ~note_invalid:(invalid_note invalid)
-          ~on_crash:(fun () -> incr crash_seen)
-          ~on_pruned:(fun () -> incr por_cut)
-          config node arrival
-    | None ->
-        List.map
-          (fun (pid, edge, succ) ->
-            (match edge with
-            | Decide_edge v when not (decision_valid node ~pid v) ->
-                invalid_note invalid pid v
-            | Crash_edge -> incr crash_seen
-            | Decide_edge _ | Op_edge -> ());
-            ((match edge with Crash_edge -> -2 - pid | _ -> pid), succ, 0))
-          (successors_with_edges ~crashes config node)
+    successors_with_sleep ~crashes ~ind:indep
+      ~note_invalid:(invalid_note invalid)
+      ~on_crash:(fun () -> incr crash_seen)
+      ~on_pruned:(fun () -> incr por_cut)
+      config node arrival
   in
   (* Enter [node] (reached from [parent] by a step of [via_pid], with
      arrival sleep mask [arrival]).  Hits on finished nodes fold their
@@ -566,19 +577,8 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config =
             Pool.note_states 1024
           end;
           if is_terminal node then begin
-            let decisions = Array.copy node.decided in
-            Value.Tbl.replace terminals
-              (Value.pair
-                 (Value.list
-                    (Array.to_list (Array.map Value.of_option decisions)))
-                 (Value.pair
-                    (Value.int node.stepped)
-                    (Value.int node.crashed)))
-              {
-                decisions;
-                who_stepped = node.stepped;
-                who_crashed = node.crashed;
-              };
+            Value.Tbl.replace terminals (terminal_key node) (terminal_of node);
+            on_terminal node;
             finish_leaf ()
           end
           else begin
@@ -591,11 +591,8 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config =
             | [] ->
                 (* all successors slept away: a legitimate leaf, its
                    outcomes covered through the representative paths *)
-                if !por_cut > pruned0 then finish_leaf ()
-                else begin
-                  stuck := Some (-1, "no successor");
-                  finish_leaf ()
-                end
+                if !por_cut = pruned0 then stuck := Some (-1, "no successor");
+                finish_leaf ()
             | succs ->
                 Bytes.set !colors id gray;
                 let m = List.length succs in
@@ -687,7 +684,7 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config =
    Phase 2 (sequential): cycle detection and the fused longest-path DP
    cannot be split across workers (a cycle, and a longest path, can
    thread through several workers' territories), but by then the
-   expensive work — [successors_with_edges], [Env.apply], hashing —
+   expensive work — [successors_with_sleep], [Env.apply], hashing —
    is already done.  Phase 2 is a DFS over int arrays: a few machine
    operations per edge, a small fraction of phase-1 cost.
 
@@ -708,11 +705,6 @@ module MP = struct
   let seeds = Counter.make "explorer.par.seeds"
   let domains = Gauge.make "explorer.par.domains"
 end
-
-let terminal_key node =
-  Value.pair
-    (Value.list (Array.to_list (Array.map Value.of_option node.decided)))
-    (Value.pair (Value.int node.stepped) (Value.int node.crashed))
 
 (* Private per-worker record; merged single-threaded after the join. *)
 type prec = {
@@ -755,8 +747,8 @@ let flush_claims rec_ =
     rec_.r_claimed_flushed <- rec_.r_claimed
   end
 
-let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep config
-    =
+let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
+    ~on_terminal config =
   let n = Array.length config.procs in
   let workers = Pool.size pool in
   let encode = if symmetry then canonical_key else key in
@@ -783,13 +775,11 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep config
        else begin
          ignore (Atomic.fetch_and_add visited 1);
          rec_.r_claimed <- rec_.r_claimed + 1;
-         if is_terminal node then
+         if is_terminal node then begin
            Value.Tbl.replace rec_.r_terminals (terminal_key node)
-             {
-               decisions = Array.copy node.decided;
-               who_stepped = node.stepped;
-               who_crashed = node.crashed;
-             }
+             (terminal_of node);
+           on_terminal node
+         end
          else enqueue (node, id, mask, depth)
        end);
     id
@@ -799,38 +789,22 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep config
       (Intern.Sharded.intern stbl (encode node))
   in
   let expand rec_ ~enqueue (node, id, mask, depth) =
-    let expansion =
-      match indep with
-      | Some ind ->
-          successors_with_sleep ~crashes ~ind
-            ~note_invalid:(invalid_note rec_.r_invalid)
-            ~on_crash:(fun () -> rec_.r_crash <- rec_.r_crash + 1)
-            ~on_pruned:(fun () -> rec_.r_pruned <- rec_.r_pruned + 1)
-            config node mask
-      | None ->
-          List.map
-            (fun (pid, edge, succ) ->
-              (match edge with
-              | Decide_edge v when not (decision_valid node ~pid v) ->
-                  invalid_note rec_.r_invalid pid v
-              | Crash_edge -> rec_.r_crash <- rec_.r_crash + 1
-              | Decide_edge _ | Op_edge -> ());
-              ((match edge with Crash_edge -> -2 - pid | _ -> pid), succ, 0))
-            (successors_with_edges ~crashes config node)
-    in
-    match expansion with
+    let pruned0 = rec_.r_pruned in
+    match
+      successors_with_sleep ~crashes ~ind:indep
+        ~note_invalid:(invalid_note rec_.r_invalid)
+        ~on_crash:(fun () -> rec_.r_crash <- rec_.r_crash + 1)
+        ~on_pruned:(fun () -> rec_.r_pruned <- rec_.r_pruned + 1)
+        config node mask
+    with
     | exception Object_spec.Unknown_operation { obj; op } ->
         if rec_.r_stuck = None then
           rec_.r_stuck <-
             Some (-1, Fmt.str "unknown operation %a on %s" Op.pp op obj)
     | [] ->
-        (* with reduction on, an all-pruned node is a covered leaf,
-           not a stuck state *)
-        (match indep with
-        | None ->
-            if rec_.r_stuck = None then
-              rec_.r_stuck <- Some (-1, "no successor")
-        | Some _ -> ())
+        (* an all-pruned node is a covered leaf, not a stuck state *)
+        if rec_.r_pruned = pruned0 && rec_.r_stuck = None then
+          rec_.r_stuck <- Some (-1, "no successor")
     | succs ->
         (* claim all successors in one batched pass over the interner's
            stripes — one lock round-trip per stripe instead of one per
@@ -1061,7 +1035,7 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep config
   }
 
 let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
-    ?(symmetry = false) ?(crashes = 0) ?pool config =
+    ?(symmetry = false) ?(crashes = 0) ?pool ?(on_terminal = ignore) config =
   if crashes < 0 then invalid_arg "Explorer.explore: crashes < 0";
   if max_states < 0 then
     invalid_arg
@@ -1085,10 +1059,11 @@ let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
   | Some p when Pool.size p > 1 ->
       Wfs_obs.Profile.span ~cat:"explore" "explore.par" (fun () ->
           explore_par ~pool:p ~max_states ~max_depth ~symmetry ~crashes ~indep
-            config)
+            ~on_terminal config)
   | _ ->
       Wfs_obs.Profile.span ~cat:"explore" "explore.dfs" (fun () ->
-          explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep config)
+          explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep
+            ~on_terminal config)
 
 let wait_free stats =
   (not stats.cyclic) && (not stats.truncated) && stats.stuck = None

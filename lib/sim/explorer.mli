@@ -159,13 +159,24 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     [explorer.fused_dp.edges] (edges whose DP contribution was folded
     in the single pass, i.e. the second traversal saved).  Parallel
     runs add [explorer.par.runs], [explorer.par.seeds] and the
-    [explorer.par.domains] gauge. *)
+    [explorer.par.domains] gauge.
+
+    [on_terminal] (default a no-op) is called exactly once per distinct
+    reachable terminal state within budget (distinct by {!key}, or by
+    {!canonical_key} under [symmetry]), where the engine records it —
+    the hook through which a caller checks a property of every final
+    state.  The reduction never removes a state, so every terminal
+    state is seen.  Under a pool of size > 1 it runs on the worker
+    domain that claimed the state, concurrently with other workers'
+    calls: a hook that accumulates must synchronise itself.  An
+    exception it raises propagates out of [explore]. *)
 val explore :
   ?max_states:int ->
   ?max_depth:int ->
   ?symmetry:bool ->
   ?crashes:int ->
   ?pool:Pool.t ->
+  ?on_terminal:(node -> unit) ->
   config ->
   stats
 

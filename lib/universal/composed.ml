@@ -132,32 +132,19 @@ let check_terminal ~target ~n (node : Explorer.node) =
       end
 
 let verify ?(max_states = 5_000_000) ~target ~scripts () =
-  let cfg = config ~scripts in
   let n = Array.length scripts in
-  let seen : (Value.t, unit) Hashtbl.t = Hashtbl.create 4096 in
   let terminals = ref 0 in
   let failure = ref None in
-  let truncated = ref false in
-  let rec dfs node =
-    let k = Explorer.key node in
-    if not (Hashtbl.mem seen k) then begin
-      if Hashtbl.length seen >= max_states then truncated := true
-      else begin
-        Hashtbl.replace seen k ();
-        if Explorer.is_terminal node then begin
-          incr terminals;
-          match check_terminal ~target ~n node with
-          | Some e -> if !failure = None then failure := Some e
-          | None -> ()
-        end
-        else List.iter (fun (_, succ) -> dfs succ) (Explorer.successors cfg node)
-      end
-    end
+  let on_terminal node =
+    incr terminals;
+    match check_terminal ~target ~n node with
+    | Some e -> if !failure = None then failure := Some e
+    | None -> ()
   in
-  dfs (Explorer.initial cfg);
+  let stats = Explorer.explore ~max_states ~on_terminal (config ~scripts) in
   {
-    ok = !failure = None && not !truncated;
-    states = Hashtbl.length seen;
+    ok = !failure = None && Explorer.wait_free stats;
+    states = stats.Explorer.states;
     terminals = !terminals;
     failure = !failure;
   }

@@ -17,7 +17,8 @@ type verification = {
 
 (** Explore every interleaving; the longest coherent view defines the
     linearization, and every process's replay-derived responses must
-    match it. *)
+    match it.  [ok] also requires the exploration to be wait-free: a
+    cyclic, stuck or [max_states]-capped search is never [ok]. *)
 val verify :
   ?max_states:int -> target:Object_spec.t -> scripts:Op.t list array -> unit ->
   verification

@@ -294,38 +294,21 @@ let check_terminal node =
       end
 
 let verify ?(max_states = 5_000_000) ~scripts () =
-  let cfg = config ~scripts in
-  let seen : (Value.t, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let on_stack : (Value.t, unit) Hashtbl.t = Hashtbl.create 1024 in
   let terminals = ref 0 in
   let failure = ref None in
-  let cyclic = ref false in
-  let truncated = ref false in
-  let rec dfs node =
-    let k = Explorer.key node in
-    if Hashtbl.mem on_stack k then cyclic := true
-    else if not (Hashtbl.mem seen k) then begin
-      if Hashtbl.length seen >= max_states then truncated := true
-      else begin
-        Hashtbl.replace seen k ();
-        Hashtbl.replace on_stack k ();
-        if Explorer.is_terminal node then begin
-          incr terminals;
-          match check_terminal node with
-          | Some e -> if !failure = None then failure := Some e
-          | None -> ()
-        end
-        else List.iter (fun (_, succ) -> dfs succ) (Explorer.successors cfg node);
-        Hashtbl.remove on_stack k
-      end
-    end
+  let on_terminal node =
+    incr terminals;
+    match check_terminal node with
+    | Some e -> if !failure = None then failure := Some e
+    | None -> ()
   in
-  dfs (Explorer.initial cfg);
+  let stats = Explorer.explore ~max_states ~on_terminal (config ~scripts) in
+  let wait_free = Explorer.wait_free stats in
   {
-    ok = !failure = None && (not !cyclic) && not !truncated;
-    states = Hashtbl.length seen;
+    ok = !failure = None && wait_free;
+    states = stats.Explorer.states;
     terminals = !terminals;
-    wait_free = (not !cyclic) && not !truncated;
+    wait_free;
     failure = !failure;
   }
 

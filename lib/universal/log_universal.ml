@@ -81,10 +81,10 @@ type verification = {
   failure : string option;
 }
 
-(* Verification telemetry: states flushed live in batches of 1024 (plus
-   the remainder at the end), mirroring the explorer, so `wfs top` sees
-   a long-running verify move; [log_length] is the operational signal
-   of the log-based construction — the replay cost of the next op. *)
+(* Verification telemetry: the explorer feeds [explorer.states] live;
+   [states] here gets each run's total at the end, for `wfs top`'s
+   log-univ line; [log_length] is the operational signal of the
+   log-based construction — the replay cost of the next op. *)
 module M = struct
   open Wfs_obs.Metrics
 
@@ -97,13 +97,8 @@ end
 let verify ?(max_states = 2_000_000) ~target ~scripts () =
   let cfg = config ~target ~scripts in
   let n = Array.length scripts in
-  let seen : (Value.t, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let on_stack : (Value.t, unit) Hashtbl.t = Hashtbl.create 1024 in
   let terminals = ref 0 in
-  let states_flushed = ref 0 in
   let failure = ref None in
-  let cyclic = ref false in
-  let truncated = ref false in
   let check_terminal (node : Explorer.node) =
     incr terminals;
     let final_log = Value.as_list (Env.get node.Explorer.env_state cfg.Explorer.env log_name) in
@@ -127,37 +122,17 @@ let verify ?(max_states = 2_000_000) ~target ~scripts () =
         | None -> failure := Some (Fmt.str "P%d undecided at terminal" pid))
       node.Explorer.decided
   in
-  let rec dfs node =
-    let k = Explorer.key node in
-    if Hashtbl.mem on_stack k then cyclic := true
-    else if not (Hashtbl.mem seen k) then begin
-      if Hashtbl.length seen >= max_states then truncated := true
-      else begin
-        Hashtbl.replace seen k ();
-        if Hashtbl.length seen land 1023 = 0 then begin
-          Wfs_obs.Metrics.Counter.add M.states 1024;
-          states_flushed := !states_flushed + 1024;
-          Wfs_sim.Pool.note_states 1024
-        end;
-        Hashtbl.replace on_stack k ();
-        if Explorer.is_terminal node then check_terminal node
-        else
-          List.iter (fun (_, succ) -> dfs succ) (Explorer.successors cfg node);
-        Hashtbl.remove on_stack k
-      end
-    end
-  in
-  dfs (Explorer.initial cfg);
-  let states = Hashtbl.length seen in
+  let stats = Explorer.explore ~max_states ~on_terminal:check_terminal cfg in
+  let states = stats.Explorer.states in
   Wfs_obs.Metrics.Counter.incr M.verify_runs;
-  Wfs_obs.Metrics.Counter.add M.states (states - !states_flushed);
-  Wfs_sim.Pool.note_states (states - !states_flushed);
+  Wfs_obs.Metrics.Counter.add M.states states;
   Wfs_obs.Metrics.Counter.add M.terminals !terminals;
+  let wait_free = Explorer.wait_free stats in
   {
-    ok = !failure = None && (not !cyclic) && not !truncated;
+    ok = !failure = None && wait_free;
     states;
     terminals = !terminals;
-    wait_free = (not !cyclic) && not !truncated;
+    wait_free;
     failure = !failure;
   }
 

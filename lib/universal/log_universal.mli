@@ -29,7 +29,9 @@ type verification = {
 
 (** Exhaustively check, over every interleaving, that every process's
     responses match the final log's dictation — linearizability with the
-    fetch-and-cons order as linearization order. *)
+    fetch-and-cons order as linearization order.  [ok] also requires
+    [wait_free]: a cyclic, stuck or [max_states]-capped search is never
+    [ok]. *)
 val verify :
   ?max_states:int -> target:Object_spec.t -> scripts:Op.t list array -> unit ->
   verification

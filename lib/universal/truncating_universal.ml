@@ -123,12 +123,8 @@ type verification = {
 let verify ?(max_states = 2_000_000) ~target ~scripts () =
   let cfg = config ~target ~scripts in
   let n = Array.length scripts in
-  let seen : (Value.t, unit) Hashtbl.t = Hashtbl.create 4096 in
-  let on_stack : (Value.t, unit) Hashtbl.t = Hashtbl.create 1024 in
   let terminals = ref 0 in
   let failure = ref None in
-  let cyclic = ref false in
-  let truncated_search = ref false in
   let max_replay = ref 0 in
   let max_visible_ops = ref 0 in
   let check_terminal (node : Explorer.node) =
@@ -180,27 +176,13 @@ let verify ?(max_states = 2_000_000) ~target ~scripts () =
         | None -> failure := Some (Fmt.str "P%d undecided at terminal" pid))
       node.Explorer.decided
   in
-  let rec dfs node =
-    let k = Explorer.key node in
-    if Hashtbl.mem on_stack k then cyclic := true
-    else if not (Hashtbl.mem seen k) then begin
-      if Hashtbl.length seen >= max_states then truncated_search := true
-      else begin
-        Hashtbl.replace seen k ();
-        Hashtbl.replace on_stack k ();
-        if Explorer.is_terminal node then check_terminal node
-        else
-          List.iter (fun (_, succ) -> dfs succ) (Explorer.successors cfg node);
-        Hashtbl.remove on_stack k
-      end
-    end
-  in
-  dfs (Explorer.initial cfg);
+  let stats = Explorer.explore ~max_states ~on_terminal:check_terminal cfg in
+  let wait_free = Explorer.wait_free stats in
   {
-    ok = !failure = None && (not !cyclic) && not !truncated_search;
-    states = Hashtbl.length seen;
+    ok = !failure = None && wait_free;
+    states = stats.Explorer.states;
     terminals = !terminals;
-    wait_free = (not !cyclic) && not !truncated_search;
+    wait_free;
     max_replay = !max_replay;
     max_visible_ops = !max_visible_ops;
     failure = !failure;

@@ -310,6 +310,37 @@ let test_sampler_hook_pairs () =
     | (_, _, cur) :: _, Some latest -> cur == latest
     | _ -> false)
 
+(* [stop] cuts the sampler's wait short: with a 60 s interval it still
+   returns at once, and the hook still gets the final sample.  The
+   25 ms bound fails a sampler that only polls its stop flag between
+   50 ms sleeps; taking the fastest of three cycles keeps one slow host
+   moment from failing it. *)
+let test_sampler_stop_prompt () =
+  let cycle () =
+    let r = Metrics.create () in
+    let c = Metrics.Counter.make ~registry:r "ticks" in
+    let finals = ref [] in
+    let hook ~final ~prev:_ ~cur = if final then finals := cur :: !finals in
+    let s = Sampler.start ~registry:r ~interval_ms:60_000 ~on_sample:hook () in
+    Metrics.Counter.add c 7;
+    (* let the sampler domain settle into its wait *)
+    Unix.sleepf 0.01;
+    let t0 = Unix.gettimeofday () in
+    Sampler.stop s;
+    let took = Unix.gettimeofday () -. t0 in
+    (match !finals with
+    | [ cur ] ->
+        Alcotest.(check bool) "final sample carries the end value" true
+          (List.assoc_opt "ticks" cur.Sampler.values
+          = Some (Metrics.D_counter 7))
+    | l -> Alcotest.failf "expected one final sample, got %d" (List.length l));
+    took
+  in
+  let fastest = List.fold_left min infinity (List.init 3 (fun _ -> cycle ())) in
+  Alcotest.(check bool)
+    (Printf.sprintf "stop returned promptly (fastest %.4fs)" fastest)
+    true (fastest < 0.025)
+
 let test_sampler_port_range () =
   let r = Metrics.create () in
   List.iter
@@ -537,6 +568,8 @@ let suite =
           `Quick test_sampler_ring_and_file_sink;
         Alcotest.test_case "hook: consecutive pairs, one final call" `Quick
           test_sampler_hook_pairs;
+        Alcotest.test_case "stop cuts a long interval short" `Quick
+          test_sampler_stop_prompt;
         Alcotest.test_case "heartbeat line from a solver-only registry"
           `Quick test_heartbeat_solver_registry;
         Alcotest.test_case "heartbeat final count is exact" `Quick

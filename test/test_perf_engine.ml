@@ -89,6 +89,45 @@ let test_explorer_differential () =
     (fun (name, (p : Protocol.t)) -> check_against_oracle name p.Protocol.config)
     (registry_protocols ())
 
+(* --- the on_terminal hook ---
+
+   Once per distinct terminal state, on either engine: the sequential
+   run and a 2-domain pool must report the same set of keys, each
+   once, and only terminal nodes. *)
+
+let test_on_terminal_hook () =
+  let collect ?pool config =
+    let m = Mutex.create () in
+    let keys = ref [] and non_terminal = ref 0 in
+    let on_terminal node =
+      Mutex.protect m (fun () ->
+          keys := Explorer.key node :: !keys;
+          if not (Explorer.is_terminal node) then incr non_terminal)
+    in
+    ignore (Explorer.explore ?pool ~on_terminal config);
+    (List.sort Value.compare !keys, !non_terminal)
+  in
+  Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (e : Registry.entry) ->
+          Option.iter
+            (fun (p : Protocol.t) ->
+              let name = e.Registry.key ^ " n=2" in
+              let config = p.Protocol.config in
+              let seq, seq_bad = collect config in
+              let par, par_bad = collect ~pool config in
+              Alcotest.(check bool)
+                (name ^ ": some terminal") true (seq <> []);
+              Alcotest.(check int)
+                (name ^ ": no duplicates")
+                (List.length seq)
+                (List.length (List.sort_uniq Value.compare seq));
+              Alcotest.(check (list value)) (name ^ ": j=1 = j=2") seq par;
+              Alcotest.(check int) (name ^ ": j=1 all terminal") 0 seq_bad;
+              Alcotest.(check int) (name ^ ": j=2 all terminal") 0 par_bad)
+            (e.Registry.build ~n:2))
+        Registry.entries)
+
 (* --- symmetry quotient vs full graph ---
 
    Only legal for identical pid-independent programs; verdicts must
@@ -373,6 +412,8 @@ let suite =
           test_explorer_differential;
         Alcotest.test_case "explorer: oracle = engine off the registry" `Quick
           test_explorer_differential_handmade;
+        Alcotest.test_case "on_terminal: once per terminal, any -j" `Quick
+          test_on_terminal_hook;
         Alcotest.test_case "symmetry quotient agrees" `Quick test_symmetry;
         Alcotest.test_case "symmetry quotient under crash faults" `Quick
           test_symmetry_with_crashes;

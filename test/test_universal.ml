@@ -405,6 +405,45 @@ let test_composed_run_linearizes () =
         (Wfs_history.Sequential_consistency.is_sequentially_consistent spec h))
     [ 3; 14; 15 ]
 
+(* --- capped checks are inconclusive ---
+
+   A search cut short by its state budget has not seen every terminal,
+   so none of the four verifiers may report success. *)
+
+let test_capped_checks_inconclusive () =
+  let scripts =
+    [|
+      [ Queues.enq (Value.int 1); Queues.deq ];
+      [ Queues.enq (Value.int 2); Queues.deq ];
+    |]
+  in
+  let capped name ~ok ~wait_free ~states ~cap =
+    Alcotest.(check bool) (name ^ ": not ok") false ok;
+    Option.iter
+      (fun wf -> Alcotest.(check bool) (name ^ ": not wait-free") false wf)
+      wait_free;
+    Alcotest.(check bool)
+      (Fmt.str "%s: %d states within the cap %d" name states cap)
+      true (states <= cap)
+  in
+  let l = Log_universal.verify ~max_states:10 ~target:(queue ()) ~scripts () in
+  capped "log" ~ok:l.Log_universal.ok
+    ~wait_free:(Some l.Log_universal.wait_free) ~states:l.Log_universal.states
+    ~cap:10;
+  let t =
+    Truncating_universal.verify ~max_states:10 ~target:(queue ()) ~scripts ()
+  in
+  capped "truncating" ~ok:t.Truncating_universal.ok
+    ~wait_free:(Some t.Truncating_universal.wait_free)
+    ~states:t.Truncating_universal.states ~cap:10;
+  let f = Consensus_fac.verify ~max_states:100 ~scripts () in
+  capped "fac" ~ok:f.Consensus_fac.ok
+    ~wait_free:(Some f.Consensus_fac.wait_free) ~states:f.Consensus_fac.states
+    ~cap:100;
+  let c = Composed.verify ~max_states:100 ~target:(queue ()) ~scripts () in
+  capped "composed" ~ok:c.Composed.ok ~wait_free:None
+    ~states:c.Composed.states ~cap:100
+
 let composed_suite =
   ( "universal.composed-thm26",
     [
@@ -414,6 +453,8 @@ let composed_suite =
         test_composed_queue_multi_op;
       Alcotest.test_case "seeded runs linearize" `Quick
         test_composed_run_linearizes;
+      Alcotest.test_case "capped checks are inconclusive" `Quick
+        test_capped_checks_inconclusive;
     ] )
 
 let suite = suite @ [ composed_suite ]
