@@ -11,9 +11,10 @@
      universal   run a universal-construction object exhaustively
      critical    find a critical (bivalent) state of a protocol
      load        closed-loop load generator for the universal object
-                 service, checked differentially or, with --halts k,
-                 as a crash run (halt k clients, survivors must
-                 complete, recorded history must linearize); watch it
+                 service, checked against the construction's own
+                 linearization witness; with --halts k a crash run
+                 (halt k clients, survivors must complete, the halted
+                 clients' operations checked as pending); watch it
                  live with --metrics-port and wfs top
      randomized  check the randomized register-consensus extension
      stats       run a fixed workload and dump the metrics snapshot
@@ -686,9 +687,8 @@ let load_cmd =
       & info [ "halts" ]
           ~doc:
             "Clients to halt mid-operation (client k inside its (k+1)-th \
-             operation, so --ops must be at least this); crash runs \
-             record the history and check it for linearizability, so \
-             --ops must also stay small.")
+             operation, so --ops must be at least this); each halted \
+             client's in-flight operation is checked as pending.")
   in
   let run clients ops object_name window seed halts trace_sample help_canary
       obs =
@@ -751,10 +751,12 @@ let load_cmd =
        ~doc:
          "Closed-loop load generator for the universal object service: \
           drive one object from many client domains through the batched + \
-          truncating wait-free construction, then prove the run correct — \
-          differentially against the sequential specification (crash-free) \
-          or, with --halts, by checking that every halt landed, every \
-          survivor finished and the recorded history linearizes.  Reports \
+          truncating wait-free construction, then prove the run correct \
+          against the linearization order the construction reports: \
+          positions distinct and gap-free (halted clients' pending \
+          operations may fill gaps), real-time order respected, and a \
+          sequential replay reproducing every result; with --halts, also \
+          that every halt landed and every survivor finished.  Reports \
           throughput, latency quantiles and truncation telemetry; watch it \
           live with --metrics-port and wfs top.")
     Term.(

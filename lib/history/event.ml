@@ -21,25 +21,10 @@ let respond ~pid ~obj res = Respond { pid; obj; res }
    operation whose response was never recorded. *)
 let crashed_res = Value.pair (Value.str "\xe2\x80\xa0") (Value.str "crashed")
 
-let is_crashed = function
-  | Respond { res; _ } -> Value.equal res crashed_res
-  | Invoke _ -> false
-
 let pid = function Invoke { pid; _ } | Respond { pid; _ } -> pid
 let obj = function Invoke { obj; _ } | Respond { obj; _ } -> obj
-let is_invoke = function Invoke _ -> true | Respond _ -> false
-
-let equal a b =
-  match (a, b) with
-  | Invoke a, Invoke b ->
-      a.pid = b.pid && String.equal a.obj b.obj && Op.equal a.op b.op
-  | Respond a, Respond b ->
-      a.pid = b.pid && String.equal a.obj b.obj && Value.equal a.res b.res
-  | Invoke _, Respond _ | Respond _, Invoke _ -> false
 
 let pp ppf = function
   | Invoke { pid; obj; op } -> Fmt.pf ppf "P%d INVOKE %s.%a" pid obj Op.pp op
   | Respond { pid; obj; res } ->
       Fmt.pf ppf "P%d RESPOND %s -> %a" pid obj Value.pp res
-
-let show e = Fmt.str "%a" pp e

@@ -18,12 +18,6 @@ val respond : pid:int -> obj:string -> Value.t -> t
     the §2 semantics of an operation with no response. *)
 val crashed_res : Value.t
 
-(** [is_crashed e] is true iff [e] is a RESPOND carrying
-    {!crashed_res}. *)
-val is_crashed : t -> bool
 val pid : t -> int
 val obj : t -> string
-val is_invoke : t -> bool
-val equal : t -> t -> bool
 val pp : t Fmt.t
-val show : t -> string

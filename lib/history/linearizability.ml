@@ -80,19 +80,83 @@ let check_object (spec : Object_spec.t) (h : History.t) : verdict =
 
 (* Check a multi-object history against an environment of specifications,
    object by object (locality). *)
-let check (env : (string * Object_spec.t) list) (h : History.t) : verdict =
-  if not (History.well_formed h) then { linearizable = false; witness = None }
-  else
-    let verdicts =
-      List.map
-        (fun obj ->
-          match List.assoc_opt obj env with
-          | Some spec -> check_object spec (History.project_obj obj h)
-          | None -> invalid_arg (Fmt.str "Linearizability.check: no spec for %S" obj))
-        (History.objects h)
-    in
-    if List.for_all (fun v -> v.linearizable) verdicts then
-      { linearizable = true; witness = None }
-    else { linearizable = false; witness = None }
+let is_linearizable (env : (string * Object_spec.t) list) (h : History.t) =
+  History.well_formed h
+  && List.for_all
+       (fun obj ->
+         match List.assoc_opt obj env with
+         | Some spec -> (check_object spec (History.project_obj obj h)).linearizable
+         | None ->
+             invalid_arg (Fmt.str "Linearizability.is_linearizable: no spec for %S" obj))
+       (History.objects h)
 
-let is_linearizable env h = (check env h).linearizable
+(* The construction's own witness (§2.3).  A construction that threads
+   every invocation at one log position reports its linearization order
+   with each result, so checking a run is a replay in position order, not
+   a search over orders.  Completed operations carry their positions; a
+   pending operation (a halted client's in-flight invocation) carries
+   none, and the only search left is which pending operation fills each
+   gap its effect left in the log — over the pending operations alone,
+   memoized on (specification state, placed set) as above.
+
+   Real time is one backward scan: an operation at position p, placed
+   or filling a gap, must have been invoked no later than the earliest
+   response among the operations placed after p. *)
+let check_witness (spec : Object_spec.t) ~length
+    (ops : (History.operation * int option) array) =
+  let at = Array.make (max length 0) (-1) (* operation index per position *)
+  and pending = ref []
+  and ok = ref (length >= 0) in
+  Array.iteri
+    (fun i ((o : History.operation), pos) ->
+      match pos with
+      | Some p when p >= 0 && p < length && at.(p) < 0 -> at.(p) <- i
+      | None when History.is_pending o -> pending := o :: !pending
+      | Some _ | None -> ok := false)
+    ops;
+  let gaps = Array.fold_left (fun n i -> if i < 0 then n + 1 else n) 0 at in
+  let bound = Array.make gaps max_int (* latest invocation per gap *)
+  and earliest = ref max_int
+  and k = ref gaps in
+  for p = length - 1 downto 0 do
+    if at.(p) < 0 then begin
+      decr k;
+      bound.(!k) <- !earliest
+    end
+    else begin
+      let o = fst ops.(at.(p)) in
+      if o.History.invoke_at > !earliest then ok := false;
+      earliest := min !earliest o.History.respond_at
+    end
+  done;
+  let pending = Array.of_list !pending in
+  let used = Bytes.make (Array.length pending) '0' in
+  let failed = Hashtbl.create 16 in
+  (* replay from position [p] in [state], [k] gaps filled so far *)
+  let rec replay p k state =
+    if p = length then true
+    else if at.(p) < 0 then fill p k state
+    else
+      let o = fst ops.(at.(p)) in
+      let state', res = Object_spec.apply spec state o.History.op in
+      Option.fold ~none:true ~some:(Value.equal res) o.History.res
+      && replay (p + 1) k state'
+  and fill p k state =
+    let key = (state, Bytes.to_string used) in
+    let rec try_from j =
+      j < Array.length pending
+      && ((Bytes.get used j = '0'
+          && pending.(j).History.invoke_at <= bound.(k)
+          && begin
+               Bytes.set used j '1';
+               let state', _ = Object_spec.apply spec state pending.(j).op in
+               let filled = replay (p + 1) (k + 1) state' in
+               Bytes.set used j '0';
+               filled
+             end)
+         || try_from (j + 1))
+    in
+    (not (Hashtbl.mem failed key))
+    && (try_from 0 || (Hashtbl.replace failed key (); false))
+  in
+  !ok && replay 0 0 spec.Object_spec.init

@@ -181,9 +181,9 @@ let listen_on port =
 (* --- heartbeat ---
 
    The `--progress` line, built from two snapshots alone: every engine
-   feeds [explorer.states] (the solver adds its schedule nodes), so the
-   line is right for any of them, and the post-run snapshot makes the
-   final count exact. *)
+   feeds [explorer.states] (the solver adds its schedule nodes) and the
+   load harness feeds [service.ops], so the line is right for any of
+   them, and the post-run snapshot makes the final count exact. *)
 
 let int_value snap name =
   match List.assoc_opt name snap.values with
@@ -191,7 +191,8 @@ let int_value snap name =
   | _ -> 0
 
 type beat = {
-  states : int;
+  what : string;  (* "states", or "ops" once [service.ops] moved *)
+  count : int;
   rate : float;
   frontier : int;
   pruned : int;
@@ -199,18 +200,21 @@ type beat = {
 }
 
 let beat ~t0_ns ~final ~prev ~cur =
-  let states = int_value cur "explorer.states" in
+  let what, counter =
+    if int_value cur "service.ops" > 0 then ("ops", "service.ops")
+    else ("states", "explorer.states")
+  in
+  let count = int_value cur counter in
   let secs ns = float_of_int ns /. 1e9 in
   let elapsed = secs (cur.at_ns - t0_ns) in
   (* per-interval rate while running; the whole run's on the final line *)
   let num, dt =
-    if final then (states, elapsed)
-    else
-      ( states - int_value prev "explorer.states",
-        secs (cur.at_ns - prev.at_ns) )
+    if final then (count, elapsed)
+    else (count - int_value prev counter, secs (cur.at_ns - prev.at_ns))
   in
   {
-    states;
+    what;
+    count;
     rate = (if dt > 0. then float_of_int num /. dt else 0.);
     frontier = int_value cur "explorer.frontier";
     pruned =
@@ -219,9 +223,10 @@ let beat ~t0_ns ~final ~prev ~cur =
   }
 
 let line ~label ~crashes ~final b =
-  Printf.sprintf "[wfs %s] states=%d %s states/s%s%s elapsed=%.1fs%s%s" label
-    b.states (Units.si b.rate)
-    (if final then "" else Printf.sprintf " frontier=%d" b.frontier)
+  Printf.sprintf "[wfs %s] %s=%d %s %s/s%s%s elapsed=%.1fs%s%s" label b.what
+    b.count (Units.si b.rate) b.what
+    (if final || b.what = "ops" then ""
+     else Printf.sprintf " frontier=%d" b.frontier)
     (if b.pruned > 0 then Printf.sprintf " pruned=%d" b.pruned else "")
     b.elapsed
     (if crashes > 0 then Printf.sprintf " crashes<=%d" crashes else "")
@@ -235,8 +240,8 @@ let progress ~label ~crashes () =
   fun ~final ~prev ~cur ->
     let b = beat ~t0_ns ~final ~prev ~cur in
     prerr_endline (line ~label ~crashes ~final b);
-    Profile.counter "progress.states" [ ("states", float_of_int b.states) ];
-    Profile.counter "progress.rate" [ ("states_per_s", b.rate) ];
+    Profile.counter ("progress." ^ b.what) [ (b.what, float_of_int b.count) ];
+    Profile.counter "progress.rate" [ (b.what ^ "_per_s", b.rate) ];
     if b.pruned > 0 then
       Profile.counter "progress.pruned" [ ("edges", float_of_int b.pruned) ]
 

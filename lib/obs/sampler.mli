@@ -59,11 +59,13 @@ val stop : t -> unit
     {v [wfs census] states=1503232 180k states/s frontier=0 pruned=2163957 elapsed=8.0s v}
 
     [states] is [explorer.states] in [cur] (fed by the explorer and the
-    solver, so exact in the post-run snapshot); the rate is per
-    interval ([prev] to [cur]), or over the whole run since [t0_ns] on
-    the [final] line, which drops [frontier] and ends in [done];
-    [pruned] sums [explorer.por.pruned] and [solver.cutoff.sleep] and
-    shows when non-zero; [crashes<=k] shows when [crashes > 0]. *)
+    solver, so exact in the post-run snapshot); once the load harness
+    has fed [service.ops] the line counts those instead, as
+    [ops=N ... ops/s], without [frontier].  The rate is per interval
+    ([prev] to [cur]), or over the whole run since [t0_ns] on the
+    [final] line, which drops [frontier] and ends in [done]; [pruned]
+    sums [explorer.por.pruned] and [solver.cutoff.sleep] and shows when
+    non-zero; [crashes<=k] shows when [crashes > 0]. *)
 val heartbeat :
   label:string ->
   crashes:int ->
@@ -75,8 +77,9 @@ val heartbeat :
 
 (** [progress ~label ~crashes ()] is the [--progress] hook: it prints
     {!heartbeat} to stderr, timing from its own creation, and when
-    {!Profile} is recording writes the [progress.states],
-    [progress.rate] and [progress.pruned] counter tracks. *)
+    {!Profile} is recording writes the [progress.states] (under load
+    [progress.ops]), [progress.rate] and [progress.pruned] counter
+    tracks. *)
 val progress : label:string -> crashes:int -> unit -> hook
 
 (** {1 HTTP response framing} — pure, exposed for the unit tests. *)

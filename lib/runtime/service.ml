@@ -12,20 +12,17 @@
 
    The load harness drives a service object from many client domains in
    a closed loop (each client issues its next operation as soon as the
-   previous one returns) and then *proves* the run linearizable:
-
-   - crash-free runs use the differential check — every operation's
-     linearization position is returned by the construction itself
-     ([apply_pos]), so sorting the (op, result, position) triples by
-     position and replaying them through the sequential [apply] must
-     reproduce every result, and the positions must be exactly
-     0..total-1;
-
-   - crash runs (halt k of n mid-operation) keep the workload within
-     the exhaustive checker's capacity and verify the recorded history
-     — crashed operations left pending — with
-     [Wfs_history.Linearizability]; every requested halt must land and
-     every surviving client must finish its workload. *)
+   previous one returns) and then *proves* the run linearizable.  Every
+   operation's linearization position is returned by the construction
+   itself ([apply_pos]), so the run carries its own witness: the
+   recorded (op, result, position, invoke/response time) history is
+   checked with [Wfs_history.Linearizability.check_witness] — positions
+   exactly 0..length-1, real-time order respected, and a replay through
+   the sequential [apply] reproducing every result.  Crash runs (halt k
+   of n mid-operation) leave each halted client's in-flight operation
+   pending, to fill the log position its effect took; every requested
+   halt must land and every surviving client must finish its
+   workload. *)
 
 open Wfs_spec
 
@@ -44,7 +41,6 @@ type handle = {
   retained : unit -> int;
   watermark : unit -> int;
   tickets : unit -> int;
-  obj_window : int;
 }
 
 let seq_of_spec (spec : Object_spec.t) =
@@ -72,7 +68,6 @@ let make_handle ?window ?canary ~n spec =
     retained = (fun () -> U.retained t);
     watermark = (fun () -> U.watermark t);
     tickets = (fun () -> U.tickets_issued t);
-    obj_window = U.window t;
   }
 
 let default_specs () =
@@ -111,8 +106,7 @@ module Load = struct
     halted : int list;
     pending_ops : int;  (* operations the halted clients left pending *)
     survivors_completed : bool;
-    differential_ok : bool option;  (* crash-free runs *)
-    linearizable : bool option;  (* crash runs *)
+    differential_ok : bool;  (* the run replays in its witness order *)
   }
 
   let quantile sorted q =
@@ -124,168 +118,128 @@ module Load = struct
      into its local high-water mark. *)
   let retained_sample_period = 128
 
-  let run_crash_free ~seed ~window ?canary ~clients ~ops_per_client ~spec () =
-    let h = make_handle ~window ?canary ~n:clients spec in
-    let next_op = Array.init clients (fun pid -> op_stream ~seed ~pid spec.Object_spec.menu) in
-    let client pid =
-      let ops = Array.make ops_per_client (Op.nullary "nop") in
-      let results = Array.make ops_per_client Value.unit in
-      let poss = Array.make ops_per_client (-1) in
-      let lats = Array.make ops_per_client 0 in
-      let max_retained = ref 0 in
-      for i = 0 to ops_per_client - 1 do
-        let op = next_op.(pid) () in
-        let t0 = Wfs_obs.Clock.mono_ns () in
-        let res, pos = h.apply_pos ~pid op in
-        let t1 = Wfs_obs.Clock.mono_ns () in
-        ops.(i) <- op;
-        results.(i) <- res;
-        poss.(i) <- pos;
-        lats.(i) <- t1 - t0;
-        if Wfs_obs.Metrics.hot () then begin
-          Wfs_obs.Metrics.Counter.incr M.ops;
-          Wfs_obs.Metrics.Histogram.observe M.latency_ns (t1 - t0)
-        end;
-        if i mod retained_sample_period = 0 then begin
-          let r = h.retained () in
-          if r > !max_retained then max_retained := r
-        end
-      done;
-      (ops, results, poss, lats, !max_retained)
-    in
-    let t0 = Wfs_obs.Clock.mono_ns () in
-    let per_client = Primitives.run_domains clients client in
-    let duration_ns = Wfs_obs.Clock.mono_ns () - t0 in
-    let total = clients * ops_per_client in
-    (* differential check: replay in linearization order *)
-    let seq = Array.make total None in
-    let positions_ok = ref true in
-    List.iter
-      (fun (ops, results, poss, _, _) ->
-        Array.iteri
-          (fun i op ->
-            let p = poss.(i) in
-            if p < 0 || p >= total || seq.(p) <> None then
-              positions_ok := false
-            else seq.(p) <- Some (op, results.(i)))
-          ops)
-      per_client;
-    let differential_ok =
-      !positions_ok
-      && begin
-           let state = ref spec.Object_spec.init and ok = ref true in
-           Array.iter
-             (function
-               | None -> ok := false
-               | Some (op, recorded) ->
-                   let state', expected = Object_spec.apply spec !state op in
-                   state := state';
-                   if not (Value.equal recorded expected) then ok := false)
-             seq;
-           !ok
-         end
-    in
-    let lats =
-      Array.concat (List.map (fun (_, _, _, l, _) -> l) per_client)
-    in
-    Array.sort compare lats;
-    let max_retained =
-      List.fold_left (fun acc (_, _, _, _, r) -> max acc r) 0 per_client
-    in
-    {
-      spec_name = spec.Object_spec.name;
-      clients;
-      ops_per_client;
-      total_ops = total;
-      window;
-      duration_ns;
-      throughput =
-        (if duration_ns = 0 then 0.
-         else float_of_int total /. (float_of_int duration_ns *. 1e-9));
-      lat_p50_ns = quantile lats 0.50;
-      lat_p95_ns = quantile lats 0.95;
-      lat_p99_ns = quantile lats 0.99;
-      lat_max_ns = (if Array.length lats = 0 then 0 else lats.(Array.length lats - 1));
-      log_length = h.length ();
-      max_retained;
-      final_watermark = h.watermark ();
-      halts = 0;
-      halted = [];
-      pending_ops = 0;
-      survivors_completed = true;
-      differential_ok = Some differential_ok;
-      linearizable = None;
-    }
+  (* OCaml 5.1 runs at most 128 domains at once; the main domain, the
+     metrics sampler and its HTTP endpoint take three. *)
+  let max_clients = 125
 
-  (* Crash mode: halt [halts] of the clients mid-operation (after the
-     effect boundary — the hard case: a pending operation that DID
-     happen) and verify the recorded history exhaustively.  Client [k]
-     halts inside its (k+1)-th operation, so every halt lands only if
-     each client runs at least [halts] operations.  The workload must
-     fit the checker ([Linearizability.max_ops]). *)
-  let run_with_halts ~seed ~window ?canary ~clients ~ops_per_client ~spec ~halts () =
+  (* One client's run: operation [i] was invoked at [invoked.(i)] and,
+     for [i < completed], returned [results.(i)] at [responded.(i)] from
+     log position [positions.(i)].  A halted client's operation
+     [completed] is its pending one. *)
+  type client_log = {
+    ops : Op.t array;
+    results : Value.t array;
+    positions : int array;
+    invoked : int array;
+    responded : int array;
+    completed : int;
+    retained_max : int;
+  }
+
+  let run ?(seed = 1) ?(window = 32) ?(halts = 0) ?spec ?canary ~clients
+      ~ops_per_client () =
+    if clients <= 0 then invalid_arg "Load.run: clients";
+    if clients > max_clients then
+      invalid_arg
+        (Fmt.str
+           "Load.run: clients must be <= %d (OCaml runs at most 128 domains, \
+            three kept for the main program and telemetry)"
+           max_clients);
+    if ops_per_client < 0 then invalid_arg "Load.run: ops_per_client";
+    if halts < 0 then invalid_arg "Load.run: halts must be >= 0";
     if halts >= clients then invalid_arg "Load.run: halts must be < clients";
     if ops_per_client < halts then
       invalid_arg
         "Load.run: ops_per_client must be >= halts (client k halts inside \
          its (k+1)-th operation)";
-    if clients * ops_per_client > Wfs_history.Linearizability.max_ops then
-      invalid_arg
-        (Fmt.str
-           "Load.run: crash-mode workload %d exceeds checker capacity %d"
-           (clients * ops_per_client)
-           Wfs_history.Linearizability.max_ops);
+    (* default to the counter: its state is O(1), so million-op runs
+       measure the construction rather than the spec's list churn (the
+       queue's Value-list state makes enq-biased random streams
+       quadratic) *)
+    let spec = match spec with Some s -> s | None -> Collections.counter () in
     let h = make_handle ~window ?canary ~n:clients spec in
-    let obj = spec.Object_spec.name in
     let next_op = Array.init clients (fun pid -> op_stream ~seed ~pid spec.Object_spec.menu) in
+    (* client [k < halts] halts inside its (k+1)-th operation, after the
+       effect boundary — the hard case: a pending operation that DID
+       happen *)
     let inj =
-      Fault.create ~n:clients
-        (List.init halts (fun k ->
-             Fault.Halt { pid = k; boundary = (2 * k) + 1 }))
+      if halts = 0 then None
+      else
+        Some
+          (Fault.create ~n:clients
+             (List.init halts (fun k ->
+                  Fault.Halt { pid = k; boundary = (2 * k) + 1 })))
     in
-    let recorder =
-      Recorder.create ~capacity:(4 * clients * ops_per_client)
+    let apply_pos =
+      match inj with
+      | None -> h.apply_pos
+      | Some inj ->
+          fun ~pid op -> Fault.protect inj ~pid (fun () -> h.apply_pos ~pid op)
     in
     let client pid =
-      let completed = ref 0 and max_retained = ref 0 in
+      let ops = Array.make ops_per_client (Op.nullary "nop") in
+      let results = Array.make ops_per_client Value.unit in
+      let positions = Array.make ops_per_client (-1) in
+      let invoked = Array.make ops_per_client 0 in
+      let responded = Array.make ops_per_client 0 in
+      let completed = ref 0 and retained_max = ref 0 in
       (try
-         for _ = 1 to ops_per_client do
+         for i = 0 to ops_per_client - 1 do
            let op = next_op.(pid) () in
-           ignore
-             (Recorder.around recorder ~pid ~obj ~op ~encode_res:Fun.id
-                (fun () ->
-                  Fault.protect inj ~pid (fun () -> h.apply ~pid op)));
-           incr completed;
-           let r = h.retained () in
-           if r > !max_retained then max_retained := r
+           ops.(i) <- op;
+           let t0 = Wfs_obs.Clock.mono_ns () in
+           invoked.(i) <- t0;
+           let res, pos = apply_pos ~pid op in
+           let t1 = Wfs_obs.Clock.mono_ns () in
+           results.(i) <- res;
+           positions.(i) <- pos;
+           responded.(i) <- t1;
+           completed := i + 1;
+           (* batched like the explorer's live [explorer.states] flush *)
+           if !completed land 1023 = 0 then
+             Wfs_obs.Metrics.Counter.add M.ops 1024;
+           if Wfs_obs.Metrics.hot () then
+             Wfs_obs.Metrics.Histogram.observe M.latency_ns (t1 - t0);
+           if i mod retained_sample_period = 0 then begin
+             let r = h.retained () in
+             if r > !retained_max then retained_max := r
+           end
          done
        with Fault.Halted _ -> ());
-      (!completed, !max_retained)
+      Wfs_obs.Metrics.Counter.add M.ops (!completed land 1023);
+      { ops; results; positions; invoked; responded; completed = !completed;
+        retained_max = !retained_max }
     in
     let t0 = Wfs_obs.Clock.mono_ns () in
-    let per_client = Primitives.run_domains clients client in
+    let logs = Primitives.run_domains clients client in
     let duration_ns = Wfs_obs.Clock.mono_ns () - t0 in
-    let halted = Fault.halted inj in
-    let history = Recorder.history recorder in
-    let linearizable =
-      Wfs_history.History.well_formed history
-      && Wfs_history.Linearizability.is_linearizable [ (obj, spec) ] history
+    let halted = match inj with None -> [] | Some inj -> Fault.halted inj in
+    (* the witness: each completed operation at the position the
+       construction reported, a halted client's in-flight one pending *)
+    let history =
+      Array.concat
+        (List.mapi
+           (fun pid l ->
+             Array.init (min ops_per_client (l.completed + 1)) (fun i ->
+                 let completed = i < l.completed in
+                 ( { Wfs_history.History.pid; obj = spec.Object_spec.name;
+                     op = l.ops.(i); invoke_at = l.invoked.(i);
+                     res = (if completed then Some l.results.(i) else None);
+                     respond_at = (if completed then l.responded.(i) else max_int) },
+                   if completed then Some l.positions.(i) else None )))
+           logs)
     in
-    let total_ops =
-      List.fold_left (fun acc (c, _) -> acc + c) 0 per_client
+    let lats =
+      Array.of_seq
+        (Seq.filter_map
+           (fun ((o : Wfs_history.History.operation), pos) ->
+             Option.map (fun _ -> o.respond_at - o.invoke_at) pos)
+           (Array.to_seq history))
     in
-    let pending_ops =
-      List.length
-        (List.filter Wfs_history.History.is_pending
-           (Wfs_history.History.operations history))
-    in
-    let survivors_completed =
-      List.for_all2
-        (fun pid (c, _) -> List.mem pid halted || c = ops_per_client)
-        (List.init clients Fun.id) per_client
-    in
+    Array.sort compare lats;
+    let total_ops = Array.length lats and log_length = h.length () in
     {
-      spec_name = obj;
+      spec_name = spec.Object_spec.name;
       clients;
       ops_per_client;
       total_ops;
@@ -294,82 +248,55 @@ module Load = struct
       throughput =
         (if duration_ns = 0 then 0.
          else float_of_int total_ops /. (float_of_int duration_ns *. 1e-9));
-      lat_p50_ns = 0;
-      lat_p95_ns = 0;
-      lat_p99_ns = 0;
-      lat_max_ns = 0;
-      log_length = h.length ();
-      max_retained = List.fold_left (fun acc (_, r) -> max acc r) 0 per_client;
+      lat_p50_ns = quantile lats 0.50;
+      lat_p95_ns = quantile lats 0.95;
+      lat_p99_ns = quantile lats 0.99;
+      lat_max_ns = (if Array.length lats = 0 then 0 else lats.(Array.length lats - 1));
+      log_length;
+      max_retained = List.fold_left (fun acc l -> max acc l.retained_max) 0 logs;
       final_watermark = h.watermark ();
       halts;
       halted;
-      pending_ops;
-      survivors_completed;
-      differential_ok = None;
-      linearizable = Some linearizable;
+      pending_ops = Array.length history - total_ops;
+      survivors_completed =
+        List.for_all2
+          (fun pid l -> List.mem pid halted || l.completed = ops_per_client)
+          (List.init clients Fun.id) logs;
+      differential_ok =
+        Wfs_history.Linearizability.check_witness spec ~length:log_length
+          history;
     }
 
-  let run ?(seed = 1) ?(window = 32) ?(halts = 0) ?spec ?canary ~clients
-      ~ops_per_client () =
-    if clients <= 0 then invalid_arg "Load.run: clients";
-    if ops_per_client < 0 then invalid_arg "Load.run: ops_per_client";
-    if halts < 0 then invalid_arg "Load.run: halts must be >= 0";
-    (* default to the counter: its state is O(1), so million-op runs
-       measure the construction rather than the spec's list churn (the
-       queue's Value-list state makes enq-biased random streams
-       quadratic) *)
-    let spec = match spec with Some s -> s | None -> Collections.counter () in
-    if halts = 0 then
-      run_crash_free ~seed ~window ?canary ~clients ~ops_per_client ~spec ()
-    else
-      run_with_halts ~seed ~window ?canary ~clients ~ops_per_client ~spec
-        ~halts ()
-
-  (* The checks a run must pass: results replay sequentially (or the
-     recorded crash history linearizes, every requested halt landed and
-     every surviving client finished its workload), truncation keeps
-     the retained window bounded (the transient factor-2 covers an
-     in-flight snapshot fill; +1 for the snapshot node itself), and —
-     unless nothing ran — the watermark advanced off the origin. *)
+  (* The checks a run must pass: the run replays in the construction's
+     witness order, every requested halt landed and every surviving
+     client finished its workload, truncation keeps the retained window
+     bounded (the transient factor-2 covers an in-flight snapshot fill;
+     +1 for the snapshot node itself), and — unless nothing ran — the
+     watermark advanced off the origin. *)
   let passed r =
-    Option.value ~default:true r.differential_ok
-    && Option.value ~default:true r.linearizable
+    r.differential_ok
     && r.halted = List.init r.halts Fun.id
     && r.survivors_completed
     && r.max_retained <= (2 * r.window) + 1
     && (r.total_ops = 0 || r.final_watermark > 0)
 
-  let pp_latency ppf r =
-    (* crash runs time no operations *)
-    if r.halts > 0 then Fmt.string ppf "n/a"
-    else
-      Fmt.pf ppf "p50=%s p95=%s p99=%s max=%s"
-        (Wfs_obs.Units.ns r.lat_p50_ns)
-        (Wfs_obs.Units.ns r.lat_p95_ns)
-        (Wfs_obs.Units.ns r.lat_p99_ns)
-        (Wfs_obs.Units.ns r.lat_max_ns)
-
   let pp_report ppf r =
     Fmt.pf ppf
       "@[<v>object=%s clients=%d ops/client=%d total=%d window=%d@ \
        duration=%.3fs throughput=%s ops/s@ \
-       latency %a@ \
+       latency p50=%s p95=%s p99=%s max=%s@ \
        log length=%d retained<=%d watermark=%d@ \
        halts=%d halted=[%a] pending=%d survivors-completed=%b@ \
-       differential=%s linearizable=%s@]"
+       differential=%s@]"
       r.spec_name r.clients r.ops_per_client r.total_ops r.window
       (float_of_int r.duration_ns *. 1e-9)
       (Wfs_obs.Units.si r.throughput)
-      pp_latency r
+      (Wfs_obs.Units.ns r.lat_p50_ns)
+      (Wfs_obs.Units.ns r.lat_p95_ns)
+      (Wfs_obs.Units.ns r.lat_p99_ns)
+      (Wfs_obs.Units.ns r.lat_max_ns)
       r.log_length r.max_retained r.final_watermark r.halts
       Fmt.(list ~sep:(any "; ") int)
       r.halted r.pending_ops r.survivors_completed
-      (match r.differential_ok with
-      | None -> "n/a"
-      | Some true -> "ok"
-      | Some false -> "FAILED")
-      (match r.linearizable with
-      | None -> "n/a"
-      | Some true -> "ok"
-      | Some false -> "FAILED")
+      (if r.differential_ok then "ok" else "FAILED")
 end

@@ -1,10 +1,10 @@
 (** The universal object service: {!Wfs_spec.Object_spec} objects
     (queue, counter, map by default) served by the batched + truncating
     wait-free construction, with a closed-loop load harness — the
-    runtime's one service and crash harness — whose runs are checked:
-    differentially against the sequential specification when
-    crash-free, with the exhaustive linearizability checker when
-    crashes are injected. *)
+    runtime's one service and crash harness — whose runs, with or
+    without injected halts, are checked against the linearization order
+    the construction itself reports
+    ({!Wfs_history.Linearizability.check_witness}). *)
 
 open Wfs_spec
 
@@ -20,7 +20,6 @@ type handle = {
   retained : unit -> int;  (** log nodes reachable behind the frontier *)
   watermark : unit -> int;  (** §4.1 reclamation watermark *)
   tickets : unit -> int;
-  obj_window : int;
 }
 
 (** Lift one specification (processes [0..n-1]).  [canary] is forwarded
@@ -53,21 +52,23 @@ module Load : sig
     pending_ops : int;  (** operations the halted clients left pending *)
     survivors_completed : bool;
         (** every client that did not halt ran its full workload *)
-    differential_ok : bool option;  (** crash-free runs *)
-    linearizable : bool option;  (** crash runs *)
+    differential_ok : bool;
+        (** the recorded history passes
+            {!Wfs_history.Linearizability.check_witness} *)
   }
 
   (** [run ~clients ~ops_per_client ()] drives one object (default: the
-      counter) from [clients] closed-loop client domains.  With
-      [halts = 0] every operation's result and linearization position
-      are recorded and replayed against the sequential spec; with
+      counter) from [clients] closed-loop client domains, recording each
+      operation's result, linearization position and invoke/response
+      times, and checks the run against that witness order.  With
       [halts = k > 0] clients [0..k-1] halt mid-operation — client [i]
-      inside its (i+1)-th operation, after its effect — and the recorded
-      history is checked for linearizability instead (the workload must
-      fit {!Wfs_history.Linearizability.max_ops}).  Raises
-      [Invalid_argument] unless [clients > 0], [ops_per_client >= 0],
-      [0 <= halts < clients] and, when [halts > 0],
-      [ops_per_client >= halts] (so every halt lands).
+      inside its (i+1)-th operation, after its effect — and their
+      in-flight operations are checked as pending.  Raises
+      [Invalid_argument] unless [0 < clients <= 125] (OCaml's domain
+      limit, less the main program's and telemetry's domains),
+      [ops_per_client >= 0], [0 <= halts < clients] and
+      [ops_per_client >= halts] (so every halt lands); nothing is
+      spawned before these checks.
       Deterministic for a fixed [seed].  [canary] routes every
       [canary]-th announce ticket through the helped slow path while
       causal tracing is enabled (for recording help edges on machines
@@ -83,7 +84,7 @@ module Load : sig
     unit ->
     report
 
-  (** Differential / linearizability verdicts hold, every requested
+  (** The witness check holds, every requested
       halt landed ([halted = [0..halts-1]]), every survivor completed,
       the retained window stayed within its bound, and the watermark
       advanced. *)

@@ -395,6 +395,28 @@ let test_heartbeat_solver_registry () =
      elapsed=3.0s crashes<=1 done"
     final
 
+(* The load harness feeds [service.ops], not [explorer.states]: once
+   that counter moves the line counts operations. *)
+let test_heartbeat_service_ops () =
+  let r = Metrics.create () in
+  let ops = Metrics.Counter.make ~registry:r "service.ops" in
+  let snap at_ns = { Sampler.at_ns; values = Metrics.dump ~registry:r () } in
+  let prev = snap 1_000_000_000 in
+  Alcotest.(check string) "no ops yet: the engine line"
+    "[wfs load] states=0 0 states/s frontier=0 elapsed=1.0s"
+    (Sampler.heartbeat ~label:"load" ~crashes:0 ~t0_ns:0 ~final:false ~prev
+       ~cur:prev);
+  Metrics.Counter.add ops 40000;
+  let cur = snap 2_000_000_000 in
+  Alcotest.(check string) "running line: per-interval rate, no frontier"
+    "[wfs load] ops=40000 40.0k ops/s elapsed=2.0s"
+    (Sampler.heartbeat ~label:"load" ~crashes:0 ~t0_ns:0 ~final:false ~prev
+       ~cur);
+  Alcotest.(check string) "final line"
+    "[wfs load] ops=40000 20.0k ops/s elapsed=2.0s done"
+    (Sampler.heartbeat ~label:"load" ~crashes:0 ~t0_ns:0 ~final:true ~prev
+       ~cur)
+
 (* The final line reads the post-run snapshot, so a count that is not
    a multiple of any flush batch still comes out exact. *)
 let test_heartbeat_final_count_exact () =
@@ -574,6 +596,8 @@ let suite =
           `Quick test_heartbeat_solver_registry;
         Alcotest.test_case "heartbeat final count is exact" `Quick
           test_heartbeat_final_count_exact;
+        Alcotest.test_case "heartbeat counts service ops" `Quick
+          test_heartbeat_service_ops;
         Alcotest.test_case "HTTP response framing" `Quick
           test_http_response_framing;
         Alcotest.test_case "HTTP request termination" `Quick

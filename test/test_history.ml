@@ -353,3 +353,202 @@ let brute_suite =
    List.map QCheck_alcotest.to_alcotest [ prop_checker_matches_brute_force ])
 
 let suite = suite @ [ brute_suite ]
+
+(* --- the construction's own witness (Linearizability.check_witness) ---
+
+   Operations are built directly: [invoke_at]/[respond_at] are clock
+   readings, and each operation carries the log position its
+   construction reported ([None]: a pending one whose position went
+   unreported). *)
+
+let reg = List.assoc "r" reg_env
+
+let done_op ?(pid = 0) o res ~span:(i, r) =
+  { History.pid; obj = "r"; op = o; res = Some res; invoke_at = i; respond_at = r }
+
+let pending_op ?(pid = 0) o ~invoked =
+  { History.pid; obj = "r"; op = o; res = None; invoke_at = invoked;
+    respond_at = max_int }
+
+let witness ops = Linearizability.check_witness reg ~length:(List.length ops) (Array.of_list ops)
+let write v = Registers.write (Value.int v)
+
+(* A read invoked after a write responded, reporting a position before
+   it: the replay in position order reproduces every result (0, then
+   unit), so a positions-and-replay check alone accepts it — only the
+   real-time scan rejects it. *)
+let test_witness_stale_read () =
+  let w = done_op ~pid:1 (write 1) Value.unit ~span:(0, 1) in
+  let stale = done_op Registers.read (Value.int 0) ~span:(5, 6) in
+  Alcotest.(check bool) "stale read at an early position" false
+    (witness [ (w, Some 1); (stale, Some 0) ]);
+  Alcotest.(check bool) "Wing–Gong agrees" false
+    (Linearizability.is_linearizable reg_env
+       [ inv 1 "r" (write 1); rsp 1 "r" Value.unit;
+         inv 0 "r" Registers.read; rsp 0 "r" (Value.int 0) ]);
+  let fresh = done_op Registers.read (Value.int 1) ~span:(5, 6) in
+  Alcotest.(check bool) "the honest witness passes" true
+    (witness [ (w, Some 0); (fresh, Some 1) ]);
+  (* overlapping operations may take either order *)
+  let overlapping = done_op Registers.read (Value.int 0) ~span:(0, 6) in
+  Alcotest.(check bool) "an overlapping read may precede" true
+    (witness [ (w, Some 1); (overlapping, Some 0) ])
+
+let test_witness_positions () =
+  let w = done_op ~pid:1 (write 1) Value.unit ~span:(0, 1) in
+  let r = done_op Registers.read (Value.int 1) ~span:(2, 3) in
+  Alcotest.(check bool) "duplicate position" false
+    (witness [ (w, Some 0); (r, Some 0) ]);
+  Alcotest.(check bool) "position = length" false
+    (witness [ (w, Some 0); (r, Some 2) ]);
+  Alcotest.(check bool) "negative position" false
+    (witness [ (w, Some (-1)); (r, Some 1) ]);
+  Alcotest.(check bool) "completed op without a position" false
+    (witness [ (w, Some 0); (r, None) ])
+
+let test_witness_gaps () =
+  let w = done_op ~pid:1 (write 1) Value.unit ~span:(0, 1) in
+  let r v = done_op Registers.read (Value.int v) ~span:(4, 5) in
+  let gap ops =
+    Linearizability.check_witness reg ~length:3 (Array.of_list ops)
+  in
+  Alcotest.(check bool) "a gap no pending op fills" false
+    (gap [ (w, Some 0); (r 1, Some 2) ]);
+  let pending2 = pending_op ~pid:2 (write 2) ~invoked:2 in
+  Alcotest.(check bool) "a pending write fills the gap" true
+    (gap [ (w, Some 0); (pending2, None); (r 2, Some 2) ]);
+  (* the gap says the pending write took effect before the read: a read
+     still seeing 1 breaks under the only placement *)
+  Alcotest.(check bool) "the filler breaks a later result" false
+    (gap [ (w, Some 0); (pending2, None); (r 1, Some 2) ]);
+  Alcotest.(check bool) "Wing–Gong, free to drop it, accepts" true
+    (Linearizability.is_linearizable reg_env
+       [ inv 1 "r" (write 1); rsp 1 "r" Value.unit; inv 2 "r" (write 2);
+         inv 0 "r" Registers.read; rsp 0 "r" (Value.int 1) ]);
+  (* a pending op invoked after the later read responded cannot fill *)
+  let late = pending_op ~pid:2 (write 2) ~invoked:9 in
+  Alcotest.(check bool) "a filler invoked too late" false
+    (gap [ (w, Some 0); (late, None); (r 2, Some 2) ]);
+  (* extra pending operations are dropped *)
+  Alcotest.(check bool) "left-over pending ops are dropped" true
+    (gap
+       [ (w, Some 0); (pending2, None); (pending_op ~pid:3 (write 1) ~invoked:3, None);
+         (r 2, Some 2) ])
+
+(* Random concurrent executions of a queue over three processes: each
+   operation is invoked, takes effect at the next log position, then
+   responds, with the three phases of different processes interleaved
+   at random; operations still in flight at the end are pending (those
+   past their effect leave a gap).  The reported positions are either
+   the honest effect order or shuffled, and one response may report a
+   plausible wrong value. *)
+let gen_positioned =
+  let open QCheck2.Gen in
+  triple
+    (list_size (int_range 0 36) (pair (int_range 0 2) (int_range 0 3)))
+    bool
+    (pair (int_range 0 40) (int_range 0 3))
+
+let run_positioned (steps, shuffle, (seed, corrupt)) =
+  let spec = Queues.fifo ~name:"q" ~items:[ Value.int 1; Value.int 2 ] () in
+  let menu = Array.of_list spec.Object_spec.menu in
+  let state = ref spec.Object_spec.init and log = ref 0 and invoked = ref 0 in
+  (* per process: the op in flight, and its result/position once applied *)
+  let phase = Array.make 3 None in
+  let events = ref [] and positions = ref [] in
+  List.iter
+    (fun (pid, choice) ->
+      match phase.(pid) with
+      | None when !invoked < 12 ->
+          let op = menu.(choice mod Array.length menu) in
+          incr invoked;
+          phase.(pid) <- Some (op, None);
+          events := inv pid "q" op :: !events
+      | None -> ()
+      | Some (op, None) ->
+          let state', res = Object_spec.apply spec !state op in
+          state := state';
+          phase.(pid) <- Some (op, Some (res, !log));
+          positions := (pid, !log) :: !positions;
+          incr log
+      | Some (_, Some (res, _)) ->
+          phase.(pid) <- None;
+          events := rsp pid "q" res :: !events)
+    steps;
+  (* [corrupt = k > 0]: the k-th response reports a plausible wrong
+     value instead *)
+  let corrupted = ref false and responses = ref 0 in
+  let h =
+    List.map
+      (function
+        | Event.Respond { pid; obj; res } as e ->
+            incr responses;
+            if !responses <> corrupt then e
+            else
+              let alt =
+                [| Value.int 1; Value.int 2; Queues.empty_result |].(seed mod 3)
+              in
+              corrupted := not (Value.equal alt res);
+              Event.Respond { pid; obj; res = alt }
+        | e -> e)
+      (List.rev !events)
+  in
+  (* History.operations lists operations in invocation order, which per
+     process is effect order *)
+  let per_pid = Array.make 3 [] in
+  List.iter (fun (pid, p) -> per_pid.(pid) <- p :: per_pid.(pid)) !positions;
+  let honest =
+    Array.of_list
+      (List.map
+         (fun (o : History.operation) ->
+           match per_pid.(o.History.pid) with
+           | p :: rest ->
+               per_pid.(o.History.pid) <- rest;
+               (o, if History.is_pending o then None else Some p)
+           | [] -> (o, None))
+         (History.operations h))
+  in
+  let reported = Array.copy honest in
+  if shuffle then begin
+    let rng = Random.State.make [| seed |] in
+    let placed = Array.of_list (List.filter_map snd (Array.to_list honest)) in
+    for i = Array.length placed - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = placed.(i) in
+      placed.(i) <- placed.(j);
+      placed.(j) <- t
+    done;
+    let k = ref 0 in
+    Array.iteri
+      (fun i (o, pos) ->
+        if pos <> None then begin
+          reported.(i) <- (o, Some placed.(!k));
+          incr k
+        end)
+      honest
+  end;
+  (spec, h, honest, reported, !log, !corrupted)
+
+let prop_witness_sound =
+  QCheck2.Test.make
+    ~name:"witness accepts => Wing–Gong accepts; honest witness accepted"
+    ~count:500 gen_positioned (fun input ->
+      let spec, h, honest, reported, length, corrupted =
+        run_positioned input
+      in
+      (corrupted || Linearizability.check_witness spec ~length honest)
+      && ((not (Linearizability.check_witness spec ~length reported))
+         || (Linearizability.check_object spec h).linearizable))
+
+let witness_suite =
+  ( "linearizability.witness",
+    [
+      Alcotest.test_case "stale read rejected (real time)" `Quick
+        test_witness_stale_read;
+      Alcotest.test_case "positions distinct and in range" `Quick
+        test_witness_positions;
+      Alcotest.test_case "gaps filled by pending ops" `Quick test_witness_gaps;
+      QCheck_alcotest.to_alcotest prop_witness_sound;
+    ] )
+
+let suite = suite @ [ witness_suite ]
