@@ -100,7 +100,8 @@ let write_results path sections_run =
   let json =
     Obs.Json.obj
       [
-        (* /11 rebuilds the fault/stress/* series on the load
+        (* /12 drops the profile/recorder-op series with the recorder
+           it timed; /11 rebuilds the fault/stress/* series on the load
            harness's crash runs: survivor_ops/crashed_ops become
            completed_ops (every client's completed operations) and
            pending_ops; /10 drops the por/* and tt/* series with the
@@ -120,7 +121,7 @@ let write_results path sections_run =
            added shard_states / shard_imbalance / stripe_contention to
            the perf-par series; /3 added section_timings; /2 the
            provenance stamps; /1 fields unchanged. *)
-        ("schema", Obs.Json.str "wfs-bench/11");
+        ("schema", Obs.Json.str "wfs-bench/12");
         ("generated_unix_time", Obs.Json.float (Unix.time ()));
         ("domains_used", Obs.Json.int (Domain.recommended_domain_count ()));
         ("git_rev", Obs.Json.str (git_rev ()));
@@ -1054,16 +1055,16 @@ let fault_bench () =
 
    The Profile contract (DESIGN 5.9): one predictable branch when
    disabled, <= 5% on an exploration workload when enabled.  Three
-   measurements pin it down:
+   measurements pin it down (per-op sampled tracing on the service
+   path is obs-causal/universal-service's):
 
      profile/overhead          Protocol.verify aug-queue n=4, profiling
                                off vs enabled (coarse spans: shards,
                                solver verdicts)
-     profile/recorder-op       recorder-dense loop — rt.op spans at the
-                               recorder's 1-in-64 sampling rate, the
-                               fine-grained worst case
      profile/disabled-span-ns  Profile.span around a trivial thunk vs
                                the bare thunk, per call, profiler off
+     profile/wait-free-metrics the wait-free apply path, metrics cold
+                               vs hot
 
    The profiler is disabled and its rings reset before the section
    returns so later sections (and write_results) see a quiet state. *)
@@ -1087,22 +1088,16 @@ let profile_overhead () =
     done;
     !t
   in
-  let measure_pair name ~iters work =
-    let off = best ~iters work in
-    Obs.Profile.enable ();
-    let on_ = best ~iters work in
-    Obs.Profile.disable ();
-    Obs.Profile.reset ();
-    let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
-    (off, on_, pct, name)
-  in
   (* Exploration workload: spans here are coarse (per shard, per solver
      verdict), so the enabled tax must stay well inside the 5% budget. *)
   let aq4 = Aug_queue_consensus.protocol ~n:4 () in
-  let off, on_, pct, _ =
-    measure_pair "verify-aug-queue-n4" ~iters:1 (fun () ->
-        Protocol.verify aq4)
-  in
+  let verify () = Protocol.verify aq4 in
+  let off = best ~iters:1 verify in
+  Obs.Profile.enable ();
+  let on_ = best ~iters:1 verify in
+  Obs.Profile.disable ();
+  Obs.Profile.reset ();
+  let pct = if off > 0. then (on_ -. off) /. off *. 100. else 0. in
   record_series "profile/overhead"
     (Obs.Json.obj
        [
@@ -1113,22 +1108,6 @@ let profile_overhead () =
        ]);
   Fmt.pr "  %-34s off %9.2f ms   on %9.2f ms   overhead %+5.1f%%@."
     "verify-aug-queue-n4" (off *. 1e3) (on_ *. 1e3) pct;
-  (* Recorder-dense workload: with profiling enabled the recorder opens
-     an rt.op span for 1 op in 64 (sampled — a span per op multiplied
-     sub-microsecond ops several-fold), so this measures the amortized
-     enabled cost in its least flattering setting (ops that do almost
-     nothing). *)
-  let ops = 20_000 in
-  let off, on_, _, _ =
-    measure_pair "recorder-op" ~iters:1 (fun () ->
-        let r = Runtime.Recorder.create ~capacity:(2 * ops) in
-        for pid = 0 to ops - 1 do
-          ignore
-            (Runtime.Recorder.around r ~pid:(pid land 7) ~obj:"q"
-               ~op:Queues.deq ~encode_res:Value.int (fun () -> 0))
-        done)
-  in
-  record_off_on "profile/recorder-op" ~label:"recorder-op" ~ops ~reps (off, on_);
   (* Disabled micro-cost: Profile.span around a trivial thunk vs the
      bare thunk.  The delta is the price every instrumented seam pays
      when nobody is profiling — it should be a branch, i.e. ~0 ns. *)

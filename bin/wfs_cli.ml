@@ -17,9 +17,6 @@
                  clients' operations checked as pending); watch it
                  live with --metrics-port and wfs top
      randomized  check the randomized register-consensus extension
-     stats       run a fixed workload and dump the metrics snapshot
-                 (--watch N live-renders a humanized summary meanwhile,
-                 from the metrics sampler's hook)
      top         live terminal view of a concurrent run's telemetry,
                  polling the OpenMetrics file or HTTP endpoint that
                  --metrics-out / --metrics-port publish
@@ -27,8 +24,8 @@
 
    Live telemetry has one source: the metrics sampler ([Obs.Sampler])
    snapshots the registry once per interval and feeds the
-   --metrics-out file, the --metrics-port endpoint, the --progress
-   heartbeat and stats --watch.
+   --metrics-out file, the --metrics-port endpoint and the --progress
+   heartbeat.
 
    Exit codes, uniformly: 0 = checked and passed, 1 = a violation /
    failed check / exhausted budget, 2 = bad input (unknown protocol,
@@ -148,7 +145,7 @@ let with_writable what path f =
       Option.iter close_out oc;
       f ()
 
-(* A write after the run (profile, trace) that fails — a full disk —
+(* A write after the run (the profile) that fails — a full disk —
    is reported like the up-front check: a message and exit 2. *)
 let write_output what f =
   match f () with
@@ -852,7 +849,7 @@ let randomized_cmd =
        ~doc:"Exhaustively check the randomized register consensus extension")
     Term.(const run $ flips)
 
-(* --- live view (shared by top and stats --watch) ---
+(* --- live view (wfs top) ---
 
    Renders one terminal page from two OpenMetrics scrapes: totals come
    from the newer scrape, rates and histogram quantiles from the
@@ -1204,133 +1201,6 @@ let top_cmd =
           — states/s per shard, interner hit rate, help-round quantiles")
     Term.(const run $ from_arg $ port_arg $ interval_arg $ count_arg)
 
-(* --- stats --- *)
-
-let stats_cmd =
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Also record the workload's events (spans, instants such as \
-             explorer.done) and write them to $(docv) as JSONL.")
-  in
-  let watch_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "watch" ] ~docv:"N"
-          ~doc:
-            "Re-render a humanized live summary every $(docv) seconds \
-             while the workload runs (same page as wfs top); 0 just \
-             prints the final snapshot.")
-  in
-  let run trace_file watch =
-    with_writable "trace" trace_file @@ fun () ->
-    if trace_file <> None then Obs.Profile.enable ();
-    Obs.Metrics.reset ();
-    let workload () =
-      Obs.Metrics.with_hot (fun () ->
-        (* a fixed workload touching every instrumented layer *)
-        (* 1. simulator: CAS consensus at n = 3, all schedules *)
-        (match (Registry.find "cas").Registry.build ~n:3 with
-        | Some p -> ignore (Protocol.verify p)
-        | None -> ());
-        (* 2. valency: critical-state search on the Theorem 4 election *)
-        (match (Registry.find "test-and-set").Registry.build ~n:2 with
-        | Some p -> ignore (Valency.find_critical p.Protocol.config)
-        | None -> ());
-        (* 3. deliberately truncated explorations, one per budget, for
-           the truncation accounting (cas at n = 4 has 217 states and
-           depth > 4) *)
-        (match (Registry.find "cas").Registry.build ~n:4 with
-        | Some p ->
-            ignore (Explorer.explore ~max_states:100 p.Protocol.config);
-            ignore (Explorer.explore ~max_depth:4 p.Protocol.config)
-        | None -> ());
-        (* 4. runtime: universal queue under two domains, fetch-and-cons,
-           and a recorder *)
-        let module QU = Runtime.Universal.Lock_free (Runtime.Seq_objects.Queue_of_int) in
-        let open Runtime.Seq_objects.Queue_of_int in
-        let qu = QU.create () in
-        ignore
-          (Runtime.Primitives.run_domains 2 (fun pid ->
-               for i = 0 to 4_999 do
-                 ignore (QU.apply qu (Enq ((pid * 5_000) + i)));
-                 ignore (QU.apply qu Deq)
-               done));
-        let module QW = Runtime.Universal.Wait_free (Runtime.Seq_objects.Queue_of_int) in
-        let qw = QW.create ~n:2 () in
-        ignore
-          (Runtime.Primitives.run_domains 2 (fun pid ->
-               for i = 0 to 499 do
-                 ignore (QW.apply qw ~pid (Enq i));
-                 ignore (QW.apply qw ~pid Deq)
-               done));
-        let fac = Runtime.Fetch_and_cons.Cas_based.make () in
-        for i = 0 to 9_999 do
-          ignore (Runtime.Fetch_and_cons.Cas_based.fetch_and_cons fac i)
-        done;
-        let rounds =
-          Runtime.Fetch_and_cons.Rounds.make ~n:2 ~equal:Int.equal
-        in
-        let h = Runtime.Fetch_and_cons.Rounds.handle rounds ~pid:0 in
-        for i = 0 to 99 do
-          ignore (Runtime.Fetch_and_cons.Rounds.fetch_and_cons h i)
-        done;
-        let recorder = Runtime.Recorder.create ~capacity:1_024 in
-        for pid = 0 to 1 do
-          for i = 0 to 99 do
-            ignore
-              (Runtime.Recorder.around recorder ~pid ~obj:"q"
-                 ~op:(Queues.enq (Value.int i))
-                 ~encode_res:(fun () -> Value.unit)
-                 (fun () -> ()))
-          done
-        done)
-    in
-    (if watch <= 0 then workload ()
-     else
-       (* the workload runs here; the sampler's hook re-renders the live
-          page from each consecutive pair of snapshots *)
-       let ansi = Unix.isatty Unix.stderr in
-       let frame_of (snap : Obs.Sampler.snap) =
-         {
-           Live.at = float_of_int snap.Obs.Sampler.at_ns /. 1e9;
-           samples =
-             Obs.Export.parse (Obs.Export.of_dump snap.Obs.Sampler.values);
-         }
-       in
-       let render ~final:_ ~prev ~cur =
-         if ansi then Fmt.epr "\027[2J\027[H";
-         Fmt.epr "%s%!"
-           (Live.render ~ansi ~title:"wfs stats — fixed workload"
-              ~prev:(frame_of prev) ~cur:(frame_of cur))
-       in
-       let sampler =
-         Obs.Sampler.start ~interval_ms:(watch * 1000) ~on_sample:render ()
-       in
-       Fun.protect ~finally:(fun () -> Obs.Sampler.stop sampler) workload);
-    let code =
-      match trace_file with
-      | None -> 0
-      | Some path ->
-          Obs.Profile.disable ();
-          write_output "trace" (fun () ->
-              let lines = Obs.Profile.dump_jsonl path in
-              Fmt.epr "trace written to %s (%d lines)@." path lines)
-    in
-    Fmt.pr "%s@." (Obs.Metrics.snapshot_string ());
-    code
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run a fixed workload through the instrumented simulator and \
-          runtime, then dump the metrics snapshot as JSON (--watch N \
-          additionally live-renders a humanized summary while it runs)")
-    Term.(const run $ trace_file $ watch_arg)
-
 (* --- zoo --- *)
 
 let zoo_cmd =
@@ -1353,7 +1223,7 @@ let main =
     [
       hierarchy_cmd; verify_cmd; replay_cmd; solve_cmd; universal_cmd;
       census_cmd; critical_cmd; load_cmd; trace_cmd;
-      randomized_cmd; stats_cmd; top_cmd; zoo_cmd;
+      randomized_cmd; top_cmd; zoo_cmd;
     ]
 
 let () = exit (Cmd.eval' main)

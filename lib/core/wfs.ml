@@ -89,7 +89,6 @@ module Runtime = struct
   module Baselines = Wfs_runtime.Baselines
   module Lamport_queue = Wfs_runtime.Lamport_queue
   module Randomized = Wfs_runtime.Randomized_rt
-  module Recorder = Wfs_runtime.Recorder
   module Fault = Wfs_runtime.Fault
   module Service = Wfs_runtime.Service
 end

@@ -14,13 +14,6 @@ type t =
 let invoke ~pid ~obj op = Invoke { pid; obj; op }
 let respond ~pid ~obj res = Respond { pid; obj; res }
 
-(* Distinguished response recorded when the operation's executor died
-   (crash-stop) or raised instead of returning.  The linearizability
-   decomposition treats an operation that "responded" with this marker
-   as pending: it may have taken effect or not, exactly like an
-   operation whose response was never recorded. *)
-let crashed_res = Value.pair (Value.str "\xe2\x80\xa0") (Value.str "crashed")
-
 let pid = function Invoke { pid; _ } | Respond { pid; _ } -> pid
 let obj = function Invoke { obj; _ } | Respond { obj; _ } -> obj
 

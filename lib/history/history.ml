@@ -69,12 +69,6 @@ let operations (h : t) : operation list =
         in
         let res, respond_at =
           match find (i + 1) with
-          (* A crashed-marker response closes the process subhistory
-             (well-formedness) but carries no return value: the
-             operation may or may not have taken effect, so the checker
-             must treat it exactly like one with no response at all. *)
-          | Some (_, res) when Value.equal res Event.crashed_res ->
-              (None, max_int)
           | Some (j, res) -> (Some res, j)
           | None -> (None, max_int)
         in

@@ -600,7 +600,7 @@ let write path =
       output_string oc (Json.to_string_pretty (to_json ()));
       output_char oc '\n')
 
-(* ---------- JSONL dump (flight recorder, wfs stats --trace) ---------- *)
+(* ---------- JSONL dump (the wfs load flight recorder) ---------- *)
 
 let dump_jsonl path =
   let ms, evs, name_of = snapshot () in

@@ -116,7 +116,8 @@ val write : string -> unit
     objects first, then every slot time-sorted, one JSON object per
     line with a ["kind"] field (["span"], ["instant"], ["counter"], or
     a causal phase).  This is the crash flight recorder's post-mortem
-    and [wfs stats --trace]'s output.  Returns the number of lines. *)
+    ([wfs load] writes it when a run fails).  Returns the number of
+    lines. *)
 val dump_jsonl : string -> int
 
 (** {1 Causal slots}

@@ -13,8 +13,7 @@
    - a minimal blocking HTTP server (stdlib [Unix] only) serves the
      newest exposition at GET /metrics from its own domain;
    - an [on_sample] hook sees each (previous, newest) snapshot pair on
-     the sampler domain — the `--progress` heartbeat and `wfs stats
-     --watch` are hooks. *)
+     the sampler domain — the `--progress` heartbeat is one. *)
 
 type snap = { at_ns : int; values : (string * Metrics.dumped) list }
 

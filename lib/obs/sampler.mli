@@ -7,7 +7,7 @@
     atomically-rewritten exposition file, a minimal blocking HTTP
     [/metrics] endpoint (stdlib [Unix] only, loopback) and one
     {!hook} that sees each consecutive pair of snapshots — the
-    [--progress] heartbeat ({!progress}) and [wfs stats --watch]. *)
+    [--progress] heartbeat ({!progress}). *)
 
 (** A timestamped snapshot: {!Clock.now_ns} at sample time plus the
     dumped instrument values. *)

@@ -1,5 +1,6 @@
 (* Humanized units for terminal output: "12.3M states", "1.2 Gops/s",
-   "842 µs".  Shared by `wfs stats` and `wfs top`. *)
+   "842 µs".  Shared by `wfs top`, the `--progress` heartbeat and the
+   load report. *)
 
 let si f =
   let a = Float.abs f in

@@ -1,5 +1,5 @@
-(** Humanized units for terminal output, shared by [wfs stats] and
-    [wfs top]. *)
+(** Humanized units for terminal output, shared by [wfs top], the
+    [--progress] heartbeat and the [wfs load] report. *)
 
 (** [si 12_300_000.] is ["12.3M"]; magnitudes below 1000 keep at most
     one decimal. *)

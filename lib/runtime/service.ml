@@ -168,7 +168,7 @@ module Load = struct
         Some
           (Fault.create ~n:clients
              (List.init halts (fun k ->
-                  Fault.Halt { pid = k; boundary = (2 * k) + 1 })))
+                  { Fault.pid = k; boundary = (2 * k) + 1 })))
     in
     let apply_pos =
       match inj with

@@ -995,6 +995,7 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
   let acyclic = (not !cyclic) && (not truncated) && !stuck = None in
   let step_bounds = if acyclic then Some (Array.copy bounds.(root_id)) else None in
   let states = Atomic.get visited in
+  Intern.Sharded.flush stbl;
   let hits = Intern.Sharded.hits stbl in
   let lookups = Intern.Sharded.lookups stbl in
   let contended = Intern.Sharded.contention stbl in

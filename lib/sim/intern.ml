@@ -299,6 +299,7 @@ module Sharded = struct
         acc)
       init t.stripes
 
+  let flush t = fold_stripes t (fun () s -> flush_stripe s) ()
   let lookups t = fold_stripes t (fun acc s -> acc + s.s_lookups) 0
   let hits t = fold_stripes t (fun acc s -> acc + s.s_hits) 0
   let contention t = fold_stripes t (fun acc s -> acc + s.s_contended) 0

@@ -102,6 +102,10 @@ module Sharded : sig
   (** Distinct keys interned so far (= the next fresh id). *)
   val size : t -> int
 
+  (** Push every stripe's unflushed lookups and hits to the global
+      counters.  Call once the table is quiescent, so they end exact. *)
+  val flush : t -> unit
+
   val lookups : t -> int
   val hits : t -> int
 

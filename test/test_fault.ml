@@ -127,15 +127,14 @@ let test_crash_free_counterexample_keeps_schema_v1 () =
 (* --- the runtime injector --- *)
 
 let test_injector_halts_permanently () =
-  let inj = Fault.create ~n:2 [ Fault.Halt { pid = 0; boundary = 2 } ] in
+  let inj = Fault.create ~n:2 [ { Fault.pid = 0; boundary = 2 } ] in
   Alcotest.(check int) "survives first op" 7
     (Fault.protect inj ~pid:0 (fun () -> 7));
   (match Fault.protect inj ~pid:0 (fun () -> Alcotest.fail "effect must not run")
    with
   | exception Fault.Halted 0 -> ()
   | _ -> Alcotest.fail "expected Halted 0 at boundary 2");
-  Alcotest.(check bool) "marked down" true (Fault.is_halted inj ~pid:0);
-  Alcotest.(check (list int)) "halted list" [ 0 ] (Fault.halted inj);
+  Alcotest.(check (list int)) "marked down" [ 0 ] (Fault.halted inj);
   (* once down, always down *)
   (match Fault.boundary inj ~pid:0 with
   | exception Fault.Halted 0 -> ()
@@ -144,16 +143,46 @@ let test_injector_halts_permanently () =
   Alcotest.(check int) "pid 1 untouched" 9
     (Fault.protect inj ~pid:1 (fun () -> 9))
 
-let test_injector_stall_is_transparent () =
+let test_injector_halted_ascending () =
   let inj =
-    Fault.create ~n:1 [ Fault.Stall { pid = 0; boundary = 0; spins = 32 } ]
+    Fault.create ~n:3
+      [ { Fault.pid = 2; boundary = 0 }; { Fault.pid = 0; boundary = 1 } ]
   in
-  Alcotest.(check int) "stalled op still completes" 3
-    (Fault.protect inj ~pid:0 (fun () -> 3));
-  Alcotest.(check bool) "not down" false (Fault.is_halted inj ~pid:0)
+  Alcotest.(check (list int)) "none yet" [] (Fault.halted inj);
+  (match Fault.boundary inj ~pid:2 with
+  | exception Fault.Halted 2 -> ()
+  | () -> Alcotest.fail "expected Halted 2 at boundary 0");
+  Fault.boundary inj ~pid:0;
+  (match Fault.boundary inj ~pid:0 with
+  | exception Fault.Halted 0 -> ()
+  | () -> Alcotest.fail "expected Halted 0 at boundary 1");
+  for _ = 1 to 4 do
+    Fault.boundary inj ~pid:1
+  done;
+  Alcotest.(check (list int)) "ascending, unplanned pid up" [ 0; 2 ]
+    (Fault.halted inj)
+
+let test_injector_metrics () =
+  let module M = Wfs_obs.Metrics in
+  M.reset ();
+  let inj =
+    Fault.create ~n:2
+      [ { Fault.pid = 0; boundary = 3 }; { Fault.pid = 0; boundary = 1 } ]
+  in
+  M.with_hot (fun () ->
+      Alcotest.(check int) "first op survives" 1
+        (Fault.protect inj ~pid:1 (fun () -> 1));
+      (* the earlier of pid 0's two rules halts it; the later never fires *)
+      match Fault.protect inj ~pid:0 (fun () -> 2) with
+      | exception Fault.Halted 0 -> ()
+      | _ -> Alcotest.fail "expected Halted 0 at boundary 1");
+  Alcotest.(check (option int)) "every crossing counted" (Some 4)
+    (M.counter_value "fault.boundaries");
+  Alcotest.(check (option int)) "one halt" (Some 1)
+    (M.counter_value "fault.halts")
 
 let test_injector_validates_plan () =
-  match Fault.create ~n:2 [ Fault.Halt { pid = 2; boundary = 0 } ] with
+  match Fault.create ~n:2 [ { Fault.pid = 2; boundary = 0 } ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for out-of-range pid"
 
@@ -166,8 +195,8 @@ let test_protected_cas_crash_after_effect () =
   let inj =
     Fault.create ~n:2
       [
-        Fault.Halt { pid = 0; boundary = 1 };
-        Fault.Halt { pid = 1; boundary = 0 };
+        { Fault.pid = 0; boundary = 1 };
+        { Fault.pid = 1; boundary = 0 };
       ]
   in
   let c = Primitives.Cas.make 0 in
@@ -190,8 +219,8 @@ let test_protected_register_crash_before_effect () =
   let inj =
     Fault.create ~n:2
       [
-        Fault.Halt { pid = 0; boundary = 0 };
-        Fault.Halt { pid = 1; boundary = 1 };
+        { Fault.pid = 0; boundary = 0 };
+        { Fault.pid = 1; boundary = 1 };
       ]
   in
   let r = Primitives.Register.make 1 in
@@ -234,8 +263,10 @@ let suite =
       [
         Alcotest.test_case "halt is permanent" `Quick
           test_injector_halts_permanently;
-        Alcotest.test_case "stall is transparent" `Quick
-          test_injector_stall_is_transparent;
+        Alcotest.test_case "halted pids ascending" `Quick
+          test_injector_halted_ascending;
+        Alcotest.test_case "boundary and halt counters" `Quick
+          test_injector_metrics;
         Alcotest.test_case "plan validation" `Quick test_injector_validates_plan;
         Alcotest.test_case "cas crash after effect" `Quick
           test_protected_cas_crash_after_effect;

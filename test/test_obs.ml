@@ -301,6 +301,116 @@ let test_explorer_truncation_metrics_distinguish_causes () =
   Alcotest.(check int) "depth budget counted" 1 (counter "explorer.truncated.depth");
   Alcotest.(check int) "states budget not counted" 0 (counter "explorer.truncated.states")
 
+(* --- metric coverage: every documented family is fed ---
+
+   Real entry points, run under [Metrics.with_hot], must give every
+   metric family in README's "Names you can rely on" table a non-zero
+   sample; a documented metric that nothing feeds fails here.  A name
+   ending in '.' covers every registered instrument under that prefix
+   (labelled series included).  [scheduling] names move only when
+   domains collide — a contended lock, a steal, an idle pool member, a
+   lost CAS or consensus race that sends an operation to the help
+   path — so they need only be registered. *)
+
+let documented =
+  [
+    "explorer.runs"; "explorer.states"; "explorer.frontier"; "pool.shard.";
+    "intern."; "solver.nodes"; "solver.memo."; "explorer.dedup_hits";
+    "explorer.dedup_lookups"; "explorer.dedup_hit_rate"; "explorer.max_depth";
+    "explorer.truncated.states"; "explorer.truncated.depth";
+    "valency.memo_hits"; "valency.memo_misses"; "valency.critical_searches";
+    "valency.critical_found"; "universal_rt.lock_free.";
+    "universal_rt.wait_free."; "fetch_and_cons_rt.cas.";
+    "fetch_and_cons_rt.rounds.rounds_per_op";
+  ]
+
+let scheduling =
+  [
+    "intern.contention"; "intern.stripe.contention"; "pool.shard.steals";
+    "pool.shard.steal_failures"; "pool.shard.idle_ns";
+    "fetch_and_cons_rt.cas.retries"; "universal_rt.lock_free.cas_retries";
+    "universal_rt.wait_free.help_rounds";
+    "universal_rt.wait_free.help_rounds_hist";
+    "universal_rt.wait_free.announce_occupancy";
+  ]
+
+let test_documented_metrics_fed () =
+  let module Rt = Wfs_runtime in
+  Metrics.reset ();
+  Metrics.with_hot (fun () ->
+      let build key n = Option.get ((Registry.find key).Registry.build ~n) in
+      ignore (Protocol.verify (build "cas" 3));
+      ignore (Valency.find_critical (build "test-and-set" 2).Protocol.config);
+      let cas4 = (build "cas" 4).Protocol.config in
+      ignore (Explorer.explore ~max_states:100 cas4);
+      ignore (Explorer.explore ~max_depth:4 cas4);
+      ignore
+        (Wfs_hierarchy.Solver.solve
+           (Wfs_hierarchy.Solver.of_spec ~n:2 ~depth:2
+              (Registers.test_and_set ())));
+      ignore
+        (Wfs_universal.Log_universal.verify
+           ~target:(Collections.counter ~name:"c" ())
+           ~scripts:[| [ Collections.incr ]; [ Collections.incr ] |]
+           ());
+      Pool.with_pool ~domains:2 (fun pool ->
+          ignore (Protocol.verify ~pool (build "augmented-queue" 3)));
+      (* last exploration, because explorer.dedup_hit_rate is per run
+         and explorer.frontier is flushed every 1024 states: 2713
+         states whose two-step processes reach shared states *)
+      ignore (Protocol.verify (build "augmented-queue" 4));
+      ignore (Rt.Service.Load.run ~clients:2 ~ops_per_client:2_000 ());
+      let module LF = Rt.Universal_rt.Lock_free (Rt.Seq_objects.Counter) in
+      let c = LF.create () in
+      ignore
+        (Rt.Primitives.run_domains 2 (fun _ ->
+             for _ = 1 to 1_000 do
+               ignore (LF.apply c Rt.Seq_objects.Counter.Incr)
+             done));
+      let module Fac = Rt.Fetch_and_cons_rt in
+      let cas = Fac.Cas_based.make () in
+      for i = 1 to 100 do
+        ignore (Fac.Cas_based.fetch_and_cons cas i)
+      done;
+      let rounds = Fac.Rounds.make ~n:2 ~equal:Int.equal in
+      let h = Fac.Rounds.handle rounds ~pid:0 in
+      for i = 1 to 100 do
+        ignore (Fac.Rounds.fetch_and_cons h i)
+      done);
+  (* one family per base name: the labelled series of a pool shard or
+     an interner stripe are members of it *)
+  let dump =
+    List.map
+      (fun (name, v) ->
+        match String.index_opt name '{' with
+        | Some i -> (String.sub name 0 i, v)
+        | None -> (name, v))
+      (Metrics.dump ())
+  in
+  let covers family name =
+    if String.ends_with ~suffix:"." family then
+      String.starts_with ~prefix:family name
+    else String.equal family name
+  in
+  let nonzero = function
+    | Metrics.D_counter v | Metrics.D_gauge v -> v <> 0
+    | Metrics.D_fgauge f -> f <> 0.
+    | Metrics.D_histogram { d_count; _ } -> d_count > 0
+  in
+  Alcotest.(check (list string))
+    "every family registered" []
+    (List.filter
+       (fun family -> not (List.exists (fun (n, _) -> covers family n) dump))
+       (documented @ scheduling));
+  Alcotest.(check (list string))
+    "no documented family left at zero" []
+    (List.sort_uniq String.compare (List.map fst dump)
+    |> List.filter (fun name ->
+           List.exists (fun f -> covers f name) documented
+           && (not (List.exists (fun f -> covers f name) scheduling))
+           && not
+                (List.exists (fun (n, v) -> n = name && nonzero v) dump)))
+
 (* --- clock --- *)
 
 let test_clock_precision () =
@@ -399,6 +509,8 @@ let suite =
       [
         Alcotest.test_case "states/dedup feed" `Quick
           test_explorer_metrics_feed;
+        Alcotest.test_case "every documented family fed" `Quick
+          test_documented_metrics_fed;
         Alcotest.test_case "truncation causes distinguished" `Quick
           test_explorer_truncation_metrics_distinguish_causes;
       ] );

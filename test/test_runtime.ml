@@ -360,23 +360,67 @@ let test_michael_scott_queue () =
       (List.sort compare mine) mine
   done
 
-(* --- recorder + linearizability of runtime histories --- *)
+(* --- linearizability of runtime histories ---
+
+   Each domain stamps its operations with [mono_ns] at invoke and at
+   response into its own arrays (the shape [Service.Load.run] records);
+   the stamps are then merged into one history in stamp order.  A tie
+   puts the INVOKE first, so two operations stamped in the same tick
+   stay concurrent: a tie never creates a precedence the run did not
+   have. *)
+
+(* [mono_ns] strictly after [prev], so a process's next invocation never
+   ties its previous response and the invoke-first merge keeps every
+   process subhistory in program order. *)
+let rec stamp_after prev =
+  let t = Wfs_obs.Clock.mono_ns () in
+  if t > prev then t else stamp_after prev
+
+(* [logs] holds, per pid, each operation's op, result, invoke stamp and
+   response stamp. *)
+let merge_stamps ~obj logs =
+  List.concat
+    (List.mapi
+       (fun pid (op, res, invoked, responded) ->
+         List.concat
+           (List.init (Array.length op) (fun i ->
+                [
+                  ((invoked.(i), 0), Wfs_history.Event.invoke ~pid ~obj op.(i));
+                  ( (responded.(i), 1),
+                    Wfs_history.Event.respond ~pid ~obj res.(i) );
+                ])))
+       logs)
+  |> List.stable_sort (fun (k, _) (k', _) -> compare k k')
+  |> List.map snd
+
+let stamped_history ~domains ~ops ~obj run =
+  let open Wfs_spec in
+  let logs =
+    P.run_domains domains (fun pid ->
+        let op = Array.make ops (Op.nullary "nop") in
+        let res = Array.make ops Value.unit in
+        let invoked = Array.make ops 0 and responded = Array.make ops 0 in
+        let last = ref min_int in
+        for i = 0 to ops - 1 do
+          invoked.(i) <- stamp_after !last;
+          let o, r = run ~pid i in
+          responded.(i) <- Wfs_obs.Clock.mono_ns ();
+          last := responded.(i);
+          op.(i) <- o;
+          res.(i) <- r
+        done;
+        (op, res, invoked, responded))
+  in
+  merge_stamps ~obj logs
 
 let test_runtime_history_linearizable () =
   let open Wfs_spec in
   let spec = Collections.counter ~name:"c" () in
   let c = UC.create () in
-  let recorder = Recorder.create ~capacity:10_000 in
-  let per_domain = 5 in
-  let _ =
-    P.run_domains 3 (fun pid ->
-        for _ = 1 to per_domain do
-          Recorder.invoke recorder ~pid ~obj:"c" Collections.incr;
-          let res = UC.apply c Seq_objects.Counter.Incr in
-          Recorder.respond recorder ~pid ~obj:"c" (Value.int res)
-        done)
+  let history =
+    stamped_history ~domains:3 ~ops:5 ~obj:"c" (fun ~pid:_ _ ->
+        (Collections.incr, Value.int (UC.apply c Seq_objects.Counter.Incr)))
   in
-  let history = Recorder.history recorder in
   Alcotest.(check bool) "well-formed" true
     (Wfs_history.History.well_formed history);
   Alcotest.(check bool) "linearizable" true
@@ -386,26 +430,89 @@ let test_locked_queue_history_linearizable () =
   let open Wfs_spec in
   let spec = Queues.fifo ~name:"q" ~items:[] () in
   let q = LQ.create () in
-  let recorder = Recorder.create ~capacity:10_000 in
-  let _ =
-    P.run_domains 3 (fun pid ->
-        for i = 1 to 4 do
-          let item = (pid * 100) + i in
-          Recorder.invoke recorder ~pid ~obj:"q" (Queues.enq (Value.int item));
+  (* even steps enqueue [pid * 100 + k], odd steps dequeue *)
+  let history =
+    stamped_history ~domains:3 ~ops:8 ~obj:"q" (fun ~pid i ->
+        if i land 1 = 0 then begin
+          let item = (pid * 100) + (i / 2) + 1 in
           ignore (LQ.apply q (Seq_objects.Queue_of_int.Enq item));
-          Recorder.respond recorder ~pid ~obj:"q" Value.unit;
-          Recorder.invoke recorder ~pid ~obj:"q" Queues.deq;
-          let res =
+          (Queues.enq (Value.int item), Value.unit)
+        end
+        else
+          ( Queues.deq,
             match LQ.apply q Seq_objects.Queue_of_int.Deq with
             | Seq_objects.Queue_of_int.Deqd x -> Value.int x
-            | _ -> Queues.empty_result
-          in
-          Recorder.respond recorder ~pid ~obj:"q" res
-        done)
+            | _ -> Queues.empty_result ))
   in
-  let history = Recorder.history recorder in
   Alcotest.(check bool) "linearizable" true
     (Wfs_history.Linearizability.is_linearizable [ ("q", spec) ] history)
+
+(* One register write and one read on different processes, stamped by
+   hand: a read invoked in the tick the write responded is concurrent
+   with it and may return the old value; a read invoked a tick later
+   must see the write. *)
+let test_stamp_ties_invoke_first () =
+  let open Wfs_spec in
+  let reg =
+    [ ("r", Registers.atomic ~name:"r" ~init:(Value.int 0)
+              [ Value.int 0; Value.int 1 ]) ]
+  in
+  let write_then_read ~read_at =
+    merge_stamps ~obj:"r"
+      [
+        ([| Registers.write (Value.int 1) |], [| Value.unit |], [| 1 |], [| 5 |]);
+        ([| Registers.read |], [| Value.int 0 |], [| read_at |], [| 7 |]);
+      ]
+  in
+  let tie = write_then_read ~read_at:5 in
+  (match Wfs_history.History.operations tie with
+  | [ w; r ] ->
+      Alcotest.(check bool) "tie is concurrent" false
+        (Wfs_history.History.precedes w r)
+  | _ -> Alcotest.fail "expected two operations");
+  Alcotest.(check bool) "old value allowed on a tie" true
+    (Wfs_history.Linearizability.is_linearizable reg tie);
+  let later = write_then_read ~read_at:6 in
+  (match Wfs_history.History.operations later with
+  | [ w; r ] ->
+      Alcotest.(check bool) "later read is preceded" true
+        (Wfs_history.History.precedes w r)
+  | _ -> Alcotest.fail "expected two operations");
+  Alcotest.(check bool) "stale read rejected" false
+    (Wfs_history.Linearizability.is_linearizable reg later)
+
+(* The stamps of a real run are checked, not just recorded: the same
+   counter run, reported with one result off by one, is rejected. *)
+let test_stamped_wrong_result_rejected () =
+  let open Wfs_spec in
+  let spec = Collections.counter ~name:"c" () in
+  let c = UC.create () in
+  let history =
+    stamped_history ~domains:2 ~ops:4 ~obj:"c" (fun ~pid i ->
+        let res = UC.apply c Seq_objects.Counter.Incr in
+        let res = if pid = 0 && i = 3 then res + 1 else res in
+        (Collections.incr, Value.int res))
+  in
+  Alcotest.(check bool) "well-formed" true
+    (Wfs_history.History.well_formed history);
+  Alcotest.(check bool) "not linearizable" false
+    (Wfs_history.Linearizability.is_linearizable [ ("c", spec) ] history)
+
+(* Each process's invoke stamps are strictly after its previous
+   response, even when operations are shorter than a clock tick. *)
+let test_stamps_keep_program_order () =
+  let history =
+    stamped_history ~domains:1 ~ops:200 ~obj:"c" (fun ~pid:_ _ ->
+        (Wfs_spec.Collections.incr, Wfs_spec.Value.unit))
+  in
+  Alcotest.(check int) "all events" 400 (List.length history);
+  Alcotest.(check bool) "alternates invoke/respond" true
+    (List.for_all2
+       (fun i e ->
+         match e with
+         | Wfs_history.Event.Invoke _ -> i land 1 = 0
+         | Wfs_history.Event.Respond _ -> i land 1 = 1)
+       (List.init 400 Fun.id) history)
 
 let suite =
   [
@@ -458,137 +565,14 @@ let suite =
           test_runtime_history_linearizable;
         Alcotest.test_case "locked queue history" `Quick
           test_locked_queue_history_linearizable;
+        Alcotest.test_case "stamp ties merge invoke-first" `Quick
+          test_stamp_ties_invoke_first;
+        Alcotest.test_case "stamped wrong result rejected" `Quick
+          test_stamped_wrong_result_rejected;
+        Alcotest.test_case "stamps keep program order" `Quick
+          test_stamps_keep_program_order;
       ] );
   ]
-
-(* --- recorder: ticket order, capacity boundary, around pairing --- *)
-
-let test_recorder_ticket_order_real_time () =
-  let open Wfs_spec in
-  (* concurrent: every event lands, and each process's own events keep
-     program order (INVOKE/RESPOND alternation = well-formedness) *)
-  let r = Recorder.create ~capacity:64 in
-  let _ =
-    P.run_domains 3 (fun pid ->
-        for i = 1 to 5 do
-          Recorder.invoke r ~pid ~obj:"c" Collections.incr;
-          Recorder.respond r ~pid ~obj:"c" (Value.int i)
-        done)
-  in
-  let h = Recorder.history r in
-  Alcotest.(check int) "all events present" 30 (List.length h);
-  Alcotest.(check bool) "well-formed" true (Wfs_history.History.well_formed h);
-  (* sequential: an operation that responded strictly before another was
-     invoked takes the earlier ticket — the real-time guarantee *)
-  let r = Recorder.create ~capacity:4 in
-  Recorder.invoke r ~pid:0 ~obj:"c" Collections.incr;
-  Recorder.respond r ~pid:0 ~obj:"c" (Value.int 1);
-  Recorder.invoke r ~pid:1 ~obj:"c" Collections.incr;
-  match Recorder.history r with
-  | [
-   Wfs_history.Event.Invoke { pid = p0; _ };
-   Wfs_history.Event.Respond _;
-   Wfs_history.Event.Invoke { pid = p1; _ };
-  ] ->
-      Alcotest.(check int) "earlier op first" 0 p0;
-      Alcotest.(check int) "later op last" 1 p1
-  | h ->
-      Alcotest.fail
-        (Fmt.str "unexpected ticket order (%d events)" (List.length h))
-
-let test_recorder_capacity_boundary () =
-  let open Wfs_spec in
-  let r = Recorder.create ~capacity:2 in
-  Alcotest.(check int) "capacity" 2 (Recorder.capacity r);
-  Alcotest.(check int) "headroom full" 2 (Recorder.headroom r);
-  Recorder.invoke r ~pid:0 ~obj:"c" Collections.incr;
-  Alcotest.(check int) "headroom after one" 1 (Recorder.headroom r);
-  Recorder.respond r ~pid:0 ~obj:"c" Value.unit;
-  Alcotest.(check int) "used at capacity" 2 (Recorder.used r);
-  Alcotest.(check int) "headroom exhausted" 0 (Recorder.headroom r);
-  (match Recorder.invoke r ~pid:1 ~obj:"c" Collections.incr with
-  | exception Recorder.Capacity_exceeded -> ()
-  | () -> Alcotest.fail "expected Capacity_exceeded past the boundary");
-  (* the overflow does not corrupt what was recorded *)
-  Alcotest.(check int) "history intact" 2 (List.length (Recorder.history r));
-  Alcotest.(check int) "used stays clamped" 2 (Recorder.used r)
-
-let test_recorder_around_pairing () =
-  let open Wfs_spec in
-  let r = Recorder.create ~capacity:8 in
-  let result =
-    Recorder.around r ~pid:2 ~obj:"q" ~op:Queues.deq ~encode_res:Value.int
-      (fun () -> 41 + 1)
-  in
-  Alcotest.(check int) "result passes through" 42 result;
-  match Recorder.history r with
-  | [
-   Wfs_history.Event.Invoke { pid = pi; obj = oi; op };
-   Wfs_history.Event.Respond { pid = pr; obj = orr; res };
-  ] ->
-      Alcotest.(check int) "invoke pid" 2 pi;
-      Alcotest.(check int) "respond pid" 2 pr;
-      Alcotest.(check string) "invoke obj" "q" oi;
-      Alcotest.(check string) "respond obj" "q" orr;
-      Alcotest.(check bool) "op recorded" true (Op.equal op Queues.deq);
-      Alcotest.(check bool) "result encoded" true
-        (Value.equal res (Value.int 42))
-  | h ->
-      Alcotest.fail
-        (Fmt.str "expected one INVOKE/RESPOND pair, got %d events"
-           (List.length h))
-
-let test_recorder_headroom_gauge () =
-  let open Wfs_spec in
-  let r = Recorder.create ~capacity:10 in
-  Wfs_obs.Metrics.with_hot (fun () ->
-      Recorder.invoke r ~pid:0 ~obj:"c" Collections.incr;
-      Recorder.respond r ~pid:0 ~obj:"c" Value.unit);
-  Alcotest.(check (option int))
-    "gauge tracks remaining slots" (Some 8)
-    (Wfs_obs.Metrics.gauge_value "recorder.headroom")
-
-let test_recorder_around_exception_path () =
-  let open Wfs_spec in
-  let r = Recorder.create ~capacity:8 in
-  (match
-     Recorder.around r ~pid:1 ~obj:"q" ~op:Queues.deq ~encode_res:Value.int
-       (fun () -> failwith "boom")
-   with
-  | exception Failure m -> Alcotest.(check string) "exception re-raised" "boom" m
-  | _ -> Alcotest.fail "expected the Failure to propagate");
-  let h = Recorder.history r in
-  (match h with
-  | [ Wfs_history.Event.Invoke _; Wfs_history.Event.Respond { res; _ } ] ->
-      Alcotest.(check bool) "crashed response recorded" true
-        (Value.equal res Wfs_history.Event.crashed_res)
-  | _ ->
-      Alcotest.fail
-        (Fmt.str "expected INVOKE then crashed RESPOND, got %d events"
-           (List.length h)));
-  Alcotest.(check bool) "well-formed" true (Wfs_history.History.well_formed h);
-  let ops = Wfs_history.History.operations h in
-  Alcotest.(check int) "the crashed op is pending, not dangling" 1
-    (List.length (List.filter Wfs_history.History.is_pending ops));
-  (* a later operation of the same process still records cleanly *)
-  Alcotest.(check int) "recorder usable afterwards" 3
-    (Recorder.around r ~pid:1 ~obj:"q" ~op:Queues.deq ~encode_res:Value.int
-       (fun () -> 3))
-
-let recorder_suite =
-  ( "runtime.recorder",
-    [
-      Alcotest.test_case "ticket order real-time-consistent" `Quick
-        test_recorder_ticket_order_real_time;
-      Alcotest.test_case "capacity boundary" `Quick
-        test_recorder_capacity_boundary;
-      Alcotest.test_case "around pairs INVOKE/RESPOND" `Quick
-        test_recorder_around_pairing;
-      Alcotest.test_case "headroom gauge when hot" `Quick
-        test_recorder_headroom_gauge;
-      Alcotest.test_case "exception leaves a pending op" `Quick
-        test_recorder_around_exception_path;
-    ] )
 
 let test_lamport_capacity_edges () =
   List.iter
@@ -614,7 +598,7 @@ let lamport_suite =
     [ Alcotest.test_case "capacity edges" `Quick test_lamport_capacity_edges ]
   )
 
-let suite = suite @ [ recorder_suite; lamport_suite ]
+let suite = suite @ [ lamport_suite ]
 
 (* --- reference-equivalence properties (single domain) ---
 
