@@ -656,18 +656,6 @@ let trace_sample_arg =
           "Trace one invocation in $(docv) (rounded up to a power of \
            two); 1 traces everything.")
 
-let help_canary_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "help-canary" ] ~docv:"N"
-        ~doc:
-          "Route every $(docv)-th announce ticket through the helped slow \
-           path (briefly parking after announcing) so cross-client help \
-           edges are recorded even when domains time-slice and never \
-           race.  Only meaningful while tracing; defaults to 64 when \
-           --profile is given, else off.")
-
 let load_cmd =
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Client domains.")
@@ -687,8 +675,7 @@ let load_cmd =
              operation, so --ops must be at least this); each halted \
              client's in-flight operation is checked as pending.")
   in
-  let run clients ops object_name window seed halts trace_sample help_canary
-      obs =
+  let run clients ops object_name window seed halts trace_sample obs =
     (* a sampling period below 1 is a bad-input exit before any work *)
     if trace_sample < 1 then
       bad_input (Fmt.str "--trace-sample must be >= 1 (got %d)" trace_sample)
@@ -700,15 +687,15 @@ let load_cmd =
               object_name;
             2
         | Some spec ->
+            (* Under --profile, every 64th announce ticket takes the
+               helped slow path (briefly parking after announcing), so
+               cross-client help edges are recorded even when domains
+               time-slice and never race. *)
+            let canary = if obs.profile <> None then 64 else 0 in
             (* Causal tracing is always on under load (sampled, so the
                hot path stays within budget): the rings double as the
                crash flight recorder, dumped as JSONL whenever the run
                fails its checks or the harness dies mid-flight. *)
-            let canary =
-              match help_canary with
-              | Some c -> c
-              | None -> if obs.profile <> None then 64 else 0
-            in
             Obs.Causal.enable ~sample:trace_sample ();
             let flight_path =
               match obs.profile with
@@ -758,8 +745,7 @@ let load_cmd =
           live with --metrics-port and wfs top.")
     Term.(
       const run $ clients $ ops $ service_object_arg $ service_window_arg
-      $ service_seed_arg $ halts $ trace_sample_arg $ help_canary_arg
-      $ obs_term)
+      $ service_seed_arg $ halts $ trace_sample_arg $ obs_term)
 
 (* --- trace: summarize / audit a causal trace file --- *)
 
@@ -947,18 +933,17 @@ module Live = struct
     | [] -> ()
     | shs ->
         add "%s  %s\n" (bold "shards  ")
-          (dim "shard     states   states/s       jobs     steals  busy");
+          (dim "shard     states   states/s       jobs  busy");
         List.iter
           (fun sh ->
             let labels = [ ("shard", sh) ] in
             let busy =
               ratio (d ~labels "wfs_pool_shard_busy_ns") (dt *. 1e9)
             in
-            add "         %5s  %9s  %9s  %9s  %9s  %s\n" sh
+            add "         %5s  %9s  %9s  %9s  %s\n" sh
               (Obs.Units.si (v ~labels "wfs_pool_shard_states"))
               (rate ~labels "wfs_pool_shard_states")
               (Obs.Units.si (v ~labels "wfs_pool_shard_jobs_total"))
-              (Obs.Units.si (v ~labels "wfs_pool_shard_steals_total"))
               (Obs.Units.percent (min 1. busy)))
           shs);
     if v "wfs_intern_lookups_total" > 0. then

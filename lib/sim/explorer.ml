@@ -392,6 +392,9 @@ module M = struct
      exposed as wfs_explorer_states_total.  The solver adds its schedule
      nodes here too, so a scrape of any engine shows live progress. *)
   let states = Counter.make "explorer.states"
+
+  (* live DFS depth, set at the batched flushes; a finished run leaves
+     no frontier, so [flush_metrics] sets it back to 0 *)
   let frontier = Gauge.make "explorer.frontier"
   let dedup_hits = Counter.make "explorer.dedup_hits"
   let dedup_lookups = Counter.make "explorer.dedup_lookups"
@@ -420,6 +423,7 @@ let flush_metrics ?(states_flushed = 0) ~states ~hits ~lookups ~deepest
   let open Wfs_obs.Metrics in
   Counter.incr M.runs;
   Counter.add M.states (states - states_flushed);
+  Gauge.set M.frontier 0;
   Counter.add M.dedup_hits hits;
   Counter.add M.dedup_lookups lookups;
   Fgauge.set M.dedup_hit_rate
@@ -832,10 +836,11 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
      feed every worker a couple of seeds.  Seeds are deliberately few
      and fat — per-seed job overhead (record allocation, profile spans,
      queue churn) was measurable against small explorations at low
-     worker counts, and work stealing smooths the residual imbalance
-     between fat subtrees.  The expansion cap keeps a stubbornly narrow
-     frontier from dragging the whole exploration into this sequential
-     phase. *)
+     worker counts, and the pool's shared job cursor hands the next
+     seed to whichever domain frees up first, which smooths the
+     residual imbalance between fat subtrees.  The expansion cap keeps
+     a stubbornly narrow frontier from dragging the whole exploration
+     into this sequential phase. *)
   let rec0 = prec_make () in
   let root = initial config in
   let queue : (node * int * int * int) Queue.t = Queue.create () in

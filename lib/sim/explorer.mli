@@ -150,8 +150,8 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     Each run also feeds the default [Wfs_obs.Metrics] registry:
     [explorer.runs], [explorer.states] (flushed live in batches of
     1024 so a mid-run scrape sees progress, together with the
-    [explorer.frontier] depth gauge and the claiming domain's
-    [pool.shard.states{shard=i}] series), [explorer.dedup_hits] /
+    [explorer.frontier] depth gauge, set back to 0 when the run ends,
+    and the claiming domain's [pool.shard.states{shard=i}] series), [explorer.dedup_hits] /
     [explorer.dedup_lookups] / [explorer.dedup_hit_rate],
     [explorer.max_depth], a truncation counter per {!truncation} cause,
     [explorer.intern.hits] /

@@ -1,69 +1,43 @@
 (* Semantic independence of operations, computed from sequential
    specifications.
 
-   Two operations are *independent* when, from every reachable state in
-   which both are enabled, executing them in either order reaches the
-   same state AND each operation returns the same result in both orders
-   — the full commuting diamond.  This is the relation a partial-order
-   reduction needs: along any schedule, adjacent independent steps can
-   be transposed without changing any process's observations, so one
-   interleaving order stands for both.
+   Two operations are *independent at a state* when executing them in
+   either order from that state reaches the same state AND each
+   operation returns the same result in both orders — the commuting
+   diamond.  This is the relation a partial-order reduction needs:
+   along any schedule, adjacent steps that are independent at the
+   state where they execute can be transposed without changing any
+   process's observations, so one interleaving order stands for both.
 
    It generalizes the commute half of [Wfs_hierarchy.Interference]'s
    Theorem 6 analysis from unary register functions to arbitrary
    [Object_spec] semantics: where [Interference.classify_pair] checks
    f (g v) = g (f v) over a value domain, this checks the state diamond
-   *and* result stability over the object's reachable state space.
+   *and* result stability at the state where the pair executes.
    (Overwriting pairs — the other interfering class — are NOT
    independent: overwriting changes the loser's result.)
 
    Representation notes, because queries sit on the hot path of both
-   reduced searches (one per sleeping candidate per edge):
-
-   - The reductions consult only {!independent_at}, the conditional
-     verdict at one concrete state, which is memoized per (object
-     state, menu pair) in a flat tri-state [Bytes.t] row (0 unknown,
-     1 independent, 2 dependent) — menu operations are indexed to
-     dense ints once, so a warm query is two small hash lookups plus a
-     byte read, with at most one full-depth state hash when the
-     queried state changes (and the row of the most recently queried
-     state is cached under physical equality, because one edge's
-     sleeping candidates all query the same state).  Each diamond is
-     computed lazily, at most once per (state, pair).
-
-   - The *universal* relation ("commutes at every reachable state") is
-     kept for diagnostics ({!independent}, {!verdict}) but computed
-     lazily per object, because enumerating the state closure and all
-     menu² diamonds up front costs millions of applies on wide menus —
-     and the solver builds a fresh relation per solve call.  It is
-     deliberately NOT a fast path for {!independent_at}: a universal
-     verdict is established over the closure from the object's initial
-     state, so applying it at a state outside that closure (reachable
-     only through off-menu operations) would be unsound, and on
-     closure states the memoized conditional check subsumes it.
-
-   Everything unknown — off-menu operations, unclosed state spaces —
-   is conservatively dependent in {!independent}; {!independent_at}
-   needs no closure and simply checks the diamond at the given state.
-   Operations on distinct objects always commute (an atomic apply
-   touches one slot of the environment vector). *)
+   reduced searches (one per sleeping candidate per edge): the
+   conditional verdict at one concrete state is memoized per (object
+   state, menu pair) in a flat tri-state [Bytes.t] row (0 unknown,
+   1 independent, 2 dependent) — menu operations are indexed to dense
+   ints once, so a warm query is two small hash lookups plus a byte
+   read, with at most one full-depth state hash when the queried state
+   changes (and the row of the most recently queried state is cached
+   under physical equality, because one edge's sleeping candidates all
+   query the same state).  Each diamond is computed lazily, at most
+   once per (state, pair), and needs no closure of the object's state
+   space.  Off-menu operations are memoized by value.  Operations on
+   distinct objects always commute (an atomic apply touches one slot of
+   the environment vector). *)
 
 open Wfs_spec
-
-type verdict = {
-  objects : int;  (** objects in the environment *)
-  closed_objects : int;  (** whose state space closed within the limit *)
-  pairs : int;  (** same-object menu pairs examined *)
-  independent_pairs : int;
-}
 
 type obj = {
   spec : Object_spec.t;
   op_idx : int Value.Tbl.t;  (* menu op -> dense index *)
   m : int;  (* menu size *)
-  univ : bool array option Lazy.t;
-      (* m×m universal relation; [None] = state space unclosed.  Forced
-         only by {!independent} / {!verdict}, never on the hot path. *)
   rows : Bytes.t Value.Tbl.t;
       (* object state -> m×m tri-state row of conditional verdicts *)
   mutable last_state : Value.t;  (* phys-eq row cache *)
@@ -74,7 +48,6 @@ type obj = {
 }
 
 type t = {
-  env : Env.t;
   names : (string, int) Hashtbl.t;  (* object name -> index *)
   objs : obj array;  (* in declaration order, as [Env.state] *)
 }
@@ -82,41 +55,12 @@ type t = {
 (* Enabledness: [apply] returns a value.  Unknown operations and
    domain errors (e.g. arithmetic on a non-integer) read as "not
    enabled here"; any other exception is treated the same way, which
-   is conservative — a pair is independent only if the diamond closes
-   on every state where both are enabled *and* enabledness itself is
-   order-insensitive. *)
+   is conservative — a pair is independent at a state only if the
+   diamond closes there *and* enabledness itself is order-insensitive. *)
 let try_apply spec state op =
   match Object_spec.apply spec state op with
   | res -> Some res
   | exception _ -> None
-
-(* Breadth-first closure of the reachable state space, with an explicit
-   completeness flag (unlike [Object_spec.reachable_states], which
-   silently truncates). *)
-let closure ~limit (spec : Object_spec.t) =
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  Hashtbl.replace seen spec.Object_spec.init ();
-  Queue.add spec.Object_spec.init queue;
-  let acc = ref [] in
-  let complete = ref true in
-  while not (Queue.is_empty queue) do
-    let state = Queue.pop queue in
-    acc := state :: !acc;
-    List.iter
-      (fun op ->
-        match try_apply spec state op with
-        | None -> ()
-        | Some (state', _) ->
-            if not (Hashtbl.mem seen state') then
-              if Hashtbl.length seen >= limit then complete := false
-              else begin
-                Hashtbl.replace seen state' ();
-                Queue.add state' queue
-              end)
-      spec.Object_spec.menu
-  done;
-  (List.rev !acc, !complete)
 
 (* The diamond at one state: both orders defined, same final state,
    both results order-stable.  States where an op is disabled demand
@@ -132,12 +76,9 @@ let diamond_at spec a b state =
   | None, Some (sb, _) -> try_apply spec sb a = None
   | None, None -> true
 
-let commute_on ~states spec a b =
-  List.for_all (diamond_at spec a b) states
-
 let no_row = Bytes.create 0
 
-let of_env ?(state_limit = 512) (env : Env.t) =
+let of_env (env : Env.t) =
   let specs = Array.of_list (Env.specs env) in
   let names = Hashtbl.create (Array.length specs) in
   Array.iteri (fun i (name, _) -> Hashtbl.replace names name i) specs;
@@ -155,20 +96,6 @@ let of_env ?(state_limit = 512) (env : Env.t) =
           spec;
           op_idx;
           m;
-          univ =
-            lazy
-              (let states, complete = closure ~limit:state_limit spec in
-               if not complete then None
-               else begin
-                 let u = Array.make (m * m) false in
-                 Array.iteri
-                   (fun ia a ->
-                     Array.iteri
-                       (fun ib b -> u.((ia * m) + ib) <- commute_on ~states spec a b)
-                       menu)
-                   menu;
-                 Some u
-               end);
           rows = Value.Tbl.create 256;
           last_state = spec.Object_spec.init;
           last_row = no_row;
@@ -176,39 +103,15 @@ let of_env ?(state_limit = 512) (env : Env.t) =
         })
       specs
   in
-  { env; names; objs }
-
-let of_spec ?state_limit (spec : Object_spec.t) =
-  of_env ?state_limit (Env.make [ (spec.Object_spec.name, spec) ])
-
-(* [independent t obj_a op_a obj_b op_b]: operations on distinct
-   objects always commute; same-object pairs consult the universal
-   matrix (forced on first use), defaulting to dependent for unknown
-   objects, unclosed state spaces, and off-menu operations. *)
-let independent t obj_a op_a obj_b op_b =
-  if not (String.equal obj_a obj_b) then true
-  else
-    match Hashtbl.find_opt t.names obj_a with
-    | None -> false
-    | Some i -> (
-        let o = t.objs.(i) in
-        match Lazy.force o.univ with
-        | None -> false
-        | Some u -> (
-            match
-              (Value.Tbl.find_opt o.op_idx op_a, Value.Tbl.find_opt o.op_idx op_b)
-            with
-            | Some ia, Some ib -> u.((ia * o.m) + ib)
-            | _ -> false))
+  { names; objs }
 
 (* [independent_at t state obj_a op_a obj_b op_b]: the diamond at one
    specific environment state — conditional independence.  Sound for
    sleep-set reductions because each transposition in the equivalence
    chain is checked exactly at the state where the adjacent pair
-   executes.  Strictly weaker demand than {!independent}: pairs that
-   conflict somewhere may still commute here (two writes of the value
-   already stored, a read against a no-op update), and no state-space
-   closure is required. *)
+   executes.  Pairs that conflict somewhere may still commute here
+   (two writes of the value already stored, a read against a no-op
+   update). *)
 let independent_at t (state : Env.state) obj_a op_a obj_b op_b =
   if not (String.equal obj_a obj_b) then true
   else
@@ -256,29 +159,3 @@ let independent_at t (state : Env.state) obj_a op_a obj_b op_b =
                 let ok = diamond_at o.spec op_a op_b s in
                 Value.Tbl.replace o.off_menu key ok;
                 ok))
-
-(* Forces every object's universal relation — a diagnostic summary, so
-   the closure/matrix cost lands here, not on reduction hot paths. *)
-let verdict t =
-  let objects = Array.length t.objs in
-  let closed = ref 0 and pairs = ref 0 and indep = ref 0 in
-  Array.iter
-    (fun o ->
-      match Lazy.force o.univ with
-      | None -> ()
-      | Some u ->
-          incr closed;
-          pairs := !pairs + (o.m * o.m);
-          Array.iter (fun ok -> if ok then incr indep) u)
-    t.objs;
-  {
-    objects;
-    closed_objects = !closed;
-    pairs = !pairs;
-    independent_pairs = !indep;
-  }
-
-let pp_verdict ppf v =
-  Fmt.pf ppf
-    "independence: %d/%d objects closed, %d/%d same-object pairs commute"
-    v.closed_objects v.objects v.independent_pairs v.pairs

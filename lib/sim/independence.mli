@@ -1,64 +1,37 @@
 (** Semantic independence of operations, from sequential specifications.
 
-    Two operations are independent when, from every reachable state
-    where both are enabled, the commuting diamond closes: either order
-    reaches the same state and each operation returns the same result
-    in both orders.  Independent steps of different processes can be
+    Two operations are independent at a state when the commuting
+    diamond closes there: either order reaches the same state and each
+    operation returns the same result in both orders.  Steps of
+    different processes that are independent where they execute can be
     transposed in a schedule without changing anything any process
     observes — the relation that drives the explorer's sleep-set
     pruning and the solver's scheduler-dominance cutoffs.
 
     The relation generalizes the commute half of
     [Wfs_hierarchy.Interference] (Theorem 6's analysis of unary
-    register functions) to arbitrary {!Object_spec} semantics, checked
-    over the object's reachable state space.  All verdicts are computed
-    lazily and memoized: the conditional relation ({!independent_at},
-    the one the reductions query) one diamond at a time, the universal
-    relation ({!independent}, {!verdict}) per object on first use —
-    {!of_env} itself only indexes the menus, so building a relation is
-    cheap even when it is consulted rarely.  Everything unknown —
-    off-menu operations, objects whose state space does not close
-    within [state_limit] — is conservatively dependent.  Operations on
-    distinct objects always commute (atomic application touches one
-    slot of the environment vector). *)
+    register functions) to arbitrary {!Object_spec} semantics.
+    Verdicts are computed lazily, one diamond at a time, and memoized
+    per object state — {!of_env} itself only indexes the menus, so
+    building a relation is cheap even when it is consulted rarely.
+    Operations on distinct objects always commute (atomic application
+    touches one slot of the environment vector). *)
 
 open Wfs_spec
 
 type t
 
-type verdict = {
-  objects : int;
-  closed_objects : int;
-      (** objects whose reachable state space closed within the limit *)
-  pairs : int;  (** same-object menu pairs examined *)
-  independent_pairs : int;
-}
-
 (** [of_env env] prepares the relation for every object of [env]
-    (menu indexing only; verdicts are computed on demand).
-    [state_limit] (default 512) bounds each object's breadth-first
-    state closure; objects that do not close are wholly dependent
-    under {!independent}. *)
-val of_env : ?state_limit:int -> Env.t -> t
-
-(** [of_spec spec] is {!of_env} on the one-object environment [spec]
-    — the solver's shape. *)
-val of_spec : ?state_limit:int -> Object_spec.t -> t
-
-(** [independent t obj_a op_a obj_b op_b]: may the two invocations be
-    transposed?  Sound to under-approximate; [false] for anything not
-    precomputed. *)
-val independent : t -> string -> Op.t -> string -> Op.t -> bool
+    (menu indexing only; verdicts are computed on demand). *)
+val of_env : Env.t -> t
 
 (** [independent_at t state obj_a op_a obj_b op_b]: conditional
     independence — the commuting diamond at one specific environment
-    [state] only.  Strictly admits more pairs than {!independent}
-    (e.g. two writes of the value already stored) and needs no
-    state-space closure; sound for sleep-set reductions because each
-    adjacent transposition is checked at the state where the pair
-    executes.  Verdicts are memoized per object and state. *)
+    [state] only.  Admits pairs that conflict elsewhere (e.g. two
+    writes of the value already stored) and needs no state-space
+    closure; sound for sleep-set reductions because each adjacent
+    transposition is checked at the state where the pair executes.
+    [false] for an unknown object.  Verdicts are memoized per object
+    and state. *)
 val independent_at :
   t -> Env.state -> string -> Op.t -> string -> Op.t -> bool
-
-val verdict : t -> verdict
-val pp_verdict : verdict Fmt.t

@@ -1,14 +1,15 @@
-(** A reusable OCaml 5 domain pool with work-stealing deques and a
+(** A reusable OCaml 5 domain pool with a shared job cursor and a
     deterministic join.
 
     The pool owns [size - 1] worker domains plus the calling domain,
-    which participates in every batch.  {!parallel_map} partitions the
-    jobs block-wise across per-member deques; idle members steal single
-    jobs from the top of other members' deques, so an unbalanced batch
-    (one giant exploration next to many small ones) still keeps every
-    domain busy.  Results are joined {e by job index}, so the output
-    order — and, when the jobs themselves are deterministic, the output
-    content — is independent of which domain ran what.
+    which participates in every batch.  {!parallel_map} hands out job
+    indices through one atomic fetch-and-add cursor per batch: every
+    member claims the next unclaimed index until none is left, so jobs
+    start in index order and an unbalanced batch (one giant
+    exploration next to many small ones) still keeps every domain busy.
+    Results are joined {e by job index}, so the output order — and,
+    when the jobs themselves are deterministic, the output content — is
+    independent of which domain ran what.
 
     A pool of size 1 spawns no domains at all: {!parallel_map} then
     runs the jobs inline, sequentially, in index order — byte-identical
@@ -17,13 +18,15 @@
     than deadlocking on the pool's own workers.
 
     Each batch feeds the default [Wfs_obs.Metrics] registry:
-    [pool.batches], [pool.jobs], [pool.steals] and the [pool.domains]
-    gauge, plus per-member labelled series ([pool.shard.jobs{shard=i}],
-    [pool.shard.steals{shard=i}], [pool.shard.busy_ns{shard=i}],
-    [pool.shard.idle_ns{shard=i}], the [pool.shard.job_ns{shard=i}]
-    duration histogram and the [pool.shard.states{shard=i}] claimed
-    gauge) so a live scrape can attribute imbalance to a specific
-    domain. *)
+    [pool.batches], [pool.jobs] and the [pool.domains] gauge, plus
+    per-member labelled series ([pool.shard.jobs{shard=i}],
+    [pool.shard.busy_ns{shard=i}], [pool.shard.idle_ns{shard=i}], the
+    [pool.shard.job_ns{shard=i}] duration histogram and the
+    [pool.shard.states{shard=i}] claimed gauge) so a live scrape can
+    attribute imbalance to a specific domain.  Busy time is wall time
+    inside jobs; idle time is a worker's park between batches and the
+    leader's wait in the {!parallel_map} join.  Batches that run inline
+    feed none of these. *)
 
 type t
 
@@ -38,24 +41,6 @@ val create : ?domains:int -> unit -> t
 (** Number of domains that execute a batch, including the caller. *)
 val size : t -> int
 
-(** Per-member activity totals, accumulated over the pool's lifetime. *)
-type member_stats = {
-  jobs_run : int;  (** jobs this member executed (own + stolen) *)
-  steals : int;  (** jobs taken from another member's deque *)
-  steal_failures : int;  (** empty-deque probes while looking for work *)
-  busy_ns : int;  (** wall time spent inside jobs *)
-  idle_ns : int;
-      (** workers: time parked between batches; leader: time blocked in
-          the {!parallel_map} join waiting on in-flight jobs *)
-}
-
-(** [stats t] is one {!member_stats} per member, index 0 = the leader
-    (calling domain).  Each member writes only its own slot, so read
-    this between batches for a consistent snapshot.  Batches that run
-    inline (pool of size 1, or nested {!parallel_map} from inside a
-    job) do not touch the stats. *)
-val stats : t -> member_stats array
-
 (** [parallel_map t f arr] computes [Array.map f arr] across the pool.
     Element [i] of the result is always [f arr.(i)] — the join is by
     index, deterministic regardless of scheduling.  If one or more jobs
@@ -66,11 +51,8 @@ val stats : t -> member_stats array
     leader).  Calls from inside a job run inline. *)
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** List version of {!parallel_map}; same ordering guarantees. *)
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-
 (** [map_heaviest_first pool ~weight f jobs] is [Array.map f jobs].
-    With a pool of more than one domain the jobs are issued
+    With a pool of more than one domain the jobs are started
     heaviest-first by [weight] (ties in plan order) — a heavy job
     dispatched last leaves every other domain idle behind it — and the
     results are put back in plan order.  With no pool, or a size-1

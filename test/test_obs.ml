@@ -301,6 +301,27 @@ let test_explorer_truncation_metrics_distinguish_causes () =
   Alcotest.(check int) "depth budget counted" 1 (counter "explorer.truncated.depth");
   Alcotest.(check int) "states budget not counted" 0 (counter "explorer.truncated.states")
 
+(* [explorer.frontier] is a live gauge: set at the batched flushes
+   while a run is in progress, and back to 0 once the run ends, with
+   or without a pool.  augmented-queue n=4 reaches 2713 states, so the
+   sequential engine flushes it twice before it ends. *)
+let test_explorer_frontier_reset () =
+  let frontier () =
+    Option.value ~default:(-1) (Metrics.gauge_value "explorer.frontier")
+  in
+  let config = (Aug_queue_consensus.protocol ~n:4 ()).Protocol.config in
+  Metrics.reset ();
+  let live = ref 0 in
+  ignore
+    (Explorer.explore ~on_terminal:(fun _ -> live := max !live (frontier ()))
+       config);
+  Alcotest.(check bool) "frontier fed mid-run" true (!live > 0);
+  Alcotest.(check int) "frontier 0 after a sequential run" 0 (frontier ());
+  Metrics.reset ();
+  Pool.with_pool ~domains:2 (fun pool ->
+      ignore (Explorer.explore ~pool config));
+  Alcotest.(check int) "frontier 0 after a 2-domain run" 0 (frontier ())
+
 (* --- metric coverage: every documented family is fed ---
 
    Real entry points, run under [Metrics.with_hot], must give every
@@ -308,13 +329,15 @@ let test_explorer_truncation_metrics_distinguish_causes () =
    sample; a documented metric that nothing feeds fails here.  A name
    ending in '.' covers every registered instrument under that prefix
    (labelled series included).  [scheduling] names move only when
-   domains collide — a contended lock, a steal, an idle pool member, a
-   lost CAS or consensus race that sends an operation to the help
-   path — so they need only be registered. *)
+   domains collide — a contended lock, an idle pool member, a lost CAS
+   or consensus race that sends an operation to the help path — so
+   they need only be registered.  [run_scoped] gauges read 0 once a run
+   ends, so they too need only be registered here; "frontier reset"
+   checks them mid-run and after. *)
 
 let documented =
   [
-    "explorer.runs"; "explorer.states"; "explorer.frontier"; "pool.shard.";
+    "explorer.runs"; "explorer.states"; "pool.shard.";
     "intern."; "solver.nodes"; "solver.memo."; "explorer.dedup_hits";
     "explorer.dedup_lookups"; "explorer.dedup_hit_rate"; "explorer.max_depth";
     "explorer.truncated.states"; "explorer.truncated.depth";
@@ -326,13 +349,14 @@ let documented =
 
 let scheduling =
   [
-    "intern.contention"; "intern.stripe.contention"; "pool.shard.steals";
-    "pool.shard.steal_failures"; "pool.shard.idle_ns";
+    "intern.contention"; "intern.stripe.contention"; "pool.shard.idle_ns";
     "fetch_and_cons_rt.cas.retries"; "universal_rt.lock_free.cas_retries";
     "universal_rt.wait_free.help_rounds";
     "universal_rt.wait_free.help_rounds_hist";
     "universal_rt.wait_free.announce_occupancy";
   ]
+
+let run_scoped = [ "explorer.frontier" ]
 
 let test_documented_metrics_fed () =
   let module Rt = Wfs_runtime in
@@ -355,9 +379,8 @@ let test_documented_metrics_fed () =
            ());
       Pool.with_pool ~domains:2 (fun pool ->
           ignore (Protocol.verify ~pool (build "augmented-queue" 3)));
-      (* last exploration, because explorer.dedup_hit_rate is per run
-         and explorer.frontier is flushed every 1024 states: 2713
-         states whose two-step processes reach shared states *)
+      (* last exploration, because explorer.dedup_hit_rate is per run:
+         2713 states whose two-step processes reach shared states *)
       ignore (Protocol.verify (build "augmented-queue" 4));
       ignore (Rt.Service.Load.run ~clients:2 ~ops_per_client:2_000 ());
       let module LF = Rt.Universal_rt.Lock_free (Rt.Seq_objects.Counter) in
@@ -401,7 +424,7 @@ let test_documented_metrics_fed () =
     "every family registered" []
     (List.filter
        (fun family -> not (List.exists (fun (n, _) -> covers family n) dump))
-       (documented @ scheduling));
+       (documented @ scheduling @ run_scoped));
   Alcotest.(check (list string))
     "no documented family left at zero" []
     (List.sort_uniq String.compare (List.map fst dump)
@@ -513,5 +536,7 @@ let suite =
           test_documented_metrics_fed;
         Alcotest.test_case "truncation causes distinguished" `Quick
           test_explorer_truncation_metrics_distinguish_causes;
+        Alcotest.test_case "frontier reset when a run ends" `Quick
+          test_explorer_frontier_reset;
       ] );
   ]

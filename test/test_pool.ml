@@ -1,13 +1,13 @@
 (* The domain pool and everything built on it.
 
    Unit tests pin down the pool's contract (index-ordered deterministic
-   join, lowest-index exception, inline nested calls, reuse, shutdown
-   discipline) and the sharded interner's claim-bit semantics.  The
-   [engine.parallel] differential suite then checks the tentpole
-   guarantee end to end: every registry protocol explored, verified and
-   searched for violations with a 4-domain pool produces byte-identical
-   results to the sequential engine, and the census / hierarchy table
-   print identically when sharded. *)
+   join, heaviest-first dispatch, lowest-index exception, inline nested
+   calls, reuse, shutdown discipline) and the sharded interner's
+   claim-bit semantics.  The [engine.parallel] differential suite then
+   checks the determinism guarantee end to end: every registry protocol
+   explored, verified and searched for violations with a 4-domain pool
+   produces byte-identical results to the sequential engine, and the
+   census / hierarchy table print identically when sharded. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -37,13 +37,6 @@ let test_map_order () =
             (Pool.parallel_map pool (fun x -> x) [||])))
     [ 1; 2; 4 ]
 
-let test_map_list () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check (list string))
-        "map_list preserves order"
-        [ "0"; "1"; "2"; "3"; "4" ]
-        (Pool.map_list pool string_of_int [ 0; 1; 2; 3; 4 ]))
-
 (* Heaviest-first issue, plan-order results; with no pool the jobs run
    on the caller in plan order. *)
 let test_map_heaviest_first () =
@@ -65,6 +58,32 @@ let test_map_heaviest_first () =
        jobs);
   Alcotest.(check (list (float 0.)))
     "no pool: plan order" (Array.to_list jobs) (List.rev !ran)
+
+(* Dispatch order: under a 2-domain pool the heaviest job must be among
+   the first [Pool.size] jobs to start, whatever the plan order.  Each
+   job stamps its start rank from a shared counter, then spins in
+   proportion to its weight so a member cannot race through several
+   light jobs while another is between claiming a job and stamping it. *)
+let test_heaviest_starts_first () =
+  let weights = [| 3; 8; 1; 6; 2; 7; 5; 4 |] in
+  let started = Atomic.make 0 in
+  let rank = Array.make (Array.length weights) (-1) in
+  Pool.with_pool ~domains:2 (fun pool ->
+      ignore
+        (Pool.map_heaviest_first (Some pool) ~weight:float_of_int
+           (fun w ->
+             rank.(w - 1) <- Atomic.fetch_and_add started 1;
+             let acc = ref 0 in
+             for i = 1 to w * 200_000 do
+               acc := Sys.opaque_identity (!acc + i)
+             done;
+             !acc)
+           weights);
+      Alcotest.(check bool)
+        (Fmt.str "heaviest job started among the first %d (rank %d of %d)"
+           (Pool.size pool) rank.(7) (Array.length weights))
+        true
+        (rank.(7) < Pool.size pool))
 
 exception Boom of int
 
@@ -296,9 +315,10 @@ let suite =
       [
         Alcotest.test_case "parallel_map order and values" `Quick
           test_map_order;
-        Alcotest.test_case "map_list" `Quick test_map_list;
         Alcotest.test_case "map_heaviest_first: plan-order results" `Quick
           test_map_heaviest_first;
+        Alcotest.test_case "map_heaviest_first: heaviest job starts first"
+          `Quick test_heaviest_starts_first;
         Alcotest.test_case "lowest-index exception wins" `Quick
           test_exception_lowest_index;
         Alcotest.test_case "reuse across batches" `Quick

@@ -61,9 +61,10 @@ let test_process_cap_guard () =
   let cut, _, _ = sym_tas ~max_states:200 16 in
   Alcotest.(check bool) "n=16: pruned edges" true (cut > 0)
 
-(* Every registry protocol at n=2, sound and broken: [find_violation]'s
-   pruned DFS returns a schedule exactly when [verify] reports a safety
-   failure, and of the kind the report names. *)
+(* Every registry protocol at n=2, sound and broken: [find_violation]
+   searches the unreduced graph (no sleep sets), so it returns a
+   schedule exactly when [verify]'s reduced exploration reports a
+   safety failure, and of the kind the report names. *)
 let test_violation_matches_report () =
   List.iter
     (fun (e : Registry.entry) ->

@@ -2,8 +2,9 @@
    points: structural validity of the exported Chrome trace (balanced
    B/E per tid, non-decreasing timestamps, one thread row per domain),
    the no-tearing guarantee under ring wraparound, spans and causal
-   events sharing one store, pool member stats, and the invariant that
-   profiling does not perturb parallel verification verdicts. *)
+   events sharing one store, the pool's per-member series, and the
+   invariant that profiling does not perturb parallel verification
+   verdicts. *)
 
 open Wfs_sim
 open Wfs_consensus
@@ -273,9 +274,11 @@ let test_jsonl_both_kinds () =
         (fun k -> Alcotest.(check bool) (k ^ " line present") true (List.mem (Some k) kinds))
         [ "meta"; "span"; "invoke"; "help"; "complete" ])
 
-(* --- pool member stats --- *)
+(* --- pool shard series --- *)
 
-let test_pool_member_stats () =
+let test_pool_shard_series () =
+  let module Metrics = Wfs_obs.Metrics in
+  Metrics.reset ();
   Pool.with_pool ~domains:2 (fun pool ->
       let out =
         Pool.parallel_map pool
@@ -284,21 +287,29 @@ let test_pool_member_stats () =
             i)
           (Array.init 64 Fun.id)
       in
-      Alcotest.(check int) "batch ran" 64 (Array.length out);
-      let stats = Pool.stats pool in
-      Alcotest.(check int) "one slot per member" 2 (Array.length stats);
-      let total =
-        Array.fold_left (fun acc s -> acc + s.Pool.jobs_run) 0 stats
-      in
-      Alcotest.(check int) "every job counted exactly once" 64 total;
-      Array.iter
-        (fun s ->
-          Alcotest.(check bool) "busy_ns non-negative" true (s.Pool.busy_ns >= 0);
-          Alcotest.(check bool) "idle_ns non-negative" true (s.Pool.idle_ns >= 0);
-          Alcotest.(check bool)
-            "steal counters non-negative" true
-            (s.Pool.steals >= 0 && s.Pool.steal_failures >= 0))
-        stats)
+      Alcotest.(check int) "batch ran" 64 (Array.length out));
+  let shard base me = Metrics.labeled base [ ("shard", string_of_int me) ] in
+  let read get name =
+    match get name with
+    | Some v -> v
+    | None -> Alcotest.failf "%s not registered" name
+  in
+  let jobs me = read Metrics.counter_value (shard "pool.shard.jobs" me) in
+  Alcotest.(check int) "every job counted exactly once" 64 (jobs 0 + jobs 1);
+  Alcotest.(check int) "pool.jobs agrees" 64
+    (read Metrics.counter_value "pool.jobs");
+  for me = 0 to 1 do
+    Alcotest.(check bool)
+      "busy_ns non-negative" true
+      (read Metrics.gauge_value (shard "pool.shard.busy_ns" me) >= 0);
+    Alcotest.(check bool)
+      "idle_ns non-negative" true
+      (read Metrics.gauge_value (shard "pool.shard.idle_ns" me) >= 0);
+    Alcotest.(check int)
+      "one job_ns observation per job" (jobs me)
+      (Metrics.Histogram.count
+         (Metrics.Histogram.make (shard "pool.shard.job_ns" me)))
+  done
 
 (* --- profiling does not perturb parallel verdicts --- *)
 
@@ -328,7 +339,7 @@ let suite =
           test_span_propagates_exceptions;
         Alcotest.test_case "multi-domain trace structure" `Quick
           test_multi_domain_trace;
-        Alcotest.test_case "pool member stats" `Quick test_pool_member_stats;
+        Alcotest.test_case "pool member stats" `Quick test_pool_shard_series;
         Alcotest.test_case "profiled parallel verdict identical" `Quick
           test_profiled_parallel_verdict_identical;
         QCheck_alcotest.to_alcotest prop_wraparound_balanced;
