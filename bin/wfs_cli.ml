@@ -343,7 +343,7 @@ let verify_cmd =
                           else begin
                             (match
                                Protocol.find_violation ~max_states ~crashes
-                                 ?pool protocol
+                                 protocol
                              with
                             | Some v ->
                                 Fmt.pr "@.counterexample: %a@."

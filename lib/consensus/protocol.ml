@@ -47,16 +47,18 @@ let make ~name ~theorem ~procs ~env =
 
 (* Agreement over the processes that decide: crashed processes have no
    decision slot to compare.  (Without crashes every slot is [Some].) *)
-let terminal_agreement (t : Explorer.terminal) =
-  match
-    Array.to_list t.Explorer.decisions |> List.filter_map (fun d -> d)
-  with
+let agreement decisions =
+  match Array.to_list decisions |> List.filter_map (fun d -> d) with
   | [] -> true
   | d0 :: rest -> List.for_all (Value.equal d0) rest
 
 let verify ?(max_states = 2_000_000) ?max_depth ?(crashes = 0) ?pool t =
   let stats = Explorer.explore ~max_states ?max_depth ~crashes ?pool t.config in
-  let agreement = List.for_all terminal_agreement stats.Explorer.terminals in
+  let agreement =
+    List.for_all
+      (fun (term : Explorer.terminal) -> agreement term.Explorer.decisions)
+      stats.Explorer.terminals
+  in
   (* Validity is checked at every decide event during exploration — the
      paper's condition applied to every history prefix. *)
   let validity = stats.Explorer.invalid_decisions = [] in
@@ -105,42 +107,30 @@ type violation = {
   decisions : (int * Value.t) list;
 }
 
-(* The search is a DFS in successor order with visited-set pruning; the
-   violation returned is therefore the one at the DFS-first violating
-   node.  The parallel mode below shards the root's successor branches
-   across the pool, each branch searched with its own visited set
-   (seeded with the root), and keeps the lowest-branch-index result.
-   That reproduces the sequential answer exactly: a branch's private
-   search expands a superset of what the sequential search expands
-   inside that branch, but every extra node was already expanded —
-   violation-free — in an earlier branch of the sequential order, so
-   the first violating node per branch, and the access path to it, are
-   identical to the sequential search's; and the earliest violating
-   branch wins in both. *)
-let find_violation ?(max_states = 2_000_000) ?(crashes = 0) ?pool t =
+let decisions_of (node : Explorer.node) =
+  Array.to_list node.Explorer.decided
+  |> List.mapi (fun pid d -> (pid, d))
+  |> List.filter_map (fun (pid, d) -> Option.map (fun v -> (pid, v)) d)
+
+(* The search is a DFS in successor order over the unreduced graph with
+   visited-set pruning; the violation returned is the one at the
+   DFS-first violating node. *)
+let find_violation ?(max_states = 2_000_000) ?(crashes = 0) t =
   let cfg = t.config in
   let exception Found of violation in
   let violation_at node path kind =
-    let decisions =
-      Array.to_list node.Explorer.decided
-      |> List.mapi (fun pid d -> (pid, d))
-      |> List.filter_map (fun (pid, d) -> Option.map (fun v -> (pid, v)) d)
-    in
-    raise (Found { kind; schedule = List.rev path; decisions })
+    raise
+      (Found { kind; schedule = List.rev path; decisions = decisions_of node })
   in
-  let rec dfs seen node path =
+  let seen = Value.Tbl.create 4096 in
+  let rec dfs node path =
     let k = Explorer.key node in
     if (not (Value.Tbl.mem seen k)) && Value.Tbl.length seen < max_states
     then begin
       Value.Tbl.replace seen k ();
       if Explorer.is_terminal node then begin
-        if not (terminal_agreement
-                  {
-                    Explorer.decisions = node.Explorer.decided;
-                    who_stepped = node.Explorer.stepped;
-                    who_crashed = node.Explorer.crashed;
-                  })
-        then violation_at node path `Disagreement
+        if not (agreement node.Explorer.decided) then
+          violation_at node path `Disagreement
       end
       else
         List.iter
@@ -157,52 +147,13 @@ let find_violation ?(max_states = 2_000_000) ?(crashes = 0) ?pool t =
             | Explorer.Decide_edge _ | Explorer.Op_edge
             | Explorer.Crash_edge ->
                 ());
-            dfs seen succ (entry :: path))
+            dfs succ (entry :: path))
           (Explorer.successors_with_edges ~crashes cfg node)
     end
   in
-  let sequential () =
-    match dfs (Value.Tbl.create 4096) (Explorer.initial cfg) [] with
-    | () -> None
-    | exception Found v -> Some v
-  in
-  match pool with
-  | Some p when Wfs_sim.Pool.size p > 1 -> (
-      let root = Explorer.initial cfg in
-      if Explorer.is_terminal root then sequential ()
-      else
-        match Explorer.successors_with_edges ~crashes cfg root with
-        | [] -> None
-        | succs ->
-            let root_key = Explorer.key root in
-            let results =
-              Wfs_sim.Pool.parallel_map p
-                (fun (pid, edge, succ) ->
-                  let seen : unit Value.Tbl.t = Value.Tbl.create 4096 in
-                  Value.Tbl.replace seen root_key ();
-                  let entry =
-                    match edge with
-                    | Explorer.Crash_edge -> Crash pid
-                    | Explorer.Decide_edge _ | Explorer.Op_edge -> Step pid
-                  in
-                  match
-                    (match edge with
-                    | Explorer.Decide_edge v
-                      when not (Explorer.decision_valid root ~pid v) ->
-                        violation_at succ [ entry ] `Invalid_decision
-                    | Explorer.Decide_edge _ | Explorer.Op_edge
-                    | Explorer.Crash_edge ->
-                        ());
-                    dfs seen succ [ entry ]
-                  with
-                  | () -> None
-                  | exception Found v -> Some v)
-                (Array.of_list succs)
-            in
-            Array.fold_left
-              (fun acc r -> match acc with Some _ -> acc | None -> r)
-              None results)
-  | _ -> sequential ()
+  match dfs (Explorer.initial cfg) [] with
+  | () -> None
+  | exception Found v -> Some v
 
 (* --- replayable export ---
 
@@ -236,21 +187,10 @@ let replay t ~schedule =
     List.length (List.filter (function Crash _ -> true | Step _ -> false)
                    schedule)
   in
-  let decisions_of (node : Explorer.node) =
-    Array.to_list node.Explorer.decided
-    |> List.mapi (fun pid d -> (pid, d))
-    |> List.filter_map (fun (pid, d) -> Option.map (fun v -> (pid, v)) d)
-  in
   let rec go node path = function
     | [] ->
         if
-          Explorer.is_terminal node
-          && not (terminal_agreement
-                    {
-                      Explorer.decisions = node.Explorer.decided;
-                      who_stepped = node.Explorer.stepped;
-                      who_crashed = node.Explorer.crashed;
-                    })
+          Explorer.is_terminal node && not (agreement node.Explorer.decided)
         then
           Some
             {

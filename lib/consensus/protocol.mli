@@ -77,14 +77,10 @@ type violation = {
 }
 
 (** [crashes] as in {!verify}; with a positive budget the returned
-    schedule may contain [Crash] entries.
-
-    [pool] shards the search over the root's successor branches and
-    keeps the lowest-branch-index violation, which — the search being a
-    pruned DFS in successor order — is exactly the schedule the
-    sequential search returns. *)
-val find_violation :
-  ?max_states:int -> ?crashes:int -> ?pool:Pool.t -> t -> violation option
+    schedule may contain [Crash] entries.  The search is a sequential
+    DFS over the unreduced graph, in successor order; the schedule
+    returned leads to its first violating node. *)
+val find_violation : ?max_states:int -> ?crashes:int -> t -> violation option
 
 val pp_violation : violation Fmt.t
 

@@ -18,11 +18,17 @@
    every execution reaches a terminal state, and the longest-path bound
    gives the strong-wait-freedom step bound of §2.4.
 
-   The engine is an iterative DFS over interned ids with the
-   longest-path DP fused into the same pass: step bounds are combined
-   post-order as frames pop, so no edge is ever re-derived and deep
-   graphs cannot overflow the OCaml stack.  The test tree keeps a
-   recursive two-pass reference over the public successor relation. *)
+   Two engines discover the graph; one walk judges it.  The sequential
+   engine interns and expands each state as the walk first meets it.
+   The parallel engine discovers the whole graph across a domain pool
+   first, then runs the same walk over the recorded int adjacency.  The
+   walk is an iterative post-order DFS over interned ids with the
+   longest-path DP fused in: step bounds are combined as frames pop, so
+   no edge is ever re-derived and deep graphs cannot overflow the OCaml
+   stack.  Both engines expand a state through one step ([expand]) and
+   build their result with one function ([report]).  The test tree
+   keeps a recursive two-pass reference over the public successor
+   relation. *)
 
 open Wfs_spec
 
@@ -48,7 +54,7 @@ type truncation = Budget_states | Budget_depth
 type stats = {
   states : int;  (** distinct joint states visited *)
   terminals : terminal list;
-      (** deduplicated (decision vector, stepped mask) terminal outcomes *)
+      (** deduplicated terminal outcomes, sorted by [terminal_key] *)
   cyclic : bool;  (** a reachable cycle exists — not wait-free *)
   stuck : (int * string) option;
       (** a process raised / had no enabled action *)
@@ -56,7 +62,8 @@ type stats = {
   truncation : truncation option;
       (** which budget was exhausted first, when truncated *)
   invalid_decisions : (int * Value.t) list;
-      (** decide events naming a process that had not yet stepped *)
+      (** every distinct (pid, value) decide naming a process that had
+          not yet stepped, sorted *)
   step_bounds : int array option;
       (** per-process worst-case step counts (longest path), when the
           graph is acyclic and fully explored *)
@@ -122,62 +129,54 @@ let is_terminal node =
 
 type edge = Decide_edge of Value.t | Op_edge | Crash_edge
 
+let live node pid =
+  node.decided.(pid) = None && node.crashed land (1 lsl pid) = 0
+
+(* The one successor step: [pid] performs its pending action.  A
+   [Decide] fills its decision slot without touching the environment;
+   an [Invoke] applies the operation (raising
+   [Object_spec.Unknown_operation] when the object lacks it).  Both are
+   steps of [pid] for scheduling purposes, so both set its [stepped]
+   bit. *)
+let step config node pid = function
+  | Process.Decide v ->
+      let decided = Array.copy node.decided in
+      decided.(pid) <- Some v;
+      { node with decided; stepped = node.stepped lor (1 lsl pid) }
+  | Process.Invoke { obj; op; next } ->
+      let env_state, res = Env.apply config.env node.env_state obj op in
+      let locals = Array.copy node.locals in
+      locals.(pid) <- next res;
+      { node with locals; env_state; stepped = node.stepped lor (1 lsl pid) }
+
+(* The adversary halts [pid]: not a step of anyone (the crashed process
+   is simply never scheduled again), so it neither sets the [stepped]
+   bit nor counts toward step bounds. *)
+let crash node pid = { node with crashed = node.crashed lor (1 lsl pid) }
+
 (* The successors of a node: one per live undecided process, plus — when
    the crash budget is not exhausted — one [Crash_edge] per live
    undecided process, modelling the adversary halting it at exactly this
-   point.  A [Decide] transition is itself a step for scheduling
-   purposes (the DECIDE output event), but does not touch the
-   environment; a [Crash_edge] is not a step of anyone (the crashed
-   process is simply never scheduled again), so it neither sets the
-   [stepped] bit nor counts toward step bounds.  Crash edges come first
-   so counterexample search surfaces crash-involving schedules early. *)
+   point.  Crash edges come first so counterexample search surfaces
+   crash-involving schedules early. *)
 let successors_with_edges ?(crashes = 0) config node =
-  let n = Array.length config.procs in
-  let live pid =
-    node.decided.(pid) = None && node.crashed land (1 lsl pid) = 0
+  let pids =
+    List.filter (live node) (List.init (Array.length config.procs) Fun.id)
   in
-  let step_edges =
-    let rec go pid acc =
-      if pid < 0 then acc
-      else if not (live pid) then go (pid - 1) acc
-      else
-        let proc = config.procs.(pid) in
-        let edge, succ =
-          match Process.action proc node.locals.(pid) with
-          | Process.Decide v ->
-              let decided = Array.copy node.decided in
-              decided.(pid) <- Some v;
-              ( Decide_edge v,
-                { node with decided; stepped = node.stepped lor (1 lsl pid) } )
-          | Process.Invoke { obj; op; next } ->
-              let env_state, res = Env.apply config.env node.env_state obj op in
-              let locals = Array.copy node.locals in
-              locals.(pid) <- next res;
-              ( Op_edge,
-                {
-                  node with
-                  locals;
-                  env_state;
-                  stepped = node.stepped lor (1 lsl pid);
-                } )
+  let steps =
+    List.map
+      (fun pid ->
+        let a = Process.action config.procs.(pid) node.locals.(pid) in
+        let edge =
+          match a with
+          | Process.Decide v -> Decide_edge v
+          | Process.Invoke _ -> Op_edge
         in
-        go (pid - 1) ((pid, edge, succ) :: acc)
-    in
-    go (n - 1) []
+        (pid, edge, step config node pid a))
+      pids
   in
-  if crashes <= popcount node.crashed then step_edges
-  else
-    let rec crash pid acc =
-      if pid < 0 then acc
-      else if not (live pid) then crash (pid - 1) acc
-      else
-        crash (pid - 1)
-          (( pid,
-             Crash_edge,
-             { node with crashed = node.crashed lor (1 lsl pid) } )
-          :: acc)
-    in
-    crash (n - 1) step_edges
+  if crashes <= popcount node.crashed then steps
+  else List.map (fun pid -> (pid, Crash_edge, crash node pid)) pids @ steps
 
 let successors ?crashes config node =
   List.map
@@ -194,27 +193,41 @@ let decision_valid node ~pid v =
       j = pid || (j >= 0 && node.stepped land (1 lsl j) <> 0)
   | _ -> false
 
-(* --- invalid-decision accounting ---
+(* --- the per-run record ---
 
-   Deduplicated (pid, value) pairs with an O(1) membership check per
-   edge (the old accounting ran [List.length] per edge and recorded
-   duplicates), capped at [max_invalid] distinct entries; the report is
-   sorted so it is stable across engines and traversal orders. *)
+   Everything a search learns about the states it claims, apart from
+   the graph's shape: the sequential engine keeps one, the parallel
+   engine one per seed job plus one for the seed phase, merged by
+   [report].  Terminals are deduplicated by outcome (decision vector
+   plus the stepped and crashed masks); invalid decides by their
+   (pid, value) pair, every distinct pair kept — there are at most n
+   times the number of decision values. *)
+type prec = {
+  mutable r_edges : (int * int array * int array) list;
+      (* parallel discovery only: (src id, pid codes, dst ids) — crash
+         edges coded [-2 - pid] *)
+  r_terminals : terminal Value.Tbl.t;
+  r_invalid : (int * Value.t) Value.Tbl.t;
+  mutable r_stuck : (int * string) option;
+  mutable r_crash : int;  (* crash edges kept *)
+  mutable r_truncation : truncation option;
+  mutable r_claimed : int;  (* fresh states this record claimed *)
+  mutable r_claimed_flushed : int;  (* ...of which already flushed live *)
+  mutable r_pruned : int;  (* edges skipped by the sleep-set reduction *)
+}
 
-let max_invalid = 10
-
-let invalid_make () : (int * Value.t) Value.Tbl.t = Value.Tbl.create 8
-
-let invalid_note acc pid v =
-  if Value.Tbl.length acc < max_invalid then begin
-    let k = Value.pair (Value.int pid) v in
-    if not (Value.Tbl.mem acc k) then Value.Tbl.replace acc k (pid, v)
-  end
-
-let invalid_report acc =
-  Value.Tbl.fold (fun _ pv l -> pv :: l) acc []
-  |> List.sort (fun (p, v) (q, w) ->
-         match Int.compare p q with 0 -> Value.compare v w | c -> c)
+let prec_make () =
+  {
+    r_edges = [];
+    r_terminals = Value.Tbl.create 16;
+    r_invalid = Value.Tbl.create 8;
+    r_stuck = None;
+    r_crash = 0;
+    r_truncation = None;
+    r_claimed = 0;
+    r_claimed_flushed = 0;
+    r_pruned = 0;
+  }
 
 (* --- partial-order reduction: sleep sets over pending actions ---
 
@@ -268,24 +281,20 @@ let invalid_report acc =
 let crash_shift = 16
 
 (* Successors of [node] under arrival sleep mask [arrival], in the
-   incumbent canonical order (crash edges first, then steps, pid
-   ascending), as [(pid_code, successor, child_mask)] with crash edges
-   coded [-2 - pid].  Slept monotone edges are skipped entirely — no
-   [Env.apply], no interning; [on_pruned] counts them.  [note_invalid]
-   fires for every generated decide edge failing validity, pruned or
-   not; [on_crash] counts kept crash edges.  With [ind = None] (the
-   reduction is off) every child mask is 0, so from a 0 root mask
-   nothing is ever pruned: this is then the unreduced successor
-   relation. *)
-let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
-    config node arrival =
+   canonical order (crash edges first, then steps, pid ascending), as
+   [(pid_code, successor, child_mask)] with crash edges coded
+   [-2 - pid].  Slept monotone edges are skipped entirely — no
+   [Env.apply], no interning — and counted in [r.r_pruned].  Every
+   generated decide edge failing validity is noted in [r.r_invalid],
+   pruned or not; kept crash edges are counted in [r.r_crash].  With
+   [ind = None] (the reduction is off) every child mask is 0, so from a
+   0 root mask nothing is ever pruned: this is then the unreduced
+   successor relation. *)
+let successors_with_sleep ~crashes ~ind config r node arrival =
   let n = Array.length config.procs in
-  let live pid =
-    node.decided.(pid) = None && node.crashed land (1 lsl pid) = 0
-  in
   let acts = Array.make n None in
   for pid = 0 to n - 1 do
-    if live pid then
+    if live node pid then
       acts.(pid) <- Some (Process.action config.procs.(pid) node.locals.(pid))
   done;
   (* may the pending steps [aq] and [a] be transposed at this state? *)
@@ -308,7 +317,7 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
     | Some ind ->
         let m = ref 0 in
         for q = 0 to n - 1 do
-          if q <> pid && live q then begin
+          if q <> pid && live node q then begin
             (match acts.(q) with
             | Some aq
               when (arrival land (1 lsl q) <> 0
@@ -330,12 +339,12 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
   let kept = ref [] in
   if crash_budget then
     for pid = 0 to n - 1 do
-      if live pid then
-        if arrival land (1 lsl (pid + crash_shift)) <> 0 then on_pruned ()
+      if live node pid then
+        if arrival land (1 lsl (pid + crash_shift)) <> 0 then
+          r.r_pruned <- r.r_pruned + 1
         else begin
-          on_crash ();
-          let succ = { node with crashed = node.crashed lor (1 lsl pid) } in
-          kept := (-2 - pid, succ, child_mask pid None) :: !kept;
+          r.r_crash <- r.r_crash + 1;
+          kept := (-2 - pid, crash node pid, child_mask pid None) :: !kept;
           earlier_crashes := !earlier_crashes lor (1 lsl pid)
         end
     done;
@@ -345,7 +354,9 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
     | Some a ->
         (match a with
         | Process.Decide v when not (decision_valid node ~pid v) ->
-            note_invalid pid v
+            Value.Tbl.replace r.r_invalid
+              (Value.pair (Value.int pid) v)
+              (pid, v)
         | _ -> ());
         let slept = arrival land (1 lsl pid) <> 0 in
         let monotone =
@@ -353,27 +364,9 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
           | Process.Decide _ -> true
           | Process.Invoke _ -> node.stepped land (1 lsl pid) = 0
         in
-        if slept && monotone then on_pruned ()
+        if slept && monotone then r.r_pruned <- r.r_pruned + 1
         else begin
-          let succ =
-            match a with
-            | Process.Decide v ->
-                let decided = Array.copy node.decided in
-                decided.(pid) <- Some v;
-                { node with decided; stepped = node.stepped lor (1 lsl pid) }
-            | Process.Invoke { obj; op; next } ->
-                let env_state, res =
-                  Env.apply config.env node.env_state obj op
-                in
-                let locals = Array.copy node.locals in
-                locals.(pid) <- next res;
-                {
-                  node with
-                  locals;
-                  env_state;
-                  stepped = node.stepped lor (1 lsl pid);
-                }
-          in
+          let succ = step config node pid a in
           kept := (pid, succ, child_mask pid (Some a)) :: !kept;
           earlier_steps := !earlier_steps lor (1 lsl pid)
         end
@@ -381,8 +374,8 @@ let successors_with_sleep ~crashes ~ind ~note_invalid ~on_crash ~on_pruned
   List.rev !kept
 
 (* Metric names: ROADMAP's measurement substrate.  Totals accumulate in
-   plain refs during the DFS (the explorer is single-threaded) and are
-   flushed to the shared registry once per run. *)
+   per-run records during the search and are flushed to the shared
+   registry in batches and once per run. *)
 module M = struct
   open Wfs_obs.Metrics
 
@@ -394,7 +387,7 @@ module M = struct
   let states = Counter.make "explorer.states"
 
   (* live DFS depth, set at the batched flushes; a finished run leaves
-     no frontier, so [flush_metrics] sets it back to 0 *)
+     no frontier, so [report] sets it back to 0 *)
   let frontier = Gauge.make "explorer.frontier"
   let dedup_hits = Counter.make "explorer.dedup_hits"
   let dedup_lookups = Counter.make "explorer.dedup_lookups"
@@ -415,90 +408,131 @@ module M = struct
   let por_pruned = Counter.make "explorer.por.pruned"
 end
 
-(* [states_flushed] is what live batched ticks already pushed to
-   [M.states] mid-run; only the remainder lands here, so live flushing
-   never double-counts. *)
-let flush_metrics ?(states_flushed = 0) ~states ~hits ~lookups ~deepest
-    ~truncation ~cyclic ~intern () =
-  let open Wfs_obs.Metrics in
-  Counter.incr M.runs;
-  Counter.add M.states (states - states_flushed);
-  Gauge.set M.frontier 0;
-  Counter.add M.dedup_hits hits;
-  Counter.add M.dedup_lookups lookups;
-  Fgauge.set M.dedup_hit_rate
-    (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups);
-  Gauge.set_max M.max_depth_seen deepest;
-  (match truncation with
-  | Some Budget_states -> Counter.incr M.truncated_states
-  | Some Budget_depth -> Counter.incr M.truncated_depth
-  | None -> ());
-  (match intern with
-  | Some tbl ->
-      Counter.add M.intern_hits (Intern.hits tbl);
-      Counter.add M.intern_lookups (Intern.lookups tbl);
-      Gauge.set_max M.arena_size (Intern.size tbl)
-  | None -> ());
-  Wfs_obs.Profile.instant ~cat:"explore"
-    ~args:(fun () ->
-      [
-        ("states", Wfs_obs.Json.int states);
-        ("max_depth", Wfs_obs.Json.int deepest);
-        ("cyclic", Wfs_obs.Json.bool cyclic);
-        ("truncated", Wfs_obs.Json.bool (truncation <> None));
-      ])
-    "explorer.done"
+(* Push this record's unreported claims to the global states counter and
+   the calling domain's [pool.shard.states] series.  Called at batched
+   tick points and once at the end of the record's search, so the sum
+   over all records equals the exact state count with nothing
+   double-counted. *)
+let flush_claims r =
+  let d = r.r_claimed - r.r_claimed_flushed in
+  if d > 0 then begin
+    Wfs_obs.Metrics.Counter.add M.states d;
+    Pool.note_states d;
+    r.r_claimed_flushed <- r.r_claimed
+  end
 
-(* Terminals are deduplicated by outcome: decision vector plus the
-   stepped and crashed masks. *)
+(* Expand [node] under arrival mask [mask]: its kept successors as
+   parallel arrays (pid codes, nodes, child masks), or [None] for a
+   leaf.  A leaf is stuck — an unknown operation, or no successor at
+   all — unless every successor was slept away: then it is covered, its
+   outcomes reached through the representative paths. *)
+let expand ~crashes ~indep config r node mask =
+  let pruned0 = r.r_pruned in
+  match successors_with_sleep ~crashes ~ind:indep config r node mask with
+  | exception Object_spec.Unknown_operation { obj; op } ->
+      r.r_stuck <-
+        Some (-1, Fmt.str "unknown operation %a on %s" Op.pp op obj);
+      None
+  | [] ->
+      if r.r_pruned = pruned0 then r.r_stuck <- Some (-1, "no successor");
+      None
+  | succs ->
+      let m = List.length succs in
+      let pids = Array.make m (-1) in
+      let nodes = Array.make m node in
+      let masks = Array.make m 0 in
+      List.iteri
+        (fun i (code, succ, cmask) ->
+          pids.(i) <- code;
+          nodes.(i) <- succ;
+          masks.(i) <- cmask)
+        succs;
+      Some (pids, nodes, masks)
+
 let terminal_key node =
   Value.pair
     (Value.list (Array.to_list (Array.map Value.of_option node.decided)))
     (Value.pair (Value.int node.stepped) (Value.int node.crashed))
 
-let terminal_of node =
-  {
-    decisions = Array.copy node.decided;
-    who_stepped = node.stepped;
-    who_crashed = node.crashed;
-  }
+type sight = Over_budget | Terminal | Fresh
 
-(* --- the fused single-pass engine --- *)
+let truncate r cause =
+  if r.r_truncation = None then r.r_truncation <- Some cause;
+  Over_budget
 
-(* One frame per node being expanded.  [f_best] accumulates the
-   longest-path DP post-order: when the child explored via [f_pending]
-   finishes, its bounds fold into [f_best], so the DP needs no second
-   traversal.
+(* First sight of [node] at [depth], [visited] counting the run's
+   claimed states: the budget checks, then the claim — counted, flushed
+   live in batches of 1024 — and either a terminal, recorded and handed
+   to [on_terminal], or a node to expand. *)
+let admit r ~visited ~max_states ~max_depth ~on_terminal node depth =
+  if Atomic.get visited >= max_states then truncate r Budget_states
+  else if depth >= max_depth then truncate r Budget_depth
+  else begin
+    Atomic.incr visited;
+    r.r_claimed <- r.r_claimed + 1;
+    if r.r_claimed land 1023 = 0 then begin
+      flush_claims r;
+      Wfs_obs.Metrics.Gauge.set M.frontier depth
+    end;
+    if is_terminal node then begin
+      Value.Tbl.replace r.r_terminals (terminal_key node)
+        {
+          decisions = Array.copy node.decided;
+          who_stepped = node.stepped;
+          who_crashed = node.crashed;
+        };
+      on_terminal node;
+      Terminal
+    end
+    else Fresh
+  end
 
-   Crash edges are encoded in the pid arrays as [-2 - pid]: [combine]
-   adds the +1 step only when its pid argument matches a real process
-   index, so a crash edge folds the child's bounds in verbatim —
-   crashing is not a step of anyone. *)
-type frame = {
-  f_id : int;  (* interned id of the node *)
-  f_pids : int array;  (* successor pids, in canonical order *)
-  f_nodes : node array;  (* successor nodes, computed exactly once *)
-  f_masks : int array;  (* per-successor arrival sleep masks ([||] = none) *)
-  mutable f_next : int;  (* next successor index to explore *)
-  mutable f_pending : int;  (* pid of the in-flight successor *)
+(* --- the walk: cycle detection with the longest-path DP fused in ---
+
+   One iterative post-order DFS over interned ids serves both engines.
+   A node is white until first seen, gray while its frame is on the
+   stack, black once finished; meeting a gray node is a cycle.  When
+   the child a frame is waiting on finishes, its bounds fold into the
+   frame's [f_best] ([settle]), so the DP needs no second traversal
+   and deep graphs cannot overflow the OCaml stack.
+
+   What a first-seen node is comes from the caller's [first]: skipped
+   (over budget — left white, folded into nothing), a leaf (zero
+   bounds), or an inner node with its successors' pid codes and an
+   opaque ['c] holding the successors themselves, which [id_of] turns
+   into ids one at a time.  The sequential engine interns and expands
+   there; the parallel engine's phase 2 reads its merged adjacency.
+
+   Crash edges are coded [-2 - pid] in the pid arrays: [settle] adds
+   the +1 step only when its pid argument matches a real process index,
+   so a crash edge folds the child's bounds in verbatim — crashing is
+   not a step of anyone. *)
+
+type 'c visit = Skip | Leaf | Inner of int array * 'c
+
+type 'c frame = {
+  f_id : int;
+  f_pids : int array;  (* successor pid codes, in canonical order *)
+  f_kids : 'c;  (* the successors, in the same order *)
+  mutable f_next : int;  (* next successor index to visit *)
   f_best : int array;  (* running per-process longest-path maxima *)
+}
+
+type walk = {
+  w_cyclic : bool;
+  w_root_bounds : int array;
+  w_visits : int;  (* lookups, the root's included *)
+  w_hits : int;  (* ...that met an already-seen (gray or black) node *)
+  w_deepest : int;
+  w_fused : int;  (* edges folded into the DP *)
 }
 
 let white = '\000'
 let gray = '\001'
 let black = '\002'
 
-let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep ~on_terminal
-    config =
-  let n = Array.length config.procs in
-  let encode = if symmetry then canonical_key else key in
-  (* small start, grown on demand: callers such as the randomized
-     consensus check run thousands of explorations of a few hundred
-     states each, where pre-sizing to the budget dominated *)
-  let size_hint = max 16 (min max_states 256) in
-  let tbl = Intern.create ~size_hint () in
-  (* colors and DP bounds are arrays indexed by interned id, grown in
-     lockstep with the arena *)
+let walk ~n ~size_hint ~id_of ~first root =
+  (* colors and bounds are indexed by id, grown on demand *)
   let colors = ref (Bytes.make size_hint white) in
   let bounds = ref (Array.make size_hint [||]) in
   let ensure id =
@@ -514,165 +548,185 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep ~on_terminal
     end
   in
   let zeros = Array.make n 0 in
-  let terminals : terminal Value.Tbl.t = Value.Tbl.create 64 in
-  let cyclic = ref false in
-  let stuck = ref None in
-  let truncation = ref None in
-  let invalid = invalid_make () in
-  let lookups = ref 0 in
-  let hits = ref 0 in
-  let visited = ref 0 in
-  let live_flushed = ref 0 in
-  let deepest = ref 0 in
-  let fused = ref 0 in
-  let crash_seen = ref 0 in
-  let por_cut = ref 0 in
-  let stack : frame Stack.t = Stack.create () in
-  let combine f pid child =
-    incr fused;
-    let best = f.f_best in
-    for p = 0 to n - 1 do
-      let v = child.(p) + if p = pid then 1 else 0 in
-      if v > best.(p) then best.(p) <- v
-    done
+  let cyclic = ref false and visits = ref 0 and hits = ref 0 in
+  let deepest = ref 0 and fused = ref 0 in
+  let stack = Stack.create () in
+  (* fold a finished child's bounds into the frame waiting on it *)
+  let settle child =
+    if not (Stack.is_empty stack) then begin
+      let f = Stack.top stack in
+      incr fused;
+      let pid = f.f_pids.(f.f_next - 1) and best = f.f_best in
+      for p = 0 to n - 1 do
+        let v = child.(p) + if p = pid then 1 else 0 in
+        if v > best.(p) then best.(p) <- v
+      done
+    end
   in
-  let expand_node node arrival =
-    successors_with_sleep ~crashes ~ind:indep
-      ~note_invalid:(invalid_note invalid)
-      ~on_crash:(fun () -> incr crash_seen)
-      ~on_pruned:(fun () -> incr por_cut)
-      config node arrival
-  in
-  (* Enter [node] (reached from [parent] by a step of [via_pid], with
-     arrival sleep mask [arrival]).  Hits on finished nodes fold their
-     bounds straight into the parent; fresh nodes either settle
-     immediately (terminal / stuck) or push a frame. *)
-  let visit parent via_pid node arrival depth =
+  let visit kids i =
+    let depth = Stack.length stack in
     if depth > !deepest then deepest := depth;
-    incr lookups;
-    let id = Intern.intern tbl (encode node) in
+    incr visits;
+    let id = id_of kids i in
     ensure id;
-    let finish_leaf () =
-      Bytes.set !colors id black;
-      !bounds.(id) <- zeros;
-      match parent with Some f -> combine f via_pid zeros | None -> ()
-    in
-    match Bytes.get !colors id with
-    | c when c = gray ->
-        incr hits;
-        cyclic := true
-    | c when c = black ->
-        incr hits;
-        (match parent with
-        | Some f -> combine f via_pid !bounds.(id)
-        | None -> ())
-    | _ ->
-        if !visited >= max_states then
-          (if !truncation = None then truncation := Some Budget_states)
-        else if depth >= max_depth then
-          (if !truncation = None then truncation := Some Budget_depth)
-        else begin
-          incr visited;
-          (* batched live flush: one modulo test per 1024 states *)
-          if !visited land 1023 = 0 then begin
-            live_flushed := !live_flushed + 1024;
-            Wfs_obs.Metrics.Counter.add M.states 1024;
-            Wfs_obs.Metrics.Gauge.set M.frontier (Stack.length stack);
-            Pool.note_states 1024
-          end;
-          if is_terminal node then begin
-            Value.Tbl.replace terminals (terminal_key node) (terminal_of node);
-            on_terminal node;
-            finish_leaf ()
-          end
-          else begin
-            let pruned0 = !por_cut in
-            match expand_node node arrival with
-            | exception Object_spec.Unknown_operation { obj; op } ->
-                stuck :=
-                  Some (-1, Fmt.str "unknown operation %a on %s" Op.pp op obj);
-                finish_leaf ()
-            | [] ->
-                (* all successors slept away: a legitimate leaf, its
-                   outcomes covered through the representative paths *)
-                if !por_cut = pruned0 then stuck := Some (-1, "no successor");
-                finish_leaf ()
-            | succs ->
-                Bytes.set !colors id gray;
-                let m = List.length succs in
-                let pids = Array.make m (-1) in
-                let nodes = Array.make m node in
-                let masks = Array.make m 0 in
-                List.iteri
-                  (fun i (code, succ, mask) ->
-                    pids.(i) <- code;
-                    nodes.(i) <- succ;
-                    masks.(i) <- mask)
-                  succs;
-                Stack.push
-                  {
-                    f_id = id;
-                    f_pids = pids;
-                    f_nodes = nodes;
-                    f_masks = masks;
-                    f_next = 0;
-                    f_pending = -1;
-                    f_best = Array.make n 0;
-                  }
-                  stack
-          end
-        end
+    let c = Bytes.get !colors id in
+    if c = gray then begin
+      incr hits;
+      cyclic := true
+    end
+    else if c = black then begin
+      incr hits;
+      settle !bounds.(id)
+    end
+    else begin
+      match first kids i id depth with
+      | Skip -> ()
+      | Leaf ->
+          Bytes.set !colors id black;
+          !bounds.(id) <- zeros;
+          settle zeros
+      | Inner (pids, kids) ->
+          Bytes.set !colors id gray;
+          Stack.push
+            {
+              f_id = id;
+              f_pids = pids;
+              f_kids = kids;
+              f_next = 0;
+              f_best = Array.make n 0;
+            }
+            stack
+    end;
+    id
   in
-  visit None (-1) (initial config) 0 0;
+  let root_id = visit root 0 in
   while not (Stack.is_empty stack) do
     let f = Stack.top stack in
     if f.f_next < Array.length f.f_pids then begin
-      let i = f.f_next in
-      f.f_next <- i + 1;
-      f.f_pending <- f.f_pids.(i);
-      visit (Some f) f.f_pids.(i) f.f_nodes.(i) f.f_masks.(i)
-        (Stack.length stack)
+      f.f_next <- f.f_next + 1;
+      ignore (visit f.f_kids (f.f_next - 1))
     end
     else begin
       ignore (Stack.pop stack);
       !bounds.(f.f_id) <- f.f_best;
       Bytes.set !colors f.f_id black;
-      match Stack.top_opt stack with
-      | Some parent -> combine parent parent.f_pending f.f_best
-      | None -> ()
+      settle f.f_best
     end
   done;
-  let truncated = !truncation <> None in
-  let acyclic = (not !cyclic) && (not truncated) && !stuck = None in
-  let step_bounds =
-    if not acyclic then None
-    else begin
-      let root_id = Intern.intern tbl (encode (initial config)) in
-      Some (Array.copy !bounds.(root_id))
-    end
-  in
-  let states = !visited in
-  flush_metrics ~states_flushed:!live_flushed ~states ~hits:!hits
-    ~lookups:!lookups ~deepest:!deepest ~truncation:!truncation
-    ~cyclic:!cyclic ~intern:(Some tbl) ();
-  Pool.note_states (states - !live_flushed);
-  Wfs_obs.Metrics.Counter.add M.fused_edges !fused;
-  Wfs_obs.Metrics.Counter.add M.crash_edges !crash_seen;
-  Wfs_obs.Metrics.Counter.add M.por_pruned !por_cut;
   {
-    states;
-    terminals = Value.Tbl.fold (fun _ d acc -> d :: acc) terminals [];
-    cyclic = !cyclic;
-    stuck = !stuck;
-    truncated;
-    truncation = !truncation;
-    invalid_decisions = invalid_report invalid;
-    step_bounds;
+    w_cyclic = !cyclic;
+    w_root_bounds = !bounds.(root_id);
+    w_visits = !visits;
+    w_hits = !hits;
+    w_deepest = !deepest;
+    w_fused = !fused;
   }
 
-(* --- the parallel engine --- *)
+(* --- the result ---
 
-(* Reachability is parallelised; the verdict pass is not.
+   One builder for both engines: merge the records (terminals and
+   invalid decides deduplicated and sorted by key, the first stuck
+   report, a states budget before a depth budget), read the verdicts
+   off the walk, and flush the run's metrics.  [hits] / [lookups] feed
+   the dedup metrics. *)
+let report ~states ~hits ~lookups (w : walk) recs =
+  let sorted tbl_of =
+    List.concat_map
+      (fun r -> Value.Tbl.fold (fun k v acc -> (k, v) :: acc) (tbl_of r) [])
+      recs
+    |> List.sort_uniq (fun (k1, _) (k2, _) -> Value.compare k1 k2)
+    |> List.map snd
+  in
+  let hit cause = List.exists (fun r -> r.r_truncation = Some cause) recs in
+  let truncation =
+    if hit Budget_states then Some Budget_states
+    else if hit Budget_depth then Some Budget_depth
+    else None
+  in
+  let stuck = List.find_map (fun r -> r.r_stuck) recs in
+  let truncated = truncation <> None in
+  let sum field = List.fold_left (fun acc r -> acc + field r) 0 recs in
+  (* a parallel run's records were flushed by the domains that claimed
+     their states; this catches the sequential record's remainder *)
+  List.iter flush_claims recs;
+  let open Wfs_obs.Metrics in
+  Counter.incr M.runs;
+  Gauge.set M.frontier 0;
+  Counter.add M.dedup_hits hits;
+  Counter.add M.dedup_lookups lookups;
+  Fgauge.set M.dedup_hit_rate
+    (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups);
+  Gauge.set_max M.max_depth_seen w.w_deepest;
+  (match truncation with
+  | Some Budget_states -> Counter.incr M.truncated_states
+  | Some Budget_depth -> Counter.incr M.truncated_depth
+  | None -> ());
+  Counter.add M.fused_edges w.w_fused;
+  Counter.add M.crash_edges (sum (fun r -> r.r_crash));
+  Counter.add M.por_pruned (sum (fun r -> r.r_pruned));
+  Wfs_obs.Profile.instant ~cat:"explore"
+    ~args:(fun () ->
+      [
+        ("states", Wfs_obs.Json.int states);
+        ("max_depth", Wfs_obs.Json.int w.w_deepest);
+        ("cyclic", Wfs_obs.Json.bool w.w_cyclic);
+        ("truncated", Wfs_obs.Json.bool truncated);
+      ])
+    "explorer.done";
+  {
+    states;
+    terminals = sorted (fun r -> r.r_terminals);
+    cyclic = w.w_cyclic;
+    stuck;
+    truncated;
+    truncation;
+    invalid_decisions = sorted (fun r -> r.r_invalid);
+    step_bounds =
+      (if w.w_cyclic || truncated || stuck <> None then None
+       else Some (Array.copy w.w_root_bounds));
+  }
+
+(* --- the sequential engine: discovery inside the walk --- *)
+
+let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep ~on_terminal
+    config =
+  let encode = if symmetry then canonical_key else key in
+  (* small start, grown on demand: callers such as the randomized
+     consensus check run thousands of explorations of a few hundred
+     states each, where pre-sizing to the budget dominated *)
+  let size_hint = max 16 (min max_states 256) in
+  let tbl = Intern.create ~size_hint () in
+  let r = prec_make () in
+  let visited = Atomic.make 0 in
+  (* a walk child is slot [i] of (successor nodes, arrival masks) *)
+  let first (nodes, masks) i _id depth =
+    let node = nodes.(i) in
+    match
+      admit r ~visited ~max_states ~max_depth ~on_terminal node depth
+    with
+    | Over_budget -> Skip
+    | Terminal -> Leaf
+    | Fresh -> (
+        match expand ~crashes ~indep config r node masks.(i) with
+        | None -> Leaf
+        | Some (pids, nodes, masks) -> Inner (pids, (nodes, masks)))
+  in
+  let w =
+    walk ~n:(Array.length config.procs) ~size_hint
+      ~id_of:(fun (nodes, _) i -> Intern.intern tbl (encode nodes.(i)))
+      ~first
+      ([| initial config |], [| 0 |])
+  in
+  let open Wfs_obs.Metrics in
+  Counter.add M.intern_hits (Intern.hits tbl);
+  Counter.add M.intern_lookups (Intern.lookups tbl);
+  Gauge.set_max M.arena_size (Intern.size tbl);
+  report ~states:(Atomic.get visited) ~hits:w.w_hits ~lookups:w.w_visits w
+    [ r ]
+
+(* --- the parallel engine: discovery first, then the same walk ---
+
+   Reachability is parallelised; the verdict pass is not.
 
    Phase 1 (parallel): a short sequential BFS from the root grows a
    frontier of claimed-but-unexpanded nodes — disjoint top-level
@@ -683,24 +737,26 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep ~on_terminal
    global state count is exact, schedule-independent, and equal to the
    sequential engine's.  Everything else a worker writes — the int
    adjacency of the nodes it expanded, terminals, invalid decides,
-   crash-edge counts — goes into a private record.
+   crash-edge counts — goes into its own record.
 
    Phase 2 (sequential): cycle detection and the fused longest-path DP
    cannot be split across workers (a cycle, and a longest path, can
    thread through several workers' territories), but by then the
    expensive work — [successors_with_sleep], [Env.apply], hashing —
-   is already done.  Phase 2 is a DFS over int arrays: a few machine
-   operations per edge, a small fraction of phase-1 cost.
+   is already done.  Phase 2 is the sequential engine's [walk] over the
+   merged int adjacency: a few machine operations per edge, a small
+   fraction of phase-1 cost.  Nodes with no recorded adjacency
+   (terminals, stuck or covered leaves, and claimed-but-dropped nodes
+   of truncated runs) are leaves with zero bounds.
 
    Determinism: on runs that complete within budget, [states],
-   [terminals], [cyclic], [stuck = None], validity and [step_bounds]
-   are all schedule-independent (terminals are deduped by the same
-   value key as the sequential engines and reported sorted).  Budget
-   truncation is the one racy edge: which states fall inside a
-   just-exceeded budget depends on the schedule, so truncated parallel
-   runs may differ marginally from sequential ones — conservatively,
-   since a truncated run never claims wait-freedom.  [-j 1] bypasses
-   this engine entirely. *)
+   [terminals], [cyclic], [stuck = None], [invalid_decisions] and
+   [step_bounds] are all schedule-independent and equal to the
+   sequential engine's.  Budget truncation is the one racy edge: which
+   states fall inside a just-exceeded budget depends on the schedule,
+   so truncated parallel runs may differ marginally from sequential
+   ones — conservatively, since a truncated run never claims
+   wait-freedom.  [-j 1] bypasses this engine entirely. *)
 
 module MP = struct
   open Wfs_obs.Metrics
@@ -710,50 +766,8 @@ module MP = struct
   let domains = Gauge.make "explorer.par.domains"
 end
 
-(* Private per-worker record; merged single-threaded after the join. *)
-type prec = {
-  mutable r_edges : (int * int array * int array) list;
-      (* (src id, pid codes, dst ids) — crash edges coded [-2 - pid] *)
-  r_terminals : terminal Value.Tbl.t;
-  r_invalid : (int * Value.t) Value.Tbl.t;
-  mutable r_stuck : (int * string) option;
-  mutable r_deepest : int;
-  mutable r_crash : int;
-  mutable r_truncation : truncation option;
-  mutable r_claimed : int;  (* fresh states this worker claimed *)
-  mutable r_claimed_flushed : int;  (* ...of which already flushed live *)
-  mutable r_pruned : int;  (* edges skipped by the sleep-set reduction *)
-}
-
-let prec_make () =
-  {
-    r_edges = [];
-    r_terminals = Value.Tbl.create 16;
-    r_invalid = invalid_make ();
-    r_stuck = None;
-    r_deepest = 0;
-    r_crash = 0;
-    r_truncation = None;
-    r_claimed = 0;
-    r_claimed_flushed = 0;
-    r_pruned = 0;
-  }
-
-(* Push this record's unreported claims to the global states counter and
-   the claiming domain's [pool.shard.states] series.  Called at batched
-   tick points and once at job end, so the sum over all records equals
-   the exact state count with nothing double-counted. *)
-let flush_claims rec_ =
-  let d = rec_.r_claimed - rec_.r_claimed_flushed in
-  if d > 0 then begin
-    Wfs_obs.Metrics.Counter.add M.states d;
-    Pool.note_states d;
-    rec_.r_claimed_flushed <- rec_.r_claimed
-  end
-
 let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
     ~on_terminal config =
-  let n = Array.length config.procs in
   let workers = Pool.size pool in
   let encode = if symmetry then canonical_key else key in
   let stbl =
@@ -761,76 +775,36 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
       ~size_hint:(max 16 (min max_states 65536)) ()
   in
   let visited = Atomic.make 0 in
-  (* Claim [node]: on first sight across all domains, count it and
-     either record it as a terminal or hand it to [enqueue] for
-     expansion.  Always returns the id so the caller can record the
-     edge — edges to already-claimed nodes are what phase 2's cycle
-     detection feeds on.  [mask] is the arrival sleep mask; the
-     claiming arrival's mask is the one the eventual expansion uses
-     (any valid mask preserves every verdict — see the sleep-set
+  (* A claim [(id, fresh)] on [node]: on first sight across all domains
+     the claimer admits it and, unless it is a terminal or over budget,
+     hands it to [enqueue] for expansion.  [mask] is the arrival sleep
+     mask; the claiming arrival's mask is the one the eventual expansion
+     uses (any valid mask preserves every verdict — see the sleep-set
      notes above). *)
-  let consider_claimed rec_ ~enqueue node mask depth (id, fresh) =
-    if depth > rec_.r_deepest then rec_.r_deepest <- depth;
-    (if fresh then
-       if Atomic.get visited >= max_states then (
-         if rec_.r_truncation = None then rec_.r_truncation <- Some Budget_states)
-       else if depth >= max_depth then (
-         if rec_.r_truncation = None then rec_.r_truncation <- Some Budget_depth)
-       else begin
-         ignore (Atomic.fetch_and_add visited 1);
-         rec_.r_claimed <- rec_.r_claimed + 1;
-         if is_terminal node then begin
-           Value.Tbl.replace rec_.r_terminals (terminal_key node)
-             (terminal_of node);
-           on_terminal node
-         end
-         else enqueue (node, id, mask, depth)
-       end);
-    id
+  let consider r ~enqueue node mask depth (id, fresh) =
+    if fresh then
+      match
+        admit r ~visited ~max_states ~max_depth ~on_terminal node depth
+      with
+      | Fresh -> enqueue (node, id, mask, depth)
+      | Over_budget | Terminal -> ()
   in
-  let consider rec_ ~enqueue node mask depth =
-    consider_claimed rec_ ~enqueue node mask depth
-      (Intern.Sharded.intern stbl (encode node))
-  in
-  let expand rec_ ~enqueue (node, id, mask, depth) =
-    let pruned0 = rec_.r_pruned in
-    match
-      successors_with_sleep ~crashes ~ind:indep
-        ~note_invalid:(invalid_note rec_.r_invalid)
-        ~on_crash:(fun () -> rec_.r_crash <- rec_.r_crash + 1)
-        ~on_pruned:(fun () -> rec_.r_pruned <- rec_.r_pruned + 1)
-        config node mask
-    with
-    | exception Object_spec.Unknown_operation { obj; op } ->
-        if rec_.r_stuck = None then
-          rec_.r_stuck <-
-            Some (-1, Fmt.str "unknown operation %a on %s" Op.pp op obj)
-    | [] ->
-        (* an all-pruned node is a covered leaf, not a stuck state *)
-        if rec_.r_pruned = pruned0 && rec_.r_stuck = None then
-          rec_.r_stuck <- Some (-1, "no successor")
-    | succs ->
-        (* claim all successors in one batched pass over the interner's
-           stripes — one lock round-trip per stripe instead of one per
-           edge *)
-        let m = List.length succs in
-        let pids = Array.make m (-1) in
-        let dsts = Array.make m (-1) in
-        let nodes = Array.make m node in
-        let masks = Array.make m 0 in
-        List.iteri
-          (fun i (code, succ, cmask) ->
-            pids.(i) <- code;
-            nodes.(i) <- succ;
-            masks.(i) <- cmask)
-          succs;
-        let claims = Intern.Sharded.intern_batch stbl (Array.map encode nodes) in
-        for i = 0 to m - 1 do
-          dsts.(i) <-
-            consider_claimed rec_ ~enqueue nodes.(i) masks.(i) (depth + 1)
-              claims.(i)
-        done;
-        rec_.r_edges <- (id, pids, dsts) :: rec_.r_edges
+  (* expand a claimed node, claiming all its successors in one batched
+     pass over the interner's stripes — one lock round-trip per stripe
+     instead of one per edge — and record its adjacency; edges to
+     already-claimed nodes are what phase 2's cycle detection feeds on *)
+  let expand_claimed r ~enqueue (node, id, mask, depth) =
+    match expand ~crashes ~indep config r node mask with
+    | None -> ()
+    | Some (pids, nodes, masks) ->
+        let claims =
+          Intern.Sharded.intern_batch stbl (Array.map encode nodes)
+        in
+        Array.iteri
+          (fun i claim ->
+            consider r ~enqueue nodes.(i) masks.(i) (depth + 1) claim)
+          claims;
+        r.r_edges <- (id, pids, Array.map fst claims) :: r.r_edges
   in
   (* Seed BFS: expand breadth-first until the frontier is wide enough to
      feed every worker a couple of seeds.  Seeds are deliberately few
@@ -842,13 +816,13 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
      a stubbornly narrow frontier from dragging the whole exploration
      into this sequential phase. *)
   let rec0 = prec_make () in
-  let root = initial config in
-  let queue : (node * int * int * int) Queue.t = Queue.create () in
+  let queue = Queue.create () in
   let root_id =
     Wfs_obs.Profile.span ~cat:"explore" "explore.seeds" (fun () ->
-        let root_id =
-          consider rec0 ~enqueue:(fun x -> Queue.add x queue) root 0 0
-        in
+        let enqueue x = Queue.add x queue in
+        let root = initial config in
+        let claim = Intern.Sharded.intern stbl (encode root) in
+        consider rec0 ~enqueue root 0 0 claim;
         let target = 2 * workers in
         let budget = ref (8 * target) in
         while
@@ -857,9 +831,9 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
           && !budget > 0
         do
           decr budget;
-          expand rec0 ~enqueue:(fun x -> Queue.add x queue) (Queue.pop queue)
+          expand_claimed rec0 ~enqueue (Queue.pop queue)
         done;
-        root_id)
+        fst claim)
   in
   let seeds = Array.of_seq (Queue.to_seq queue) in
   flush_claims rec0;
@@ -871,135 +845,42 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
           ~args:(fun () -> [ ("seed", Wfs_obs.Json.int si) ])
           "explore.shard"
           (fun () ->
-            let rec_ = prec_make () in
+            let r = prec_make () in
             let stack = Stack.create () in
-            Stack.push seed stack;
             let enqueue x = Stack.push x stack in
-            let ticks = ref 0 in
+            enqueue seed;
             while not (Stack.is_empty stack) do
-              expand rec_ ~enqueue (Stack.pop stack);
-              incr ticks;
-              if !ticks land 255 = 0 then begin
-                flush_claims rec_;
-                Wfs_obs.Metrics.Gauge.set M.frontier (Stack.length stack)
-              end
+              expand_claimed r ~enqueue (Stack.pop stack)
             done;
-            flush_claims rec_;
-            rec_))
+            flush_claims r;
+            r))
       (Array.mapi (fun i s -> (i, s)) seeds)
   in
   let all_recs = rec0 :: Array.to_list recs in
-  Wfs_obs.Profile.begin_ ~cat:"explore" "explore.merge";
-  (* Merge.  Each expanded node's adjacency was recorded by exactly one
-     worker, so the writes below never collide on an index. *)
+  (* Merge the adjacency.  Each expanded node's was recorded by exactly
+     one record, so the writes never collide on an index. *)
   let sz = Intern.Sharded.size stbl in
   let adj_pids = Array.make sz [||] in
   let adj_dsts = Array.make sz [||] in
-  let terminals : terminal Value.Tbl.t = Value.Tbl.create 64 in
-  (* Uncapped merge: workers cap at [max_invalid] each, but which pairs
-     a worker sees depends on claim races.  Merging everything and then
-     sorting before the cap keeps the report deterministic whenever the
-     distinct-pair count fits the cap (and the validity verdict — empty
-     or not — is exact regardless). *)
-  let invalid : (int * Value.t) Value.Tbl.t = Value.Tbl.create 16 in
-  let stuck = ref None in
-  let deepest = ref 0 in
-  let crash_seen = ref 0 in
-  let pruned = ref 0 in
-  let states_trunc = ref false in
-  let depth_trunc = ref false in
-  List.iter
-    (fun r ->
+  Wfs_obs.Profile.span ~cat:"explore" "explore.merge" (fun () ->
       List.iter
-        (fun (id, pids, dsts) ->
-          adj_pids.(id) <- pids;
-          adj_dsts.(id) <- dsts)
-        r.r_edges;
-      Value.Tbl.iter (Value.Tbl.replace terminals) r.r_terminals;
-      Value.Tbl.iter (Value.Tbl.replace invalid) r.r_invalid;
-      if !stuck = None then stuck := r.r_stuck;
-      if r.r_deepest > !deepest then deepest := r.r_deepest;
-      crash_seen := !crash_seen + r.r_crash;
-      pruned := !pruned + r.r_pruned;
-      (match r.r_truncation with
-      | Some Budget_states -> states_trunc := true
-      | Some Budget_depth -> depth_trunc := true
-      | None -> ()))
-    all_recs;
-  let truncation =
-    if !states_trunc then Some Budget_states
-    else if !depth_trunc then Some Budget_depth
-    else None
+        (fun r ->
+          List.iter
+            (fun (id, pids, dsts) ->
+              adj_pids.(id) <- pids;
+              adj_dsts.(id) <- dsts)
+            r.r_edges)
+        all_recs);
+  (* Phase 2: a walk child is slot [i] of a destination-id array. *)
+  let w =
+    Wfs_obs.Profile.span ~cat:"explore" "explore.phase2" (fun () ->
+        walk ~n:(Array.length config.procs) ~size_hint:sz
+          ~id_of:(fun dsts i -> dsts.(i))
+          ~first:(fun _ _ id _ ->
+            if Array.length adj_pids.(id) = 0 then Leaf
+            else Inner (adj_pids.(id), adj_dsts.(id)))
+          [| root_id |])
   in
-  Wfs_obs.Profile.end_ ();
-  Wfs_obs.Profile.begin_ ~cat:"explore" "explore.phase2";
-  (* Phase 2: cycle detection + longest-path DP over the int graph.
-     Nodes with no recorded adjacency (terminals, and claimed-but-
-     dropped nodes of truncated runs) are leaves with zero bounds —
-     exactly the sequential engines' treatment. *)
-  let cyclic = ref false in
-  let fused = ref 0 in
-  let colors = Bytes.make sz white in
-  let bounds = Array.make sz [||] in
-  let zeros = Array.make n 0 in
-  let stack : frame Stack.t = Stack.create () in
-  let combine f pid child =
-    incr fused;
-    let best = f.f_best in
-    for p = 0 to n - 1 do
-      let v = child.(p) + if p = pid then 1 else 0 in
-      if v > best.(p) then best.(p) <- v
-    done
-  in
-  let visit parent via_pid id =
-    match Bytes.get colors id with
-    | c when c = gray -> cyclic := true
-    | c when c = black -> (
-        match parent with Some f -> combine f via_pid bounds.(id) | None -> ())
-    | _ ->
-        if Array.length adj_pids.(id) = 0 then begin
-          Bytes.set colors id black;
-          bounds.(id) <- zeros;
-          match parent with Some f -> combine f via_pid zeros | None -> ()
-        end
-        else begin
-          Bytes.set colors id gray;
-          Stack.push
-            {
-              f_id = id;
-              f_pids = adj_pids.(id);
-              f_nodes = [||];
-              f_masks = [||];
-              f_next = 0;
-              f_pending = -1;
-              f_best = Array.make n 0;
-            }
-            stack
-        end
-  in
-  visit None (-1) root_id;
-  while not (Stack.is_empty stack) do
-    let f = Stack.top stack in
-    if f.f_next < Array.length f.f_pids then begin
-      let i = f.f_next in
-      f.f_next <- i + 1;
-      f.f_pending <- f.f_pids.(i);
-      visit (Some f) f.f_pids.(i) adj_dsts.(f.f_id).(i)
-    end
-    else begin
-      ignore (Stack.pop stack);
-      bounds.(f.f_id) <- f.f_best;
-      Bytes.set colors f.f_id black;
-      match Stack.top_opt stack with
-      | Some parent -> combine parent parent.f_pending f.f_best
-      | None -> ()
-    end
-  done;
-  Wfs_obs.Profile.end_ ();
-  let truncated = truncation <> None in
-  let acyclic = (not !cyclic) && (not truncated) && !stuck = None in
-  let step_bounds = if acyclic then Some (Array.copy bounds.(root_id)) else None in
-  let states = Atomic.get visited in
   Intern.Sharded.flush stbl;
   let hits = Intern.Sharded.hits stbl in
   let lookups = Intern.Sharded.lookups stbl in
@@ -1007,38 +888,15 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
   if Wfs_obs.Profile.enabled () then
     Wfs_obs.Profile.counter "explorer.intern.contention"
       [ ("contended", float_of_int contended) ];
-  (* every fresh claim went through a record's [flush_claims], so the
-     global counter already holds all [states] of this run *)
-  flush_metrics ~states_flushed:states ~states ~hits ~lookups
-    ~deepest:!deepest ~truncation ~cyclic:!cyclic ~intern:None ();
   let open Wfs_obs.Metrics in
   Counter.add M.intern_contention contended;
   Counter.add M.intern_hits hits;
   Counter.add M.intern_lookups lookups;
   Gauge.set_max M.arena_size sz;
-  Counter.add M.fused_edges !fused;
-  Counter.add M.crash_edges !crash_seen;
-  Counter.add M.por_pruned !pruned;
   Counter.incr MP.runs;
   Counter.add MP.seeds (Array.length seeds);
   Gauge.set_max MP.domains workers;
-  let terminal_list =
-    Value.Tbl.fold (fun k d acc -> (k, d) :: acc) terminals []
-    |> List.sort (fun (k1, _) (k2, _) -> Value.compare k1 k2)
-    |> List.map snd
-  in
-  {
-    states;
-    terminals = terminal_list;
-    cyclic = !cyclic;
-    stuck = !stuck;
-    truncated;
-    truncation;
-    invalid_decisions =
-      (let all = invalid_report invalid in
-       List.filteri (fun i _ -> i < max_invalid) all);
-    step_bounds;
-  }
+  report ~states:(Atomic.get visited) ~hits ~lookups w all_recs
 
 let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
     ?(symmetry = false) ?(crashes = 0) ?pool ?(on_terminal = ignore) config =

@@ -35,8 +35,8 @@ type truncation = Budget_states | Budget_depth
 type stats = {
   states : int;
   terminals : terminal list;
-      (** deduplicated (decision vector, stepped-mask) terminal
-          outcomes *)
+      (** deduplicated (decision vector, stepped mask, crashed mask)
+          terminal outcomes, sorted by that key *)
   cyclic : bool;
   stuck : (int * string) option;
   truncated : bool;
@@ -45,8 +45,11 @@ type stats = {
           the [explorer.truncated.states] / [explorer.truncated.depth]
           metrics *)
   invalid_decisions : (int * Value.t) list;
-      (** decide events naming a process that had not yet stepped — the
-          paper's validity condition, checked on every history prefix *)
+      (** every distinct [(pid, value)] pair of a decide event naming a
+          process that had not yet stepped — the paper's validity
+          condition, checked on every history prefix — sorted, with no
+          cap (there are at most n times the number of decision
+          values) *)
   step_bounds : int array option;
       (** worst-case per-process step counts, when acyclic and fully
           explored *)
@@ -54,13 +57,6 @@ type stats = {
 
 val initial : config -> node
 val key : node -> Value.t
-
-(** Canonical key under full process symmetry: per-process components
-    are sorted before encoding, so nodes in the same orbit of the
-    process-permutation group intern to one id.  Sound only when every
-    process runs the same pid-independent program (see
-    [explore ~symmetry]). *)
-val canonical_key : node -> Value.t
 
 (** Terminal under the crash-stop adversary: every process has decided
     or crashed.  With [crashed = 0] this is the original "everyone
@@ -94,8 +90,9 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     large [max_depth].  A negative [max_states], [max_depth] or
     [crashes] raises [Invalid_argument]; budgets of 0 are legal.
 
-    [symmetry] (default false) keys the visited set by
-    {!canonical_key}, collapsing process-permutation orbits; enable it
+    [symmetry] (default false) keys the visited set by a canonical key
+    whose per-process components are sorted, collapsing
+    process-permutation orbits; enable it
     only for systems whose processes all run the same pid-independent
     program over a symmetric environment.  [states] and [terminals]
     then describe the quotient graph (one orbit representative each);
@@ -139,13 +136,12 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     sequential BFS fans the top-level schedule prefixes out as worker
     seeds; workers share the visited set through a lock-striped
     interner whose claim bit assigns each distinct state to exactly one
-    expander; cycle detection and the step-bound DP then run as a cheap
-    sequential pass over the recorded int adjacency.  On runs that
-    finish within budget, every field of {!stats} except the marginal
-    truncation details is schedule-independent and equal to the
-    sequential engine's ([terminals] as a set — the parallel engine
-    reports them sorted).  Omitting [pool], or passing a size-1 pool,
-    uses the sequential engine unchanged.
+    expander; cycle detection and the step-bound DP then run as the
+    sequential engine's own DFS, over the recorded int adjacency.  On
+    runs that finish within budget, every field of {!stats} except the
+    marginal truncation details is schedule-independent and equal to
+    the sequential engine's.  Omitting [pool], or passing a size-1
+    pool, uses the sequential engine unchanged.
 
     Each run also feeds the default [Wfs_obs.Metrics] registry:
     [explorer.runs], [explorer.states] (flushed live in batches of
@@ -163,7 +159,7 @@ val decision_valid : node -> pid:int -> Value.t -> bool
 
     [on_terminal] (default a no-op) is called exactly once per distinct
     reachable terminal state within budget (distinct by {!key}, or by
-    {!canonical_key} under [symmetry]), where the engine records it —
+    the canonical key under [symmetry]), where the engine records it —
     the hook through which a caller checks a property of every final
     state.  The reduction never removes a state, so every terminal
     state is seen.  Under a pool of size > 1 it runs on the worker

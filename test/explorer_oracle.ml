@@ -11,8 +11,6 @@ open Wfs_sim
 
 type color = Gray | Black
 
-let max_invalid = 10
-
 let explore ?(max_states = 2_000_000) ?(max_depth = 10_000) ?(crashes = 0)
     (config : Explorer.config) : Explorer.stats =
   let colors : color Value.Tbl.t = Value.Tbl.create 4096 in
@@ -55,8 +53,7 @@ let explore ?(max_states = 2_000_000) ?(max_depth = 10_000) ?(crashes = 0)
                  (fun (pid, edge, succ) ->
                    (match edge with
                    | Explorer.Decide_edge v
-                     when (not (Explorer.decision_valid node ~pid v))
-                          && Value.Tbl.length invalid < max_invalid ->
+                     when not (Explorer.decision_valid node ~pid v) ->
                        Value.Tbl.replace invalid
                          (Value.pair (Value.int pid) v)
                          (pid, v)

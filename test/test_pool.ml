@@ -5,9 +5,9 @@
    calls, reuse, shutdown discipline) and the sharded interner's
    claim-bit semantics.  The [engine.parallel] differential suite then
    checks the determinism guarantee end to end: every registry protocol
-   explored, verified and searched for violations with a 4-domain pool
-   produces byte-identical results to the sequential engine, and the
-   census / hierarchy table print identically when sharded. *)
+   explored with a 2- and a 4-domain pool reports exactly what the
+   sequential engine reports, and the census / hierarchy table print
+   identically when sharded. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -218,82 +218,148 @@ let test_intern_stats () =
 
 let with_pool4 f = Pool.with_pool ~domains:4 f
 
-let test_explore_parallel_differential () =
-  with_pool4 (fun pool ->
-      List.iter
-        (fun (name, (p : Protocol.t)) ->
-          let seq = Explorer.explore p.Protocol.config in
-          let par = Explorer.explore ~pool p.Protocol.config in
-          Test_perf_engine.check_stats_equal (name ^ " [j=4]") seq par)
-        (Test_perf_engine.registry_protocols ()))
+(* Every registry protocol explored sequentially and under 2- and
+   4-domain pools (the sleep-set reduction on throughout): identical
+   stats. *)
+let check_pools ?crashes () =
+  let seqs =
+    List.map
+      (fun (name, (p : Protocol.t)) ->
+        (name, p, Explorer.explore ?crashes p.Protocol.config))
+      (Test_perf_engine.registry_protocols ())
+  in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun (name, (p : Protocol.t), seq) ->
+              Test_perf_engine.check_stats_equal
+                (Fmt.str "%s [j=%d%s]" name domains
+                   (if crashes = None then "" else ", crashes=1"))
+                seq
+                (Explorer.explore ?crashes ~pool p.Protocol.config))
+            seqs))
+    [ 2; 4 ]
 
-let test_explore_parallel_crashes () =
-  with_pool4 (fun pool ->
-      List.iter
-        (fun (name, (p : Protocol.t)) ->
-          let seq = Explorer.explore ~crashes:1 p.Protocol.config in
-          let par = Explorer.explore ~crashes:1 ~pool p.Protocol.config in
-          Test_perf_engine.check_stats_equal
-            (name ^ " [j=4, crashes=1]")
-            seq par)
-        (Test_perf_engine.registry_protocols ()))
+let test_explore_parallel_differential () = check_pools ()
+let test_explore_parallel_crashes () = check_pools ~crashes:1 ()
 
-let test_verify_parallel_differential () =
-  with_pool4 (fun pool ->
-      List.iter
-        (fun (name, p) ->
-          let a = Protocol.verify p in
-          let b = Protocol.verify ~pool p in
-          Alcotest.(check bool)
-            (name ^ ": agreement") a.Protocol.agreement b.Protocol.agreement;
-          Alcotest.(check bool)
-            (name ^ ": validity") a.Protocol.validity b.Protocol.validity;
-          Alcotest.(check bool)
-            (name ^ ": wait_free") a.Protocol.wait_free b.Protocol.wait_free;
-          Alcotest.(check int)
-            (name ^ ": states") a.Protocol.states b.Protocol.states;
-          Alcotest.(check (list value))
-            (name ^ ": decisions_seen")
-            a.Protocol.decisions_seen b.Protocol.decisions_seen)
-        (Test_perf_engine.registry_protocols ()))
-
-let violation_sig = function
-  | None -> [ "no violation" ]
-  | Some (v : Protocol.violation) ->
-      (match v.Protocol.kind with
-      | `Disagreement -> "DISAGREEMENT"
-      | `Invalid_decision -> "INVALID")
-      :: List.map
-           (function
-             | Protocol.Step pid -> Fmt.str "step %d" pid
-             | Protocol.Crash pid -> Fmt.str "crash %d" pid)
-           v.Protocol.schedule
-      @ List.map
-          (fun (pid, d) -> Fmt.str "P%d=%a" pid Value.pp d)
-          v.Protocol.decisions
-
-let test_find_violation_parallel () =
-  with_pool4 (fun pool ->
-      let naive n =
-        match (Registry.find "register-naive").Registry.build ~n with
-        | Some p -> p
-        | None -> Alcotest.fail "register-naive should build"
-      in
-      List.iter
-        (fun (name, crashes, p) ->
-          Alcotest.(check (list string))
-            (name ^ ": identical schedule")
-            (violation_sig (Protocol.find_violation ~crashes p))
-            (violation_sig (Protocol.find_violation ~crashes ~pool p)))
+(* The hand-made cyclic and invalid-decision configs and the broken
+   registry entries, which the sound registry never reaches, under 2-
+   and 4-domain pools: identical stats.  A stuck run is reported stuck
+   at every pool size (which states it reached before stopping is the
+   one part that may depend on the schedule). *)
+let test_explore_parallel_handmade () =
+  let configs =
+    List.concat_map
+      (fun n ->
         [
-          ("register-naive n=2", 0, naive 2);
-          ("register-naive n=3", 0, naive 3);
-          ("register-naive n=2 crashes=1", 1, naive 2);
-          ("cas n=3 (no violation)", 0, Cas_consensus.protocol ~n:3 ());
-          ( "queue n=2 crashes=1 (crash violation)",
-            1,
-            Queue_consensus.protocol () );
+          (Fmt.str "sym-tas n=%d" n, Test_perf_engine.symmetric_tas_config n);
+          (Fmt.str "sym-spin n=%d" n, Test_perf_engine.symmetric_spin_config n);
+          ( Fmt.str "borrowed-decision n=%d" n,
+            Test_perf_engine.borrowed_decision_config n );
         ])
+      [ 2; 3 ]
+    @ List.filter_map
+        (fun (e : Registry.entry) ->
+          Option.map
+            (fun (p : Protocol.t) -> (e.Registry.key ^ " n=2", p.Protocol.config))
+            (e.Registry.build ~n:2))
+        Registry.broken
+  in
+  let stuck = Test_perf_engine.unknown_op_config () in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun (name, config) ->
+              Test_perf_engine.check_stats_equal
+                (Fmt.str "%s [j=%d]" name domains)
+                (Explorer.explore config)
+                (Explorer.explore ~pool config))
+            configs;
+          let par = Explorer.explore ~pool stuck in
+          Alcotest.(check bool)
+            (Fmt.str "unknown-op [j=%d]: stuck" domains)
+            true (par.Explorer.stuck <> None);
+          Alcotest.(check bool)
+            (Fmt.str "unknown-op [j=%d]: not wait-free" domains)
+            false (Explorer.wait_free par)))
+    [ 2; 4 ]
+
+(* A run cut short by a budget reports the same cause, and never a
+   wait-freedom verdict or step bounds, at every pool size; which states
+   fall inside the budget may depend on the schedule. *)
+let test_explore_parallel_budgets () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          List.iter
+            (fun (name, (p : Protocol.t)) ->
+              List.iter
+                (fun (label, max_states, max_depth) ->
+                  let run pool =
+                    Explorer.explore ?pool ?max_states ?max_depth
+                      p.Protocol.config
+                  in
+                  let seq = run None and par = run (Some pool) in
+                  let name = Fmt.str "%s [j=%d, %s]" name domains label in
+                  Alcotest.(check bool)
+                    (name ^ ": truncated") seq.Explorer.truncated
+                    par.Explorer.truncated;
+                  Alcotest.(check string)
+                    (name ^ ": truncation cause")
+                    (Test_perf_engine.truncation_str seq.Explorer.truncation)
+                    (Test_perf_engine.truncation_str par.Explorer.truncation);
+                  Alcotest.(check bool)
+                    (name ^ ": wait_free") (Explorer.wait_free seq)
+                    (Explorer.wait_free par);
+                  Alcotest.(check (option (array int)))
+                    (name ^ ": step_bounds") seq.Explorer.step_bounds
+                    par.Explorer.step_bounds)
+                [
+                  ("max_states=40", Some 40, None);
+                  ("max_depth=3", None, Some 3);
+                ])
+            (Test_perf_engine.registry_protocols ())))
+    [ 2; 4 ]
+
+(* Four processes each decide what a fetch-and-add from 1 returns: a
+   decide naming a process that has not stepped, or naming P4, which
+   does not exist, is invalid — 13 distinct (pid, value) pairs.  Every
+   engine reports all of them, sorted. *)
+let faa_deciders () =
+  let proc pid =
+    Process.make ~pid ~init:(Process.at 0) (fun local ->
+        match Process.pc local with
+        | 0 ->
+            Process.invoke ~obj:"c" (Registers.faa 1) (fun res ->
+                Process.at 1 ~data:res)
+        | 1 -> Process.decide (Process.data local)
+        | _ -> assert false)
+  in
+  {
+    Explorer.procs = Array.init 4 proc;
+    env = Env.make [ ("c", Registers.fetch_and_add ~init:1 ()) ];
+  }
+
+let test_invalid_decisions_full_set () =
+  let config = faa_deciders () in
+  let seq = Explorer.explore config in
+  Alcotest.(check int)
+    "distinct invalid pairs" 13
+    (List.length seq.Explorer.invalid_decisions);
+  Test_perf_engine.check_stats_equal "oracle = j=1"
+    (Explorer_oracle.explore config)
+    seq;
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          Test_perf_engine.check_stats_equal
+            (Fmt.str "j=1 = j=%d" domains)
+            seq
+            (Explorer.explore ~pool config)))
+    [ 2; 4 ]
 
 let test_census_parallel () =
   (* tiny budget: verdicts degrade to Budget identically on both paths,
@@ -338,14 +404,16 @@ let suite =
       ] );
     ( "engine.parallel",
       [
-        Alcotest.test_case "explore: j=1 = j=4 on registry" `Quick
+        Alcotest.test_case "explore: j=1 = j=2 = j=4 on registry" `Quick
           test_explore_parallel_differential;
-        Alcotest.test_case "explore: j=1 = j=4 with crashes" `Quick
+        Alcotest.test_case "explore: j=1 = j=2 = j=4 with crashes" `Quick
           test_explore_parallel_crashes;
-        Alcotest.test_case "verify: j=1 = j=4 reports" `Quick
-          test_verify_parallel_differential;
-        Alcotest.test_case "find_violation: identical schedules" `Quick
-          test_find_violation_parallel;
+        Alcotest.test_case "explore: j=1 = j=2 = j=4 off the registry"
+          `Quick test_explore_parallel_handmade;
+        Alcotest.test_case "explore: budgets truncate alike at any -j" `Quick
+          test_explore_parallel_budgets;
+        Alcotest.test_case "invalid decisions: full sorted set, any -j"
+          `Quick test_invalid_decisions_full_set;
         Alcotest.test_case "census: sharded output byte-identical" `Quick
           test_census_parallel;
         Alcotest.test_case "hierarchy table: sharded byte-identical" `Quick

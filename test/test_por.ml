@@ -1,11 +1,10 @@
 (* Tests for the sleep-set partial-order reductions beyond the oracle
-   differentials: the explorer's reduction composed with a domain pool
-   must report exactly what the sequential reduced engine reports; it
-   stays off under the symmetry quotient and above 16 processes;
-   [find_violation] agrees with [verify]; and both reductions actually
-   fire.  Equality with the unreduced
-   searches is checked against the reference oracles in
-   engine.differential (explorer) and engine.tt (solver). *)
+   differentials: the explorer's reduction stays off under the symmetry
+   quotient and above 16 processes; [find_violation] agrees with
+   [verify]; and both reductions actually fire.  Equality with the
+   unreduced searches is checked against the reference oracles in
+   engine.differential (explorer) and engine.tt (solver); the reduction
+   under 2- and 4-domain pools in engine.parallel. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -13,18 +12,6 @@ open Wfs_consensus
 open Wfs_hierarchy
 
 let check_stats_equal = Test_perf_engine.check_stats_equal
-let registry_protocols = Test_perf_engine.registry_protocols
-
-(* por composed with a pool at j=2 against the sequential reference *)
-let test_explore_pool () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun (name, (p : Protocol.t)) ->
-          check_stats_equal
-            (name ^ " [j=2 por]")
-            (Explorer.explore p.Protocol.config)
-            (Explorer.explore ~pool p.Protocol.config))
-        (registry_protocols ()))
 
 let counter name =
   Option.value ~default:0 (Wfs_obs.Metrics.counter_value name)
@@ -100,8 +87,6 @@ let suite =
   [
     ( "engine.por",
       [
-        Alcotest.test_case "explorer: por under a pool (j=2)" `Quick
-          test_explore_pool;
         Alcotest.test_case "explorer: symmetry disables por" `Quick
           test_symmetry_guard;
         Alcotest.test_case "explorer: por off above 16 processes" `Quick
