@@ -122,12 +122,12 @@ let find_violation ?(max_states = 2_000_000) ?(crashes = 0) t =
     raise
       (Found { kind; schedule = List.rev path; decisions = decisions_of node })
   in
-  let seen = Value.Tbl.create 4096 in
+  let seen : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
   let rec dfs node path =
     let k = Explorer.key node in
-    if (not (Value.Tbl.mem seen k)) && Value.Tbl.length seen < max_states
+    if (not (Hashtbl.mem seen k)) && Hashtbl.length seen < max_states
     then begin
-      Value.Tbl.replace seen k ();
+      Hashtbl.replace seen k ();
       if Explorer.is_terminal node then begin
         if not (agreement node.Explorer.decided) then
           violation_at node path `Disagreement

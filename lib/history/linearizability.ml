@@ -101,32 +101,61 @@ let is_linearizable (env : (string * Object_spec.t) list) (h : History.t) =
 
    Real time is one backward scan: an operation at position p, placed
    or filling a gap, must have been invoked no later than the earliest
-   response among the operations placed after p. *)
-let check_witness (spec : Object_spec.t) ~length
-    (ops : (History.operation * int option) array) =
-  let at = Array.make (max length 0) (-1) (* operation index per position *)
+   response among the operations placed after p.
+
+   The history stays in the caller's columns: operation [i] of block
+   [j] is named by the one int [i * blocks + j], so no per-operation
+   record is built. *)
+type witness = {
+  ops : Op.t array;
+  results : Value.t array;
+  invoked : int array;
+  responded : int array;
+  positions : int array;
+}
+
+let check_witness (spec : Object_spec.t) ~length (ws : witness list) =
+  let ws = Array.of_list ws in
+  let blocks = Array.length ws in
+  Array.iter
+    (fun w ->
+      let m = Array.length w.ops in
+      if
+        Array.length w.results <> m
+        || Array.length w.invoked <> m
+        || Array.length w.responded <> m
+        || Array.length w.positions <> m
+      then invalid_arg "Linearizability.check_witness: column lengths differ")
+    ws;
+  let block g = ws.(g mod blocks) and idx g = g / blocks in
+  let is_pending w i = w.responded.(i) = max_int in
+  let at = Array.make (max length 0) (-1) (* operation per position *)
   and pending = ref []
   and ok = ref (length >= 0) in
   Array.iteri
-    (fun i ((o : History.operation), pos) ->
-      match pos with
-      | Some p when p >= 0 && p < length && at.(p) < 0 -> at.(p) <- i
-      | None when History.is_pending o -> pending := o :: !pending
-      | Some _ | None -> ok := false)
-    ops;
-  let gaps = Array.fold_left (fun n i -> if i < 0 then n + 1 else n) 0 at in
+    (fun j w ->
+      Array.iteri
+        (fun i p ->
+          if p >= 0 && p < length && at.(p) < 0 then at.(p) <- (i * blocks) + j
+          else if p = -1 && is_pending w i then
+            pending := (w.ops.(i), w.invoked.(i)) :: !pending
+          else ok := false)
+        w.positions)
+    ws;
+  let gaps = Array.fold_left (fun n g -> if g < 0 then n + 1 else n) 0 at in
   let bound = Array.make gaps max_int (* latest invocation per gap *)
   and earliest = ref max_int
   and k = ref gaps in
   for p = length - 1 downto 0 do
-    if at.(p) < 0 then begin
+    let g = at.(p) in
+    if g < 0 then begin
       decr k;
       bound.(!k) <- !earliest
     end
     else begin
-      let o = fst ops.(at.(p)) in
-      if o.History.invoke_at > !earliest then ok := false;
-      earliest := min !earliest o.History.respond_at
+      let w = block g and i = idx g in
+      if w.invoked.(i) > !earliest then ok := false;
+      earliest := min !earliest w.responded.(i)
     end
   done;
   let pending = Array.of_list !pending in
@@ -137,19 +166,19 @@ let check_witness (spec : Object_spec.t) ~length
     if p = length then true
     else if at.(p) < 0 then fill p k state
     else
-      let o = fst ops.(at.(p)) in
-      let state', res = Object_spec.apply spec state o.History.op in
-      Option.fold ~none:true ~some:(Value.equal res) o.History.res
+      let w = block at.(p) and i = idx at.(p) in
+      let state', res = Object_spec.apply spec state w.ops.(i) in
+      (is_pending w i || Value.equal res w.results.(i))
       && replay (p + 1) k state'
   and fill p k state =
     let key = (state, Bytes.to_string used) in
     let rec try_from j =
       j < Array.length pending
       && ((Bytes.get used j = '0'
-          && pending.(j).History.invoke_at <= bound.(k)
+          && snd pending.(j) <= bound.(k)
           && begin
                Bytes.set used j '1';
-               let state', _ = Object_spec.apply spec state pending.(j).op in
+               let state', _ = Object_spec.apply spec state (fst pending.(j)) in
                let filled = replay (p + 1) (k + 1) state' in
                Bytes.set used j '0';
                filled

@@ -26,16 +26,29 @@ val check_object : Object_spec.t -> History.t -> verdict
     linearizable. *)
 val is_linearizable : (string * Object_spec.t) list -> History.t -> bool
 
-(** [check_witness spec ~length ops] checks one object's history against
-    the linearization order its construction reported, in time linear in
-    the history plus a search over the pending operations alone.  Each
-    operation comes with its log position, or [None] for a pending one
-    whose position went unreported.  The run is accepted iff the given
-    positions are distinct and lie in [[0, length)]; every other
-    position is filled by a distinct pending operation (pending ones
-    left over are dropped); no operation responded before an
-    earlier-positioned one was invoked; and replaying [spec] in position
-    order reproduces every completed result.  A completed operation
-    without a position is rejected. *)
-val check_witness :
-  Object_spec.t -> length:int -> (History.operation * int option) array -> bool
+(** One run's operations, column-wise, as the construction reported
+    them: operation [i] is [ops.(i)], invoked at [invoked.(i)]; it
+    returned [results.(i)] at [responded.(i)], or is pending when
+    [responded.(i) = max_int] (its result is then ignored); its log
+    position is [positions.(i)], or [-1] when unreported.  All five
+    arrays have one length. *)
+type witness = {
+  ops : Op.t array;
+  results : Value.t array;
+  invoked : int array;
+  responded : int array;
+  positions : int array;
+}
+
+(** [check_witness spec ~length ws] checks one object's history, given
+    as any number of column blocks (e.g. one per client), against the
+    linearization order its construction reported, in time linear in
+    the history plus a search over the pending operations alone.  The
+    run is accepted iff the reported positions are distinct and lie in
+    [[0, length)]; every other position is filled by a distinct pending
+    operation without one (pending ones left over are dropped); no
+    operation responded before an earlier-positioned one was invoked;
+    and replaying [spec] in position order reproduces every completed
+    result.  A completed operation without a position is rejected.
+    Raises [Invalid_argument] when a block's arrays differ in length. *)
+val check_witness : Object_spec.t -> length:int -> witness list -> bool

@@ -122,16 +122,13 @@ module Load = struct
      metrics sampler and its HTTP endpoint take three. *)
   let max_clients = 125
 
-  (* One client's run: operation [i] was invoked at [invoked.(i)] and,
-     for [i < completed], returned [results.(i)] at [responded.(i)] from
-     log position [positions.(i)].  A halted client's operation
-     [completed] is its pending one. *)
+  (* One client's run, in the checker's columns: operation [i] was
+     invoked at [invoked.(i)] and, for [i < completed], returned
+     [results.(i)] at [responded.(i)] from log position [positions.(i)].
+     A halted client's operation [completed] is its pending one
+     ([responded] stays [max_int], [positions] [-1]). *)
   type client_log = {
-    ops : Op.t array;
-    results : Value.t array;
-    positions : int array;
-    invoked : int array;
-    responded : int array;
+    w : Wfs_history.Linearizability.witness;
     completed : int;
     retained_max : int;
   }
@@ -181,7 +178,7 @@ module Load = struct
       let results = Array.make ops_per_client Value.unit in
       let positions = Array.make ops_per_client (-1) in
       let invoked = Array.make ops_per_client 0 in
-      let responded = Array.make ops_per_client 0 in
+      let responded = Array.make ops_per_client max_int in
       let completed = ref 0 and retained_max = ref 0 in
       (try
          for i = 0 to ops_per_client - 1 do
@@ -207,37 +204,48 @@ module Load = struct
          done
        with Fault.Halted _ -> ());
       Wfs_obs.Metrics.Counter.add M.ops (!completed land 1023);
-      { ops; results; positions; invoked; responded; completed = !completed;
-        retained_max = !retained_max }
+      (* a halted client keeps its pending operation, not the ones it
+         never issued *)
+      let m = min ops_per_client (!completed + 1) in
+      let cut a = if m = ops_per_client then a else Array.sub a 0 m in
+      {
+        w =
+          {
+            ops = cut ops;
+            results = cut results;
+            invoked = cut invoked;
+            responded = cut responded;
+            positions = cut positions;
+          };
+        completed = !completed;
+        retained_max = !retained_max;
+      }
     in
     let t0 = Wfs_obs.Clock.mono_ns () in
     let logs = Primitives.run_domains clients client in
     let duration_ns = Wfs_obs.Clock.mono_ns () - t0 in
     let halted = match inj with None -> [] | Some inj -> Fault.halted inj in
-    (* the witness: each completed operation at the position the
-       construction reported, a halted client's in-flight one pending *)
-    let history =
-      Array.concat
-        (List.mapi
-           (fun pid l ->
-             Array.init (min ops_per_client (l.completed + 1)) (fun i ->
-                 let completed = i < l.completed in
-                 ( { Wfs_history.History.pid; obj = spec.Object_spec.name;
-                     op = l.ops.(i); invoke_at = l.invoked.(i);
-                     res = (if completed then Some l.results.(i) else None);
-                     respond_at = (if completed then l.responded.(i) else max_int) },
-                   if completed then Some l.positions.(i) else None )))
-           logs)
-    in
-    let lats =
-      Array.of_seq
-        (Seq.filter_map
-           (fun ((o : Wfs_history.History.operation), pos) ->
-             Option.map (fun _ -> o.respond_at - o.invoke_at) pos)
-           (Array.to_seq history))
-    in
+    let total_ops = List.fold_left (fun n l -> n + l.completed) 0 logs in
+    let lats = Array.make total_ops 0 and k = ref 0 in
+    List.iter
+      (fun l ->
+        for i = 0 to l.completed - 1 do
+          lats.(!k) <- l.w.responded.(i) - l.w.invoked.(i);
+          incr k
+        done)
+      logs;
     Array.sort compare lats;
-    let total_ops = Array.length lats and log_length = h.length () in
+    let q = quantile lats in
+    let lat_p50_ns = q 0.50 and lat_p95_ns = q 0.95 and lat_p99_ns = q 0.99 in
+    let lat_max_ns = q 1.0 in
+    (* the witness: each completed operation at the position the
+       construction reported, a halted client's in-flight one pending;
+       checked once the latencies are read, so their array is garbage *)
+    let log_length = h.length () in
+    let differential_ok =
+      Wfs_history.Linearizability.check_witness spec ~length:log_length
+        (List.map (fun l -> l.w) logs)
+    in
     {
       spec_name = spec.Object_spec.name;
       clients;
@@ -248,23 +256,22 @@ module Load = struct
       throughput =
         (if duration_ns = 0 then 0.
          else float_of_int total_ops /. (float_of_int duration_ns *. 1e-9));
-      lat_p50_ns = quantile lats 0.50;
-      lat_p95_ns = quantile lats 0.95;
-      lat_p99_ns = quantile lats 0.99;
-      lat_max_ns = (if Array.length lats = 0 then 0 else lats.(Array.length lats - 1));
+      lat_p50_ns;
+      lat_p95_ns;
+      lat_p99_ns;
+      lat_max_ns;
       log_length;
       max_retained = List.fold_left (fun acc l -> max acc l.retained_max) 0 logs;
       final_watermark = h.watermark ();
       halts;
       halted;
-      pending_ops = Array.length history - total_ops;
+      pending_ops =
+        List.fold_left (fun n l -> n + Array.length l.w.ops) 0 logs - total_ops;
       survivors_completed =
         List.for_all2
           (fun pid l -> List.mem pid halted || l.completed = ops_per_client)
           (List.init clients Fun.id) logs;
-      differential_ok =
-        Wfs_history.Linearizability.check_witness spec ~length:log_length
-          history;
+      differential_ok;
     }
 
   (* The checks a run must pass: the run replays in the construction's

@@ -7,9 +7,10 @@
 
    Joint protocol states — local states, decisions, environment state,
    plus the set of processes that have taken at least one step (needed for
-   the paper's validity condition) — are encoded as values and interned
-   to dense int ids (see [Intern]); every structure downstream of the
-   interner is an array indexed by id.
+   the paper's validity condition) and the set the adversary crashed —
+   are packed into one flat string ([key]) and interned to dense int ids
+   (see [Intern]); every structure downstream of the interner is an
+   array indexed by id.
 
    Wait-freedom on a finite state graph is exactly acyclicity: an infinite
    execution must revisit a joint state, and every edge is a step of an
@@ -78,38 +79,15 @@ let initial config =
     crashed = 0;
   }
 
+(* The joint state packed into one flat string.  Marshalling is
+   injective here: a node holds only ints, strings, immutable variants
+   and arrays of them — no floats, closures or cycles — and [No_sharing]
+   makes the bytes a function of the structure alone, never of which
+   subvalues happen to be physically shared. *)
 let key node =
-  Value.list
-    [
-      Value.list (Array.to_list node.locals);
-      Value.list
-        (Array.to_list (Array.map Value.of_option node.decided));
-      Env.encode node.env_state;
-      Value.int node.stepped;
-      Value.int node.crashed;
-    ]
-
-(* Canonical key under full process symmetry: processes are
-   interchangeable, so sort the per-process (local, decision, stepped)
-   components before encoding.  Sound only when every process runs the
-   same pid-independent program over a pid-independent environment —
-   then permuting process indices is a graph automorphism and one orbit
-   representative stands for all.  Gated behind [explore ~symmetry]. *)
-let canonical_key node =
-  let n = Array.length node.locals in
-  let comps =
-    List.init n (fun i ->
-        Value.pair node.locals.(i)
-          (Value.pair
-             (Value.of_option node.decided.(i))
-             (Value.pair
-                (Value.bool (node.stepped land (1 lsl i) <> 0))
-                (Value.bool (node.crashed land (1 lsl i) <> 0)))))
-  in
-  Value.list
-    [
-      Value.list (List.sort Value.compare comps); Env.encode node.env_state;
-    ]
+  Marshal.to_string
+    (node.locals, node.decided, node.env_state, node.stepped, node.crashed)
+    [ Marshal.No_sharing ]
 
 let popcount =
   let rec go acc m = if m = 0 then acc else go (acc + (m land 1)) (m lsr 1) in
@@ -287,9 +265,9 @@ let crash_shift = 16
    [Env.apply], no interning — and counted in [r.r_pruned].  Every
    generated decide edge failing validity is noted in [r.r_invalid],
    pruned or not; kept crash edges are counted in [r.r_crash].  With
-   [ind = None] (the reduction is off) every child mask is 0, so from a
-   0 root mask nothing is ever pruned: this is then the unreduced
-   successor relation. *)
+   [ind = None] (more processes than a mask holds) every child mask is
+   0, so from a 0 root mask nothing is ever pruned: this is then the
+   unreduced successor relation. *)
 let successors_with_sleep ~crashes ~ind config r node arrival =
   let n = Array.length config.procs in
   let acts = Array.make n None in
@@ -688,14 +666,12 @@ let report ~states ~hits ~lookups (w : walk) recs =
 
 (* --- the sequential engine: discovery inside the walk --- *)
 
-let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep ~on_terminal
-    config =
-  let encode = if symmetry then canonical_key else key in
+let explore_fast ~max_states ~max_depth ~crashes ~indep ~on_terminal config =
   (* small start, grown on demand: callers such as the randomized
      consensus check run thousands of explorations of a few hundred
      states each, where pre-sizing to the budget dominated *)
   let size_hint = max 16 (min max_states 256) in
-  let tbl = Intern.create ~size_hint () in
+  let tbl = Intern.Strings.create ~size_hint () in
   let r = prec_make () in
   let visited = Atomic.make 0 in
   (* a walk child is slot [i] of (successor nodes, arrival masks) *)
@@ -713,14 +689,14 @@ let explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep ~on_terminal
   in
   let w =
     walk ~n:(Array.length config.procs) ~size_hint
-      ~id_of:(fun (nodes, _) i -> Intern.intern tbl (encode nodes.(i)))
+      ~id_of:(fun (nodes, _) i -> Intern.Strings.intern tbl (key nodes.(i)))
       ~first
       ([| initial config |], [| 0 |])
   in
   let open Wfs_obs.Metrics in
-  Counter.add M.intern_hits (Intern.hits tbl);
-  Counter.add M.intern_lookups (Intern.lookups tbl);
-  Gauge.set_max M.arena_size (Intern.size tbl);
+  Counter.add M.intern_hits (Intern.Strings.hits tbl);
+  Counter.add M.intern_lookups (Intern.Strings.lookups tbl);
+  Gauge.set_max M.arena_size (Intern.Strings.size tbl);
   report ~states:(Atomic.get visited) ~hits:w.w_hits ~lookups:w.w_visits w
     [ r ]
 
@@ -766,10 +742,9 @@ module MP = struct
   let domains = Gauge.make "explorer.par.domains"
 end
 
-let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
-    ~on_terminal config =
+let explore_par ~pool ~max_states ~max_depth ~crashes ~indep ~on_terminal
+    config =
   let workers = Pool.size pool in
-  let encode = if symmetry then canonical_key else key in
   let stbl =
     Intern.Sharded.create ~stripes:(max 61 (4 * workers))
       ~size_hint:(max 16 (min max_states 65536)) ()
@@ -798,7 +773,7 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
     | None -> ()
     | Some (pids, nodes, masks) ->
         let claims =
-          Intern.Sharded.intern_batch stbl (Array.map encode nodes)
+          Intern.Sharded.intern_batch stbl (Array.map key nodes)
         in
         Array.iteri
           (fun i claim ->
@@ -821,7 +796,7 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
     Wfs_obs.Profile.span ~cat:"explore" "explore.seeds" (fun () ->
         let enqueue x = Queue.add x queue in
         let root = initial config in
-        let claim = Intern.Sharded.intern stbl (encode root) in
+        let claim = (Intern.Sharded.intern_batch stbl [| key root |]).(0) in
         consider rec0 ~enqueue root 0 0 claim;
         let target = 2 * workers in
         let budget = ref (8 * target) in
@@ -898,8 +873,8 @@ let explore_par ~pool ~max_states ~max_depth ~symmetry ~crashes ~indep
   Gauge.set_max MP.domains workers;
   report ~states:(Atomic.get visited) ~hits ~lookups w all_recs
 
-let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
-    ?(symmetry = false) ?(crashes = 0) ?pool ?(on_terminal = ignore) config =
+let explore ?(max_states = 2_000_000) ?(max_depth = 10_000) ?(crashes = 0)
+    ?pool ?(on_terminal = ignore) config =
   if crashes < 0 then invalid_arg "Explorer.explore: crashes < 0";
   if max_states < 0 then
     invalid_arg
@@ -907,13 +882,11 @@ let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
   if max_depth < 0 then
     invalid_arg
       (Fmt.str "Explorer.explore: max_depth must be >= 0 (got %d)" max_depth);
-  (* The reduction composes with crashes and the parallel engine;
-     [symmetry] already collapses orbits whose interaction with
-     path-dependent sleep masks is not covered by the soundness
-     argument, so it disables it.  Masks pack step and crash bits
-     into one int, which caps the process count. *)
+  (* The reduction composes with crashes and the parallel engine.
+     Masks pack step and crash bits into one int, which caps the
+     process count. *)
   let indep =
-    if (not symmetry) && Array.length config.procs <= crash_shift then
+    if Array.length config.procs <= crash_shift then
       Some
         (Wfs_obs.Profile.span ~cat:"explore" "explore.independence"
            (fun () -> Independence.of_env config.env))
@@ -922,12 +895,12 @@ let explore ?(max_states = 2_000_000) ?(max_depth = 10_000)
   match pool with
   | Some p when Pool.size p > 1 ->
       Wfs_obs.Profile.span ~cat:"explore" "explore.par" (fun () ->
-          explore_par ~pool:p ~max_states ~max_depth ~symmetry ~crashes ~indep
+          explore_par ~pool:p ~max_states ~max_depth ~crashes ~indep
             ~on_terminal config)
   | _ ->
       Wfs_obs.Profile.span ~cat:"explore" "explore.dfs" (fun () ->
-          explore_fast ~max_states ~max_depth ~symmetry ~crashes ~indep
-            ~on_terminal config)
+          explore_fast ~max_states ~max_depth ~crashes ~indep ~on_terminal
+            config)
 
 let wait_free stats =
   (not stats.cyclic) && (not stats.truncated) && stats.stuck = None

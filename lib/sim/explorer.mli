@@ -56,7 +56,13 @@ type stats = {
 }
 
 val initial : config -> node
-val key : node -> Value.t
+
+(** The joint state packed into one flat string — locals, decisions,
+    environment state and the stepped and crashed masks, marshalled
+    without sharing.  Injective: two nodes get the same key iff they
+    are structurally equal.  Every joint-state search keys its visited
+    set or memo table by it. *)
+val key : node -> string
 
 (** Terminal under the crash-stop adversary: every process has decided
     or crashed.  With [crashed = 0] this is the original "everyone
@@ -83,23 +89,12 @@ val decision_valid : node -> pid:int -> Value.t -> bool
 
 (** Exhaustive DFS.
 
-    The engine interns joint-state keys to dense ids
-    ({!Intern}, full-depth hashing) and computes the longest-path step
+    The engine interns joint-state keys ({!key}) to dense ids
+    ({!Intern}) and computes the longest-path step
     bounds post-order during the single iterative DFS — no second
     traversal, no re-derived successors, no stack-overflow risk at
     large [max_depth].  A negative [max_states], [max_depth] or
     [crashes] raises [Invalid_argument]; budgets of 0 are legal.
-
-    [symmetry] (default false) keys the visited set by a canonical key
-    whose per-process components are sorted, collapsing
-    process-permutation orbits; enable it
-    only for systems whose processes all run the same pid-independent
-    program over a symmetric environment.  [states] and [terminals]
-    then describe the quotient graph (one orbit representative each);
-    [step_bounds] are the quotient's longest pid-labelled paths — a
-    sound over-approximation of the true per-process bounds, since
-    orbit collapsing permutes pid labels along a path.  Cyclicity (and
-    hence [wait_free]) is exact either way.
 
     Redundant interleavings are pruned with sleep
     sets over the semantic independence relation ({!Independence},
@@ -115,9 +110,8 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     exactly those of the unreduced search (the reduction removes
     *edges*, never states); only the per-edge work shrinks.  Skipped
     edges feed [explorer.por.pruned].  The reduction composes with
-    [crashes] and [pool]; it is disabled automatically under
-    [symmetry] (orbit collapsing and path-dependent sleep masks are
-    separate reductions), and for more than 16 processes.  The
+    [crashes] and [pool]; it is disabled automatically for more than
+    16 processes, where the sleep masks no longer fit one int.  The
     unreduced search is kept as a test oracle
     (test/explorer_oracle.ml), not as a mode.
 
@@ -158,8 +152,8 @@ val decision_valid : node -> pid:int -> Value.t -> bool
     [explorer.par.domains] gauge.
 
     [on_terminal] (default a no-op) is called exactly once per distinct
-    reachable terminal state within budget (distinct by {!key}, or by
-    the canonical key under [symmetry]), where the engine records it —
+    reachable terminal state within budget (distinct by {!key}), where
+    the engine records it —
     the hook through which a caller checks a property of every final
     state.  The reduction never removes a state, so every terminal
     state is seen.  Under a pool of size > 1 it runs on the worker
@@ -169,7 +163,6 @@ val decision_valid : node -> pid:int -> Value.t -> bool
 val explore :
   ?max_states:int ->
   ?max_depth:int ->
-  ?symmetry:bool ->
   ?crashes:int ->
   ?pool:Pool.t ->
   ?on_terminal:(node -> unit) ->

@@ -45,12 +45,10 @@ end
 
 let analyze ?(crashes = 0) (config : Explorer.config) =
   if crashes < 0 then invalid_arg "Valency.analyze: crashes < 0";
-  (* full-depth-hash table: joint-state keys collide pathologically
-     under the generic hash (see [Value.hash_full]) *)
-  let memo : valency Value.Tbl.t = Value.Tbl.create 4096 in
+  let memo : (string, valency) Hashtbl.t = Hashtbl.create 4096 in
   let rec valency node =
     let k = Explorer.key node in
-    match Value.Tbl.find_opt memo k with
+    match Hashtbl.find_opt memo k with
     | Some v ->
         Wfs_obs.Metrics.Counter.incr M.memo_hits;
         v
@@ -64,7 +62,7 @@ let analyze ?(crashes = 0) (config : Explorer.config) =
               Vset.empty
               (Explorer.successors ~crashes config node)
         in
-        Value.Tbl.replace memo k v;
+        Hashtbl.replace memo k v;
         v
   in
   let root = Explorer.initial config in
@@ -78,12 +76,12 @@ let analyze ?(crashes = 0) (config : Explorer.config) =
 let find_critical ?crashes (config : Explorer.config) =
   Wfs_obs.Metrics.Counter.incr M.critical_searches;
   let _, valency = analyze ?crashes config in
-  let seen : unit Value.Tbl.t = Value.Tbl.create 4096 in
+  let seen : (string, unit) Hashtbl.t = Hashtbl.create 4096 in
   let exception Found of critical in
   let rec dfs node =
     let k = Explorer.key node in
-    if not (Value.Tbl.mem seen k) then begin
-      Value.Tbl.replace seen k ();
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.replace seen k ();
       if is_bivalent (valency node) && not (Explorer.is_terminal node) then begin
         let succs = Explorer.successors ?crashes config node in
         let branches =

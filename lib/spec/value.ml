@@ -72,11 +72,11 @@ let hash (v : t) = Hashtbl.hash v
 (* Full-depth structural hash.
 
    [Hashtbl.hash] samples a bounded prefix of the structure (at most 10
-   meaningful nodes by default), so the large joint-state keys built by
-   the explorer — n process locals, n decisions, the whole environment
-   vector — collide pathologically: states differing only deep in the
-   encoding all land in one bucket and every probe degenerates into a
-   deep structural comparison.  [hash_full] folds over the entire value
+   meaningful nodes by default), so large keys — the solver's views
+   (response lists that deepen with every operation) and environment
+   encodings — collide pathologically: values differing only deep in
+   the encoding all land in one bucket and every probe degenerates into
+   a deep structural comparison.  [hash_full] folds over the entire value
    (FNV-1a over constructor tags and payloads), making hash-table
    lookups on joint states O(size of key) with near-perfect bucket
    spread. *)

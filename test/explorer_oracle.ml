@@ -1,25 +1,39 @@
 (* Reference explorer for the differential tests: the textbook recursive
    two-pass algorithm, built only on [Explorer]'s public successor
-   relation.  A gray/black DFS over [Value.Tbl]-keyed states finds
-   cycles, terminals, invalid decides and truncation; a second memoized
-   walk computes the longest-path step bounds.  No interning, no fused
-   DP, no sleep sets, no pool and no metrics — [Explorer.explore] must
-   report exactly what this reports. *)
+   relation.  A gray/black DFS over states keyed by their structural
+   [Value.t] encoding ([key], independent of the engine's packed
+   [Explorer.key]) finds cycles, terminals, invalid decides and
+   truncation; a second memoized walk computes the longest-path step
+   bounds.  No interning, no fused DP, no sleep sets, no pool and no
+   metrics — [Explorer.explore] must report exactly what this reports.
+   [on_state] sees each distinct state once, at first sight. *)
 
 open Wfs_spec
 open Wfs_sim
 
 type color = Gray | Black
 
+(* The joint state as one [Value.t] tree: locals, decisions, environment
+   state, stepped and crashed masks. *)
+let key (node : Explorer.node) =
+  Value.list
+    [
+      Value.list (Array.to_list node.locals);
+      Value.list (Array.to_list (Array.map Value.of_option node.decided));
+      Env.encode node.env_state;
+      Value.int node.stepped;
+      Value.int node.crashed;
+    ]
+
 let explore ?(max_states = 2_000_000) ?(max_depth = 10_000) ?(crashes = 0)
-    (config : Explorer.config) : Explorer.stats =
+    ?(on_state = ignore) (config : Explorer.config) : Explorer.stats =
   let colors : color Value.Tbl.t = Value.Tbl.create 4096 in
   let terminals : Explorer.terminal Value.Tbl.t = Value.Tbl.create 64 in
   let invalid : (int * Value.t) Value.Tbl.t = Value.Tbl.create 8 in
   let cyclic = ref false and stuck = ref None and truncation = ref None in
   let truncate cause = if !truncation = None then truncation := Some cause in
   let rec dfs (node : Explorer.node) depth =
-    let k = Explorer.key node in
+    let k = key node in
     match Value.Tbl.find_opt colors k with
     | Some Gray -> cyclic := true
     | Some Black -> ()
@@ -28,6 +42,7 @@ let explore ?(max_states = 2_000_000) ?(max_depth = 10_000) ?(crashes = 0)
     | None when depth >= max_depth -> truncate Explorer.Budget_depth
     | None ->
         Value.Tbl.replace colors k Gray;
+        on_state node;
         (if Explorer.is_terminal node then
            Value.Tbl.replace terminals
              (Value.list
@@ -70,7 +85,7 @@ let explore ?(max_states = 2_000_000) ?(max_depth = 10_000) ?(crashes = 0)
       let n = Array.length config.procs in
       let memo : int array Value.Tbl.t = Value.Tbl.create 4096 in
       let rec bound node =
-        let k = Explorer.key node in
+        let k = key node in
         match Value.Tbl.find_opt memo k with
         | Some b -> b
         | None ->

@@ -359,7 +359,8 @@ let suite = suite @ [ brute_suite ]
    Operations are built directly: [invoke_at]/[respond_at] are clock
    readings, and each operation carries the log position its
    construction reported ([None]: a pending one whose position went
-   unreported). *)
+   unreported).  [columns] hands them to the checker as one column
+   block per process. *)
 
 let reg = List.assoc "r" reg_env
 
@@ -370,7 +371,30 @@ let pending_op ?(pid = 0) o ~invoked =
   { History.pid; obj = "r"; op = o; res = None; invoke_at = invoked;
     respond_at = max_int }
 
-let witness ops = Linearizability.check_witness reg ~length:(List.length ops) (Array.of_list ops)
+let columns ops =
+  let block pid =
+    let mine =
+      Array.of_list
+        (List.filter (fun ((o : History.operation), _) -> o.pid = pid) ops)
+    in
+    let col f = Array.map f mine in
+    {
+      Linearizability.ops = col (fun (o, _) -> o.History.op);
+      results =
+        col (fun (o, _) -> Option.value o.History.res ~default:Value.unit);
+      invoked = col (fun (o, _) -> o.History.invoke_at);
+      responded = col (fun (o, _) -> o.History.respond_at);
+      positions = col (fun (_, p) -> Option.value p ~default:(-1));
+    }
+  in
+  List.map block
+    (List.sort_uniq compare
+       (List.map (fun ((o : History.operation), _) -> o.pid) ops))
+
+let check_witness spec ~length ops =
+  Linearizability.check_witness spec ~length (columns ops)
+
+let witness ops = check_witness reg ~length:(List.length ops) ops
 let write v = Registers.write (Value.int v)
 
 (* A read invoked after a write responded, reporting a position before
@@ -404,14 +428,19 @@ let test_witness_positions () =
   Alcotest.(check bool) "negative position" false
     (witness [ (w, Some (-1)); (r, Some 1) ]);
   Alcotest.(check bool) "completed op without a position" false
-    (witness [ (w, Some 0); (r, None) ])
+    (witness [ (w, Some 0); (r, None) ]);
+  Alcotest.check_raises "ragged columns"
+    (Invalid_argument "Linearizability.check_witness: column lengths differ")
+    (fun () ->
+      let b = List.hd (columns [ (w, Some 0) ]) in
+      ignore
+        (Linearizability.check_witness reg ~length:1
+           [ { b with Linearizability.positions = [| 0; 1 |] } ]))
 
 let test_witness_gaps () =
   let w = done_op ~pid:1 (write 1) Value.unit ~span:(0, 1) in
   let r v = done_op Registers.read (Value.int v) ~span:(4, 5) in
-  let gap ops =
-    Linearizability.check_witness reg ~length:3 (Array.of_list ops)
-  in
+  let gap ops = check_witness reg ~length:3 ops in
   Alcotest.(check bool) "a gap no pending op fills" false
     (gap [ (w, Some 0); (r 1, Some 2) ]);
   let pending2 = pending_op ~pid:2 (write 2) ~invoked:2 in
@@ -536,8 +565,8 @@ let prop_witness_sound =
       let spec, h, honest, reported, length, corrupted =
         run_positioned input
       in
-      (corrupted || Linearizability.check_witness spec ~length honest)
-      && ((not (Linearizability.check_witness spec ~length reported))
+      (corrupted || check_witness spec ~length (Array.to_list honest))
+      && ((not (check_witness spec ~length (Array.to_list reported)))
          || (Linearizability.check_object spec h).linearizable))
 
 let witness_suite =

@@ -3,8 +3,9 @@
    recursive two-pass reference in [Explorer_oracle], on every protocol
    in the registry and on hand-made cyclic, stuck and invalid-decision
    configs, under every budget kind and under a crash budget.
-   Also: the symmetry quotient agrees with the full graph on every
-   verdict, and the interner's properties hold under qcheck. *)
+   Also: the packed state key splits reachable states into the same
+   classes as the oracle's structural key, and the interner's
+   properties hold under qcheck. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -101,7 +102,7 @@ let test_on_terminal_hook () =
     let keys = ref [] and non_terminal = ref 0 in
     let on_terminal node =
       Mutex.protect m (fun () ->
-          keys := Explorer.key node :: !keys;
+          keys := Explorer_oracle.key node :: !keys;
           if not (Explorer.is_terminal node) then incr non_terminal)
     in
     ignore (Explorer.explore ?pool ~on_terminal config);
@@ -250,102 +251,50 @@ let test_explorer_differential_handmade () =
     "borrowed-decision has valid terminals" true
     (borrowed.Explorer.terminals <> [])
 
-let check_symmetry_agrees name config =
-  let full = Explorer.explore config in
-  let quot = Explorer.explore ~symmetry:true config in
-  Alcotest.(check bool)
-    (name ^ ": cyclic agrees") full.Explorer.cyclic quot.Explorer.cyclic;
-  Alcotest.(check bool)
-    (name ^ ": wait_free agrees")
-    (Explorer.wait_free full) (Explorer.wait_free quot);
-  (* Orbit collapsing permutes pid labels along quotient paths, so the
-     per-process bounds are a sound over-approximation, not an exact
-     match: both must exist (or not) together, and the quotient's worst
-     case must dominate the true worst case. *)
-  (match (full.Explorer.step_bounds, quot.Explorer.step_bounds) with
-  | None, None -> ()
-  | Some fb, Some qb ->
-      let max_of = Array.fold_left max 0 in
-      Alcotest.(check bool)
-        (name ^ ": quotient bounds dominate")
-        true
-        (max_of qb >= max_of fb)
-  | Some _, None | None, Some _ ->
-      Alcotest.fail (name ^ ": step_bounds presence disagrees"));
-  Alcotest.(check bool)
-    (name ^ ": quotient no larger") true
-    (quot.Explorer.states <= full.Explorer.states);
-  (full.Explorer.states, quot.Explorer.states)
+(* --- the packed state key ---
 
-let test_symmetry () =
+   [Explorer.key] must induce the same equivalence on joint states as
+   the oracle's structural [Value.t] key.  Every reachable node of the
+   registry protocols (n = 2, 3, with and without a crash) is visited
+   once per structural class by the oracle DFS; each node's successors
+   re-reach states along other paths, so the sample also holds many
+   physically distinct, structurally equal nodes.  One structural key
+   per packed key, and as many packed keys as structural ones, says
+   the two keys split the sample into the same classes. *)
+
+let check_same_classes name config ~crashes =
+  let by_packed = Hashtbl.create 1024 and structural = Value.Tbl.create 1024 in
+  let note node =
+    let sk = Explorer_oracle.key node in
+    Value.Tbl.replace structural sk ();
+    let pk = Explorer.key node in
+    match Hashtbl.find_opt by_packed pk with
+    | None -> Hashtbl.replace by_packed pk sk
+    | Some sk' ->
+        if not (Value.equal sk sk') then
+          Alcotest.failf "%s: two structural states share a packed key" name
+  in
+  ignore
+    (Explorer_oracle.explore ~crashes
+       ~on_state:(fun node ->
+         note node;
+         List.iter (fun (_, succ) -> note succ)
+           (Explorer.successors ~crashes config node))
+       config);
+  Alcotest.(check int)
+    (name ^ ": as many packed keys as structural ones")
+    (Value.Tbl.length structural) (Hashtbl.length by_packed)
+
+let test_packed_key_classes () =
   List.iter
-    (fun n ->
-      let full, quot =
-        check_symmetry_agrees
-          (Fmt.str "sym-tas n=%d" n)
-          (symmetric_tas_config n)
-      in
-      if n >= 3 then
-        Alcotest.(check bool)
-          (Fmt.str "sym-tas n=%d: quotient strictly smaller" n)
-          true (quot < full);
-      ignore
-        (check_symmetry_agrees
-           (Fmt.str "sym-spin n=%d" n)
-           (symmetric_spin_config n)))
-    [ 2; 3 ]
-
-(* --- symmetry quotient combined with a crash budget ---
-
-   Crash transitions are symmetric too (any orbit member may crash), so
-   the quotient remains sound under fault injection.  The oracle has no
-   symmetry support, so the reference comparison is two-legged: engine
-   = oracle exactly on the full crash-augmented graph, and the
-   crash-augmented quotient agrees with that reference graph on every
-   verdict. *)
-
-let test_symmetry_with_crashes () =
-  List.iter
-    (fun n ->
+    (fun (name, (p : Protocol.t)) ->
       List.iter
-        (fun (cname, config) ->
-          let name = Fmt.str "%s n=%d crashes=1" cname n in
-          let full = Explorer.explore ~crashes:1 config in
-          (* engine vs oracle on the full crash-augmented graph *)
-          check_stats_equal
-            (name ^ " [full]")
-            (Explorer_oracle.explore ~crashes:1 config)
-            full;
-          (* crash-augmented quotient vs the full graph *)
-          let quot = Explorer.explore ~symmetry:true ~crashes:1 config in
-          Alcotest.(check bool)
-            (name ^ ": cyclic agrees") full.Explorer.cyclic
-            quot.Explorer.cyclic;
-          Alcotest.(check bool)
-            (name ^ ": wait_free agrees")
-            (Explorer.wait_free full) (Explorer.wait_free quot);
-          Alcotest.(check bool)
-            (name ^ ": quotient no larger") true
-            (quot.Explorer.states <= full.Explorer.states);
-          (match (full.Explorer.step_bounds, quot.Explorer.step_bounds) with
-          | None, None -> ()
-          | Some fb, Some qb ->
-              let max_of = Array.fold_left max 0 in
-              Alcotest.(check bool)
-                (name ^ ": quotient bounds dominate")
-                true
-                (max_of qb >= max_of fb)
-          | Some _, None | None, Some _ ->
-              Alcotest.fail (name ^ ": step_bounds presence disagrees"));
-          if n >= 3 then
-            Alcotest.(check bool)
-              (name ^ ": quotient strictly smaller") true
-              (quot.Explorer.states < full.Explorer.states))
-        [
-          ("sym-tas", symmetric_tas_config n);
-          ("sym-spin", symmetric_spin_config n);
-        ])
-    [ 2; 3 ]
+        (fun crashes ->
+          check_same_classes
+            (Fmt.str "%s crashes=%d" name crashes)
+            p.Protocol.config ~crashes)
+        [ 0; 1 ])
+    (registry_protocols ())
 
 (* --- solver verdicts as comparable strings (engine.por, engine.tt) --- *)
 
@@ -395,9 +344,43 @@ let prop_hash_full_respects_equal =
     ~count:500 Test_value.value_gen (fun v ->
       Value.hash_full v = Value.hash_full (deep_copy v))
 
+(* A joint state built around [v]: the same value in several slots. *)
+let node_of v =
+  {
+    Explorer.locals = [| v; v |];
+    decided = [| Some v; None |];
+    env_state = [| v |];
+    stepped = 1;
+    crashed = 0;
+  }
+
+let prop_key_ignores_sharing =
+  QCheck2.Test.make ~name:"packed key ignores physical sharing" ~count:300
+    Test_value.value_gen (fun v ->
+      let copied =
+        {
+          Explorer.locals = [| deep_copy v; deep_copy v |];
+          decided = [| Some (deep_copy v); None |];
+          env_state = [| deep_copy v |];
+          stepped = 1;
+          crashed = 0;
+        }
+      in
+      String.equal (Explorer.key (node_of v)) (Explorer.key copied))
+
+let prop_key_iff_equal =
+  QCheck2.Test.make ~name:"packed keys coincide iff states are equal"
+    ~count:300
+    (QCheck2.Gen.pair Test_value.value_gen Test_value.value_gen)
+    (fun (a, b) ->
+      String.equal (Explorer.key (node_of a)) (Explorer.key (node_of b))
+      = Value.equal a b)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_key_ignores_sharing;
+      prop_key_iff_equal;
       prop_intern_iff_equal;
       prop_intern_copy_stable;
       prop_intern_roundtrip;
@@ -414,9 +397,8 @@ let suite =
           test_explorer_differential_handmade;
         Alcotest.test_case "on_terminal: once per terminal, any -j" `Quick
           test_on_terminal_hook;
-        Alcotest.test_case "symmetry quotient agrees" `Quick test_symmetry;
-        Alcotest.test_case "symmetry quotient under crash faults" `Quick
-          test_symmetry_with_crashes;
+        Alcotest.test_case "packed key = structural key classes" `Quick
+          test_packed_key_classes;
       ] );
     ("engine.intern", qsuite);
   ]

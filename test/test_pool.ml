@@ -139,80 +139,101 @@ let test_shutdown () =
 
 (* --- sharded interner --- *)
 
-let sharded_values k = List.init k (fun i -> Value.pair (Value.int i) (Value.str "s"))
+let sharded_keys k = List.init k (fun i -> Fmt.str "key-%d" i)
+let claim t k = (Intern.Sharded.intern_batch t [| k |]).(0)
 
 let test_sharded_claim () =
   let t = Intern.Sharded.create ~stripes:7 ~size_hint:16 () in
-  let vs = sharded_values 50 in
-  let firsts = List.map (fun v -> Intern.Sharded.intern t v) vs in
+  let ks = sharded_keys 50 in
+  let firsts = List.map (claim t) ks in
   List.iter
-    (fun (_, fresh) -> Alcotest.(check bool) "first intern is fresh" true fresh)
+    (fun (_, fresh) -> Alcotest.(check bool) "first claim is fresh" true fresh)
     firsts;
   (* ids are dense: a permutation of 0 .. k-1 *)
   Alcotest.(check (list int))
     "ids are dense"
     (List.init 50 Fun.id)
     (List.sort compare (List.map fst firsts));
-  let seconds = List.map (fun v -> Intern.Sharded.intern t v) vs in
-  List.iter2
-    (fun (id1, _) (id2, fresh2) ->
-      Alcotest.(check int) "stable id on re-intern" id1 id2;
+  (* a second pass, as one batch: same ids, no fresh claim *)
+  let seconds = Intern.Sharded.intern_batch t (Array.of_list ks) in
+  List.iteri
+    (fun i (id1, _) ->
+      let id2, fresh2 = seconds.(i) in
+      Alcotest.(check int) "stable id on re-claim" id1 id2;
       Alcotest.(check bool) "claim fires exactly once" false fresh2)
-    firsts seconds;
-  Alcotest.(check int) "size counts distinct values" 50 (Intern.Sharded.size t);
-  List.iter2
-    (fun v (id, _) ->
-      Alcotest.(check (option int))
-        "find_opt agrees" (Some id)
-        (Intern.Sharded.find_opt t v))
-    vs firsts;
-  Alcotest.(check (option int))
-    "find_opt misses unseen" None
-    (Intern.Sharded.find_opt t (Value.str "unseen"));
-  let st = Intern.Sharded.stats t in
-  Alcotest.(check int) "stats entries" 50 st.Intern.entries;
-  Alcotest.(check bool) "stats load positive" true (st.Intern.load > 0.0)
+    firsts;
+  Alcotest.(check int) "size counts distinct keys" 50 (Intern.Sharded.size t);
+  (* within one batch, a duplicate's first position claims it *)
+  let dup = Intern.Sharded.intern_batch t [| "a"; "b"; "a"; "key-3"; "b" |] in
+  Alcotest.(check (list bool))
+    "within-batch duplicates claim once"
+    [ true; true; false; false; false ]
+    (Array.to_list (Array.map snd dup));
+  Alcotest.(check bool) "duplicates share an id" true
+    (fst dup.(0) = fst dup.(2) && fst dup.(1) = fst dup.(4));
+  Alcotest.(check int) "lookups" 105 (Intern.Sharded.lookups t);
+  Alcotest.(check int) "hits" 53 (Intern.Sharded.hits t)
 
 let test_sharded_parallel () =
-  (* concurrent interning from 4 domains: each value claimed exactly
-     once, every domain agrees on the ids afterwards *)
+  (* concurrent claims from 4 domains, in batches of 8: each key
+     claimed exactly once, every domain agrees on the ids afterwards *)
   let t = Intern.Sharded.create () in
-  let vs = Array.of_list (sharded_values 200) in
+  let ks = Array.of_list (sharded_keys 200) in
   Pool.with_pool ~domains:4 (fun pool ->
       let fresh_counts =
         Pool.parallel_map pool
           (fun _ ->
-            Array.fold_left
-              (fun acc v ->
-                let _, fresh = Intern.Sharded.intern t v in
-                if fresh then acc + 1 else acc)
-              0 vs)
+            let fresh = ref 0 in
+            for b = 0 to (Array.length ks / 8) - 1 do
+              Array.iter
+                (fun (_, f) -> if f then incr fresh)
+                (Intern.Sharded.intern_batch t (Array.sub ks (8 * b) 8))
+            done;
+            !fresh)
           [| 0; 1; 2; 3 |]
       in
       Alcotest.(check int)
-        "each value claimed exactly once across domains" 200
+        "each key claimed exactly once across domains" 200
         (Array.fold_left ( + ) 0 fresh_counts));
   Alcotest.(check int) "size after race" 200 (Intern.Sharded.size t);
+  let after = Intern.Sharded.intern_batch t ks in
+  Alcotest.(check bool) "no key lost" true
+    (Array.for_all (fun (_, fresh) -> not fresh) after);
   Alcotest.(check (list int))
     "dense ids after race"
     (List.init 200 Fun.id)
-    (List.sort compare
-       (Array.to_list
-          (Array.map
-             (fun v ->
-               match Intern.Sharded.find_opt t v with
-               | Some id -> id
-               | None -> Alcotest.fail "value lost")
-             vs)))
+    (List.sort compare (Array.to_list (Array.map fst after)))
 
-let test_intern_stats () =
-  let t = Intern.create ~size_hint:64 () in
-  List.iter (fun v -> ignore (Intern.intern t v)) (sharded_values 30);
-  let st = Intern.stats t in
-  Alcotest.(check int) "entries" 30 st.Intern.entries;
-  Alcotest.(check bool) "buckets positive" true (st.Intern.buckets > 0);
-  Alcotest.(check bool) "max_bucket sane" true (st.Intern.max_bucket >= 1);
-  Alcotest.(check bool) "load sane" true (st.Intern.load > 0.0)
+(* One table implementation for the three key types: dense ids in
+   first-intern order, with hit accounting; [Value.t] ids decode. *)
+let test_intern_instances () =
+  let check (type k) name (module I : Intern.S with type key = k)
+      (keys : k list) =
+    let t = I.create ~size_hint:4 () in
+    let ids = List.map (I.intern t) (keys @ keys) in
+    let n = List.length keys in
+    Alcotest.(check (list int))
+      (name ^ ": dense ids, stable on re-intern")
+      (List.init n Fun.id @ List.init n Fun.id)
+      ids;
+    Alcotest.(check int) (name ^ ": size") n (I.size t);
+    Alcotest.(check int) (name ^ ": lookups") (2 * n) (I.lookups t);
+    Alcotest.(check int) (name ^ ": hits") n (I.hits t)
+  in
+  let values = List.init 30 (fun i -> Value.pair (Value.int i) (Value.str "s")) in
+  check "values" (module Intern) values;
+  check "ints" (module Intern.Ints) (List.init 30 (fun i -> [| i; -i |]));
+  check "strings" (module Intern.Strings) (sharded_keys 30);
+  (* more keys than the size hint: the arena grows *)
+  let t = Intern.create ~size_hint:4 () in
+  List.iter (fun v -> ignore (Intern.intern t v)) values;
+  List.iteri
+    (fun id v ->
+      Alcotest.(check value) "value inverts intern" v (Intern.value t id))
+    values;
+  Alcotest.check_raises "unknown id"
+    (Invalid_argument "Intern.value: id 30 out of bounds (size 30)")
+    (fun () -> ignore (Intern.value t 30))
 
 (* --- engine.parallel: the sequential/parallel differential --- *)
 
@@ -400,7 +421,8 @@ let suite =
           test_sharded_claim;
         Alcotest.test_case "sharded interning under contention" `Quick
           test_sharded_parallel;
-        Alcotest.test_case "table stats" `Quick test_intern_stats;
+        Alcotest.test_case "one table for three key types" `Quick
+          test_intern_instances;
       ] );
     ( "engine.parallel",
       [

@@ -1,7 +1,7 @@
 (* Tests for the sleep-set partial-order reductions beyond the oracle
-   differentials: the explorer's reduction stays off under the symmetry
-   quotient and above 16 processes; [find_violation] agrees with
-   [verify]; and both reductions actually fire.  Equality with the
+   differentials: the explorer's reduction stays off above 16
+   processes; [find_violation] agrees with [verify]; and both
+   reductions actually fire.  Equality with the
    unreduced searches is checked against the reference oracles in
    engine.differential (explorer) and engine.tt (solver); the reduction
    under 2- and 4-domain pools in engine.parallel. *)
@@ -21,21 +21,11 @@ let pruned () = counter "explorer.por.pruned"
 (* --- the explorer's reduction is off exactly where the code says --- *)
 
 (* Pruned edges and stats of one sym-tas run (see [symmetric_tas_config]). *)
-let sym_tas ?max_states ?symmetry n =
+let sym_tas ?max_states n =
   let e0 = pruned () in
   let config = Test_perf_engine.symmetric_tas_config n in
-  let stats = Explorer.explore ?max_states ?symmetry config in
+  let stats = Explorer.explore ?max_states config in
   (pruned () - e0, config, stats)
-
-(* sym-tas n=3 prunes on the full graph ("reductions actually fire"),
-   never under the quotient *)
-let test_symmetry_guard () =
-  List.iter
-    (fun n ->
-      let cut, _, stats = sym_tas ~symmetry:true n in
-      Alcotest.(check int) (Fmt.str "n=%d: no pruned edges" n) 0 cut;
-      Alcotest.(check bool) "wait-free" true (Explorer.wait_free stats))
-    [ 2; 3 ]
 
 (* Sleep masks keep q's crash at bit [q + 16], so the reduction runs for
    at most 16 processes: at 17 it is off and matches the oracle. *)
@@ -87,8 +77,6 @@ let suite =
   [
     ( "engine.por",
       [
-        Alcotest.test_case "explorer: symmetry disables por" `Quick
-          test_symmetry_guard;
         Alcotest.test_case "explorer: por off above 16 processes" `Quick
           test_process_cap_guard;
         Alcotest.test_case "find_violation agrees with verify" `Quick
