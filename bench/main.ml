@@ -719,14 +719,13 @@ let universal_verification () =
   in
   let v, dt = time_once (fun () -> Log_universal.verify ~target ~scripts ()) in
   Fmt.pr "  plain log:   ok=%b  %6d states  %5d terminals  (%.2fs)@."
-    v.Log_universal.ok v.Log_universal.states v.Log_universal.terminals dt;
-  let v, dt =
+    v.Wfs_sim.Explorer.ok v.states v.terminals dt;
+  let (v, max_replay), dt =
     time_once (fun () -> Truncating_universal.verify ~target ~scripts ())
   in
   Fmt.pr
     "  truncating:  ok=%b  %6d states  max replay %d (bound n=2)  (%.2fs)@."
-    v.Truncating_universal.ok v.Truncating_universal.states
-    v.Truncating_universal.max_replay dt;
+    v.Wfs_sim.Explorer.ok v.states max_replay dt;
   let v, dt =
     time_once (fun () ->
         Consensus_fac.verify
@@ -734,7 +733,7 @@ let universal_verification () =
           ())
   in
   Fmt.pr "  Fig 4-5 fac: ok=%b  %6d states  %5d terminals  (%.2fs)@."
-    v.Consensus_fac.ok v.Consensus_fac.states v.Consensus_fac.terminals dt;
+    v.Wfs_sim.Explorer.ok v.states v.terminals dt;
   (* Theorem 26 composed end to end: consensus -> fac -> queue *)
   let v, dt =
     time_once (fun () ->
@@ -743,12 +742,12 @@ let universal_verification () =
           ())
   in
   Fmt.pr "  Thm 26 composed (consensus→fac→queue): ok=%b  %6d states  (%.2fs)@."
-    v.Composed.ok v.Composed.states dt;
+    v.Wfs_sim.Explorer.ok v.states dt;
   record_series "universal-verify/thm26-composed"
     (Obs.Json.obj
        [
-         ("ok", Obs.Json.bool v.Composed.ok);
-         ("states", Obs.Json.int v.Composed.states);
+         ("ok", Obs.Json.bool v.Wfs_sim.Explorer.ok);
+         ("states", Obs.Json.int v.states);
          ("seconds", Obs.Json.float dt);
        ])
 
@@ -772,14 +771,14 @@ let randomized_series () =
     "  exhaustive safety: all schedules x all coin assignments x all inputs@.";
   List.iter
     (fun flips ->
-      let v, dt =
+      let (v, configurations, aborts_possible), dt =
         time_once (fun () -> Randomized.verify_all_coins ~flips ())
       in
       Fmt.pr
         "    flips=%d: ok=%b  %4d configurations  %7d states  aborts \
          possible=%b  (%.2fs)@."
-        flips v.Randomized.ok v.Randomized.configurations
-        v.Randomized.states v.Randomized.aborts_possible dt)
+        flips v.Wfs_sim.Explorer.ok configurations v.states aborts_possible
+        dt)
     [ 1; 2; 3 ];
   (* expected coin flips on hardware: conflicts resolve in O(1) expected *)
   let trials = 2_000 in

@@ -341,9 +341,18 @@ let verify_cmd =
                                  report.Protocol.truncation);
                           if Protocol.passed report then 0
                           else begin
+                            (* Only a disagreement or an invalid decide
+                               has a schedule to show; the explorer has
+                               noted both whenever they are reachable
+                               within its budget. *)
                             (match
-                               Protocol.find_violation ~max_states ~crashes
-                                 protocol
+                               if
+                                 report.Protocol.agreement
+                                 && report.Protocol.validity
+                               then None
+                               else
+                                 Protocol.find_violation ~max_states ~crashes
+                                   protocol
                              with
                             | Some v ->
                                 Fmt.pr "@.counterexample: %a@."
@@ -502,17 +511,17 @@ let universal_cmd =
             let v = Log_universal.verify ~target:spec ~scripts () in
             Fmt.pr
               "log universal construction of %s: ok=%b states=%d terminals=%d@."
-              target v.Log_universal.ok v.Log_universal.states
-              v.Log_universal.terminals;
-            if v.Log_universal.ok then 0 else 1
+              target v.ok v.states v.terminals;
+            if v.ok then 0 else 1
         | `Truncating ->
-            let v = Truncating_universal.verify ~target:spec ~scripts () in
+            let v, max_replay =
+              Truncating_universal.verify ~target:spec ~scripts ()
+            in
             Fmt.pr
               "truncating universal construction of %s: ok=%b states=%d \
                max-replay=%d@."
-              target v.Truncating_universal.ok v.Truncating_universal.states
-              v.Truncating_universal.max_replay;
-            if v.Truncating_universal.ok then 0 else 1)
+              target v.ok v.states max_replay;
+            if v.ok then 0 else 1)
   in
   Cmd.v
     (Cmd.info "universal"
@@ -817,7 +826,7 @@ let randomized_cmd =
   let run flips =
     match Randomized.verify_all_coins ~flips () with
     | exception Invalid_argument msg -> bad_input msg
-    | v ->
+    | v, configurations, aborts_possible ->
         Fmt.pr
           "randomized 2-process consensus from registers (Theorem 2 \
            escapes@.via coin flips — §5's open problem, after \
@@ -825,10 +834,9 @@ let randomized_cmd =
         Fmt.pr
           "exhaustive safety: ok=%b over %d configurations (%d joint \
            states)@."
-          v.Randomized.ok v.Randomized.configurations v.Randomized.states;
-        Fmt.pr "aborts possible with only %d coins: %b@." flips
-          v.Randomized.aborts_possible;
-        if v.Randomized.ok then 0 else 1
+          v.ok configurations v.states;
+        Fmt.pr "aborts possible with only %d coins: %b@." flips aborts_possible;
+        if v.ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "randomized"

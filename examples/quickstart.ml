@@ -30,8 +30,8 @@ let () =
   Fmt.pr
     "simulator: 2 front-ends, 2 operations each, every interleaving explored@.";
   Fmt.pr "  joint states: %d, terminal schedules: %d, linearizable: %b@.@."
-    v.Log_universal.states v.Log_universal.terminals v.Log_universal.ok;
-  assert v.Log_universal.ok
+    v.states v.terminals v.ok;
+  assert v.ok
 
 (* --- 2. real multicore --- *)
 

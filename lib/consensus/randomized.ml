@@ -92,15 +92,6 @@ let config ~inputs ~coins =
   in
   { Explorer.procs; env = Env.make [ (reg, spec) ] }
 
-type verification = {
-  ok : bool;
-  configurations : int;  (** coin-assignment × input combinations checked *)
-  states : int;  (** total joint states across configurations *)
-  aborts_possible : bool;
-      (** some schedule ran out of coins (expected for short sequences) *)
-  failure : string option;
-}
-
 (* All coin lists of length [flips]. *)
 let rec coin_lists flips =
   if flips = 0 then [ [] ]
@@ -136,41 +127,26 @@ let check_flips fn flips =
 let verify_all_coins ?(flips = 3) () =
   check_flips "verify_all_coins" flips;
   let coin_choices = coin_lists flips in
-  let states = ref 0 in
-  let configurations = ref 0 in
   let aborts = ref false in
-  let failure = ref None in
-  let wait_free = ref true in
-  List.iter
-    (fun (i0, i1) ->
-      let inputs = [| i0; i1 |] in
-      List.iter
-        (fun c0 ->
-          List.iter
-            (fun c1 ->
-              incr configurations;
-              let on_terminal node =
-                match check_terminal ~inputs node with
-                | Ok `Aborted -> aborts := true
-                | Ok `Decided -> ()
-                | Error e -> if !failure = None then failure := Some e
-              in
-              let stats =
-                Explorer.explore ~on_terminal
-                  (config ~inputs ~coins:[| c0; c1 |])
-              in
-              if not (Explorer.wait_free stats) then wait_free := false;
-              states := !states + stats.Explorer.states)
-            coin_choices)
-        coin_choices)
-    [ (false, false); (false, true); (true, false); (true, true) ];
-  {
-    ok = !failure = None && !wait_free;
-    configurations = !configurations;
-    states = !states;
-    aborts_possible = !aborts;
-    failure = !failure;
-  }
+  let verdicts =
+    List.concat_map
+      (fun (i0, i1) ->
+        let inputs = [| i0; i1 |] in
+        let terminal node =
+          Result.map
+            (function `Aborted -> aborts := true | `Decided -> ())
+            (check_terminal ~inputs node)
+        in
+        List.concat_map
+          (fun c0 ->
+            List.map
+              (fun c1 ->
+                Explorer.check (config ~inputs ~coins:[| c0; c1 |]) ~terminal)
+              coin_choices)
+          coin_choices)
+      [ (false, false); (false, true); (true, false); (true, true) ]
+  in
+  (Explorer.all verdicts, List.length verdicts, !aborts)
 
 (* One run under a seeded schedule, for demos; abort probability decays
    with [flips]. *)

@@ -17,19 +17,21 @@ val aborted : Value.t
 val proc : pid:int -> input:bool -> coins:bool list -> Process.t
 val config : inputs:bool array -> coins:bool list array -> Explorer.config
 
-type verification = {
-  ok : bool;
-  configurations : int;
-  states : int;
-  aborts_possible : bool;
-  failure : string option;
-}
+(** The verdict on one terminal of the configuration with [inputs]:
+    the real (non-aborted) decisions agree and name an input.
+    [`Aborted] when every process ran out of coins. *)
+val check_terminal :
+  inputs:bool array -> Explorer.node ->
+  ([ `Aborted | `Decided ], string) result
 
 (** Exhaustive safety over all schedules × all coin sequences of length
-    [flips] (default 3) × all four input combinations; [ok] also
-    requires every configuration's exploration to be wait-free.  Raises
-    [Invalid_argument] when [flips < 0]. *)
-val verify_all_coins : ?flips:int -> unit -> verification
+    [flips] (default 3) × all four input combinations: one
+    {!Explorer.check} per configuration, folded by {!Explorer.all}, so
+    the verdict also requires every exploration to be wait-free.
+    Returned with the number of configurations checked and whether
+    some schedule ran out of coins (expected for short sequences).
+    Raises [Invalid_argument] when [flips < 0]. *)
+val verify_all_coins : ?flips:int -> unit -> Explorer.verdict * int * bool
 
 (** One seeded run with pseudo-random coins.  Raises
     [Invalid_argument] when [flips < 0]. *)

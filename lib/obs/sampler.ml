@@ -1,11 +1,10 @@
 (* Periodic registry sampling from a dedicated domain.
 
    The sampler domain wakes every [interval_ms], takes a lock-free
-   [Metrics.dump] and publishes it by atomically swapping a fresh
-   immutable ring (newest-first list, capacity-truncated) into an
-   [Atomic.t].  Readers — the HTTP endpoint, [ring] and [latest] —
-   just [Atomic.get] the ring: no locks, no tearing, and a reader
-   holding an old ring keeps a consistent (if stale) view.
+   [Metrics.dump] and publishes it by atomically swapping the new
+   immutable snapshot into an [Atomic.t].  Readers — the HTTP endpoint
+   and [latest] — just [Atomic.get] it: no locks, no tearing, and a
+   reader holding an old snapshot keeps a consistent (if stale) view.
 
    Consumers, all optional:
    - a file sink rewrites [out_file] atomically (write tmp + rename)
@@ -24,8 +23,7 @@ type hook = final:bool -> prev:snap -> cur:snap -> unit
 type core = {
   registry : Metrics.registry option;
   interval_ms : int;
-  capacity : int;
-  ring : snap list Atomic.t;  (* newest first *)
+  latest : snap option Atomic.t;
   stopping : bool Atomic.t;
   wake : Unix.file_descr * Unix.file_descr;
       (* pipe: [stop] writes a byte to cut the sampler's wait short *)
@@ -41,16 +39,6 @@ type t = {
 
 let take_snap registry =
   { at_ns = Clock.now_ns (); values = Metrics.dump ?registry () }
-
-let push_snap core snap =
-  let rec truncate n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | s :: rest -> s :: truncate (n - 1) rest
-  in
-  (* single writer: a plain read-modify-set is race-free *)
-  let old = Atomic.get core.ring in
-  Atomic.set core.ring (snap :: truncate (core.capacity - 1) old)
 
 let write_file_atomically path contents =
   let tmp = path ^ ".tmp" in
@@ -69,12 +57,13 @@ let sink core snap =
       with Sys_error _ | Unix.Unix_error _ -> ())
 
 let sample_once ?(final = false) core =
-  let prev = Atomic.get core.ring in
+  (* single writer: a plain read-then-set is race-free *)
+  let prev = Atomic.get core.latest in
   let snap = take_snap core.registry in
-  push_snap core snap;
+  Atomic.set core.latest (Some snap);
   sink core snap;
   match (core.on_sample, prev) with
-  | Some hook, p :: _ -> hook ~final ~prev:p ~cur:snap
+  | Some hook, Some p -> hook ~final ~prev:p ~cur:snap
   | _ -> ()
 
 let sampler_main core () =
@@ -106,9 +95,9 @@ let http_response_of_body body =
 
 let http_response core =
   http_response_of_body
-    (match Atomic.get core.ring with
-    | snap :: _ -> Export.of_dump snap.values
-    | [] -> Export.of_dump (take_snap core.registry).values)
+    (match Atomic.get core.latest with
+    | Some snap -> Export.of_dump snap.values
+    | None -> Export.of_dump (take_snap core.registry).values)
 
 (* a request is complete once the header block terminator arrives (this
    endpoint only ever serves bodyless GETs) *)
@@ -246,10 +235,8 @@ let progress ~label ~crashes () =
 
 (* --- lifecycle --- *)
 
-let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
-    ?port ?on_sample () =
+let start ?registry ?(interval_ms = 1000) ?out_file ?port ?on_sample () =
   if interval_ms <= 0 then invalid_arg "Sampler.start: interval_ms <= 0";
-  if capacity <= 0 then invalid_arg "Sampler.start: capacity <= 0";
   (match port with
   | Some p when p < 0 || p > 65535 ->
       invalid_arg (Printf.sprintf "Sampler.start: port %d outside 0-65535" p)
@@ -261,15 +248,14 @@ let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
     {
       registry;
       interval_ms;
-      capacity;
-      ring = Atomic.make [];
+      latest = Atomic.make None;
       stopping = Atomic.make false;
       wake = Unix.pipe ~cloexec:true ();
       out_file;
       on_sample;
     }
   in
-  (* seed the ring so the endpoint and `wfs top` have a baseline before
+  (* seed a snapshot so the endpoint and `wfs top` have a baseline before
      the first interval elapses *)
   sample_once core;
   let http =
@@ -277,10 +263,7 @@ let start ?registry ?(interval_ms = 1000) ?(capacity = 120) ?out_file
   in
   { core; sampler_domain = Domain.spawn (sampler_main core); http }
 
-let ring t = Atomic.get t.core.ring
-
-let latest t =
-  match Atomic.get t.core.ring with s :: _ -> Some s | [] -> None
+let latest t = Atomic.get t.core.latest
 
 let stop t =
   Atomic.set t.core.stopping true;
@@ -300,5 +283,5 @@ let stop t =
   Unix.close wake_w;
   (match t.http with Some (_, d) -> Domain.join d | None -> ());
   (* final sample so short runs still leave complete end-of-run values
-     in the ring, the file sink and the hook *)
+     in [latest], the file sink and the hook *)
   sample_once ~final:true t.core

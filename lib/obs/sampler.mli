@@ -1,13 +1,12 @@
 (** Periodic registry sampling from a dedicated domain.
 
     Every [interval_ms] the sampler takes a lock-free {!Metrics.dump}
-    and publishes it by atomically swapping a fresh immutable ring
-    (newest-first, capacity-truncated) into an [Atomic.t] — see DESIGN
-    §5.10 for the memory model.  Optional consumers: an
-    atomically-rewritten exposition file, a minimal blocking HTTP
-    [/metrics] endpoint (stdlib [Unix] only, loopback) and one
-    {!hook} that sees each consecutive pair of snapshots — the
-    [--progress] heartbeat ({!progress}). *)
+    and publishes it by atomically swapping the new immutable snapshot
+    into an [Atomic.t] — see DESIGN §5.10 for the memory model.
+    Optional consumers: an atomically-rewritten exposition file, a
+    minimal blocking HTTP [/metrics] endpoint (stdlib [Unix] only,
+    loopback) and one {!hook} that sees each consecutive pair of
+    snapshots — the [--progress] heartbeat ({!progress}). *)
 
 (** A timestamped snapshot: {!Clock.now_ns} at sample time plus the
     dumped instrument values. *)
@@ -20,33 +19,30 @@ type hook = final:bool -> prev:snap -> cur:snap -> unit
 
 type t
 
-(** [start ()] spawns the sampler domain and seeds the ring with one
-    immediate snapshot.  [out_file] is rewritten atomically (tmp +
+(** [start ()] spawns the sampler domain and takes one immediate
+    snapshot.  [out_file] is rewritten atomically (tmp +
     rename) with the OpenMetrics exposition each interval; [port]
     additionally serves the newest exposition over HTTP on loopback
     from a second domain; [on_sample] runs on the sampler domain after
     every sample after the seed, then once more from {!stop}.  Raises
-    [Invalid_argument] on a non-positive interval or capacity or a
-    port outside 0–65535, and [Unix.Unix_error] if the port cannot be
+    [Invalid_argument] on a non-positive interval or a port outside
+    0–65535, and [Unix.Unix_error] if the port cannot be
     bound. *)
 val start :
   ?registry:Metrics.registry ->
   ?interval_ms:int ->
-  ?capacity:int ->
   ?out_file:string ->
   ?port:int ->
   ?on_sample:hook ->
   unit ->
   t
 
-(** All retained snapshots, newest first. *)
-val ring : t -> snap list
-
+(** The newest snapshot. *)
 val latest : t -> snap option
 
 (** Stop and join the sampler (and HTTP) domains, then take one final
     snapshot so short runs still leave complete end-of-run values in
-    the ring and the file sink, and pass it to the hook with
+    {!latest} and the file sink, and pass it to the hook with
     [~final:true].  The hook is not called after [stop] returns.
     Idempotence is not required of callers; call once. *)
 val stop : t -> unit

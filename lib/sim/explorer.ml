@@ -29,7 +29,8 @@
    stack.  Both engines expand a state through one step ([expand]) and
    build their result with one function ([report]).  The test tree
    keeps a recursive two-pass reference over the public successor
-   relation. *)
+   relation.  [check] wraps [explore] for verifiers: one terminal
+   check per distinct terminal, one verdict. *)
 
 open Wfs_spec
 
@@ -904,3 +905,37 @@ let explore ?(max_states = 2_000_000) ?(max_depth = 10_000) ?(crashes = 0)
 
 let wait_free stats =
   (not stats.cyclic) && (not stats.truncated) && stats.stuck = None
+
+(* One verdict for every check run over an exploration's terminals. *)
+type verdict = {
+  ok : bool;
+  states : int;
+  terminals : int;
+  wait_free : bool;
+  failure : string option;
+}
+
+let verdict ~states ~terminals ~wait_free ~failure =
+  { ok = failure = None && wait_free; states; terminals; wait_free; failure }
+
+let check ?max_states config ~terminal =
+  let terminals = ref 0 and failure = ref None in
+  let on_terminal node =
+    incr terminals;
+    match terminal node with
+    | Error e when !failure = None -> failure := Some e
+    | Ok () | Error _ -> ()
+  in
+  let (stats : stats) = explore ?max_states ~on_terminal config in
+  verdict ~states:stats.states ~terminals:!terminals
+    ~wait_free:(wait_free stats) ~failure:!failure
+
+let all verdicts =
+  List.fold_left
+    (fun a b ->
+      verdict ~states:(a.states + b.states)
+        ~terminals:(a.terminals + b.terminals)
+        ~wait_free:(a.wait_free && b.wait_free)
+        ~failure:(if a.failure = None then b.failure else a.failure))
+    (verdict ~states:0 ~terminals:0 ~wait_free:true ~failure:None)
+    verdicts

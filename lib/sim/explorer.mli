@@ -5,7 +5,11 @@
     On a finite state graph, wait-freedom is acyclicity: a reachable
     cycle is exactly a schedule on which some undecided process steps
     forever; on a DAG, the longest-path bound is the strong-wait-freedom
-    step bound of §2.4. *)
+    step bound of §2.4.
+
+    {!check} is the one harness the simulator's verifiers run: a
+    terminal-state check over every distinct reachable terminal,
+    folded into one {!verdict}. *)
 
 open Wfs_spec
 
@@ -171,3 +175,29 @@ val explore :
 
 (** No cycle, nothing stuck, nothing truncated. *)
 val wait_free : stats -> bool
+
+(** What {!check} concludes: [states] explored, [terminals] judged,
+    [wait_free] as {!wait_free}, and the first [failure] a terminal
+    check reported.  [ok] is [failure = None && wait_free]: a cyclic,
+    stuck or budget-capped search is never [ok]. *)
+type verdict = {
+  ok : bool;
+  states : int;
+  terminals : int;
+  wait_free : bool;
+  failure : string option;
+}
+
+(** [check config ~terminal] explores [config] sequentially (see
+    {!explore}) and judges every distinct reachable terminal state
+    with [terminal], once each, keeping the first [Error]. *)
+val check :
+  ?max_states:int ->
+  config ->
+  terminal:(node -> (unit, string) result) ->
+  verdict
+
+(** Several explorations judged as one: states and terminals add up,
+    every run must be wait-free, and the first failure in list order
+    is kept.  [all []] is a vacuous pass. *)
+val all : verdict list -> verdict

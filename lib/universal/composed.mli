@@ -1,6 +1,8 @@
 (** Theorem 26 end to end: consensus object → fetch-and-cons
     (Figure 4-5) → any sequential object (§4.1 log replay), composed and
-    exhaustively verified. *)
+    exhaustively verified by {!Explorer.check}: at every terminal,
+    [check_witness] against the target in the longest full view's
+    order. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -8,20 +10,19 @@ open Wfs_sim
 (** The Figure 4-5 configuration over tagged invocations. *)
 val config : scripts:Op.t list array -> Explorer.config
 
-type verification = {
-  ok : bool;
-  states : int;
-  terminals : int;
-  failure : string option;
-}
+(** The verdict on one terminal: each decided (item, view) pair
+    responds with its operation applied after replaying its view, and
+    {!Consensus_fac.longest_view}'s order must linearize those responses
+    to every process's script on [target] ({!Replay.linearizes}). *)
+val check_terminal :
+  target:Object_spec.t -> scripts:Op.t list array -> Explorer.node ->
+  (unit, string) result
 
-(** Explore every interleaving; the longest coherent view defines the
-    linearization, and every process's replay-derived responses must
-    match it.  [ok] also requires the exploration to be wait-free: a
-    cyclic, stuck or [max_states]-capped search is never [ok]. *)
+(** {!check_terminal} on every terminal of every interleaving, through
+    {!Explorer.check}. *)
 val verify :
   ?max_states:int -> target:Object_spec.t -> scripts:Op.t list array -> unit ->
-  verification
+  Explorer.verdict
 
 (** One schedule; returns the outcome plus (pid, seq, op, result)
     tuples. *)

@@ -23,9 +23,12 @@
    5. The view returned is trim(prefer[winner], x): the items that
       followed x onto the list.
 
-   [verify] exhaustively checks Lemma 24's coherence (any two views are
-   suffix-related) and that every process's item enters the list exactly
-   once, over every interleaving. *)
+   [verify] checks, over every interleaving, that the construction is
+   linearizable as a fetch-and-cons list with the longest full view's
+   order as the linearization: every returned view is then exactly the
+   items before its own in that order, which is Lemma 24's coherence
+   (any two views are suffix-related) with every item on the list
+   exactly once. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -239,78 +242,36 @@ let config ~scripts =
   in
   { Explorer.procs; env = Env.make [ (regs, memory); (cons, consensus_array) ] }
 
-type verification = {
-  ok : bool;
-  states : int;
-  terminals : int;
-  wait_free : bool;
-  failure : string option;
-}
+(* Decisions are lists of (item, view) pairs; an operation's full view
+   is its item prepended to its returned view, and the longest one fixes
+   the order the construction threaded items onto the list. *)
+let longest_view decided =
+  Array.fold_left
+    (List.fold_left (fun longest e ->
+         match Value.as_pair e with
+         | x, Value.List view when List.length view >= List.length longest ->
+             x :: view
+         | _ -> longest))
+    [] decided
 
-(* Decisions are lists of (item, view) pairs; the full view of an
-   operation is its item prepended to its returned view. *)
-let full_views_of_terminal (node : Explorer.node) =
-  Array.to_list node.Explorer.decided
-  |> List.concat_map (fun d ->
-         match d with
-         | Some (Value.List entries) ->
-             List.map
-               (fun e ->
-                 let x, view = Value.as_pair e in
-                 match view with
-                 | Value.List tail -> Ok (x :: tail)
-                 | v -> Error (Fmt.str "bad view %a" Value.pp v))
-               entries
-         | Some v -> [ Error (Fmt.str "bad decision %a" Value.pp v) ]
-         | None -> [ Error "undecided at terminal" ])
+let fac_spec = Fetch_and_cons.list_object ~items:[] ()
 
-let check_terminal node =
-  let views = full_views_of_terminal node in
-  let errors =
-    List.filter_map (function Error e -> Some e | Ok _ -> None) views
-  in
-  match errors with
-  | e :: _ -> Some e
-  | [] ->
-      let views = List.filter_map (function Ok v -> Some v | Error _ -> None) views in
-      if not (Merge.coherent views) then
-        Some
-          (Fmt.str "views not coherent: %a"
-             Fmt.(list ~sep:semi (brackets (list ~sep:comma Value.pp)))
-             views)
-      else begin
-        (* no duplicates within any view *)
-        let dup view =
-          let sorted = List.sort Value.compare view in
-          let rec adjacent = function
-            | a :: (b :: _ as rest) ->
-                Value.equal a b || adjacent rest
-            | [ _ ] | [] -> false
-          in
-          adjacent sorted
-        in
-        if List.exists dup views then Some "duplicate entry in a view"
-        else None
-      end
+let check_terminal ~scripts (node : Explorer.node) =
+  Result.bind (Replay.decisions node.Explorer.decided) (fun decided ->
+      let ops =
+        Array.mapi
+          (fun pid ->
+            List.mapi (fun seq op ->
+                Fetch_and_cons.fetch_and_cons (Replay.op_entry ~pid ~seq op)))
+          scripts
+      in
+      let view e = snd (Value.as_pair e) in
+      Replay.linearizes fac_spec ~order:(longest_view decided) ~ops
+        ~results:(Array.map (List.map view) decided))
 
 let verify ?(max_states = 5_000_000) ~scripts () =
-  let terminals = ref 0 in
-  let failure = ref None in
-  let on_terminal node =
-    incr terminals;
-    match check_terminal node with
-    | Some e -> if !failure = None then failure := Some e
-    | None -> ()
-  in
-  let stats = Explorer.explore ~max_states ~on_terminal (config ~scripts) in
-  let wait_free = Explorer.wait_free stats in
-  {
-    ok = !failure = None && wait_free;
-    states = stats.Explorer.states;
-    terminals = !terminals;
-    wait_free;
-    failure = !failure;
-  }
+  Explorer.check ~max_states (config ~scripts)
+    ~terminal:(check_terminal ~scripts)
 
 (* Single-schedule run for bigger n and for the benchmarks. *)
 let run ?(max_steps = 1_000_000) ~scripts ~schedule () =

@@ -1,5 +1,7 @@
 (** Fetch-and-cons from rounds of n-process consensus (§4.2, Figure 4-5)
-    — the construction behind Theorem 26's universality test. *)
+    — the construction behind Theorem 26's universality test.  Verified
+    by {!Explorer.check}: at every terminal, [check_witness] against the
+    fetch-and-cons list in the longest full view's order. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -22,18 +24,22 @@ val rounds_needed : n:int -> scripts:Op.t list array -> int
 
 val config : scripts:Op.t list array -> Explorer.config
 
-type verification = {
-  ok : bool;
-  states : int;
-  terminals : int;
-  wait_free : bool;
-  failure : string option;
-}
+(** The order a terminal's decisions fix: the longest full view (an
+    item prepended to the view returned for it), most recent first. *)
+val longest_view : Value.t list array -> Value.t list
 
-(** Exhaustively check Lemma 24's view coherence (any two views
-    suffix-related), uniqueness of entries, and wait-freedom, over all
-    interleavings. *)
-val verify : ?max_states:int -> scripts:Op.t list array -> unit -> verification
+(** The verdict on one terminal: the decided views must be linearizable
+    as a fetch-and-cons list in {!longest_view}'s order — each view
+    exactly the items threaded before its own ({!Replay.linearizes}).
+    That is Lemma 24's coherence (any two views suffix-related) with
+    every item on the list exactly once. *)
+val check_terminal :
+  scripts:Op.t list array -> Explorer.node -> (unit, string) result
+
+(** {!check_terminal} on every terminal of every interleaving, through
+    {!Explorer.check}. *)
+val verify :
+  ?max_states:int -> scripts:Op.t list array -> unit -> Explorer.verdict
 
 val run :
   ?max_steps:int -> scripts:Op.t list array -> schedule:Scheduler.t -> unit ->

@@ -1,6 +1,8 @@
 (** The wait-free universal construction of §4.1: any sequential object
     from a fetch-and-cons list, by threading tagged invocations onto a
-    shared log and replaying predecessors locally. *)
+    shared log and replaying predecessors locally.  Verified by
+    {!Explorer.check}: at every terminal, [check_witness] in the final
+    log's order. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -14,27 +16,18 @@ val front_end : target:Object_spec.t -> pid:int -> script:Op.t list -> Process.t
     fetch-and-cons log. *)
 val config : target:Object_spec.t -> scripts:Op.t list array -> Explorer.config
 
-(** Responses each process must receive if the final log (newest first)
-    is the linearization order. *)
-val expected_responses :
-  target:Object_spec.t -> n:int -> Value.t list -> Value.t list array
+(** The verdict on one terminal: the final log's order (oldest entry
+    first) must linearize every process's decided responses to its
+    script, by {!Replay.linearizes}. *)
+val check_terminal :
+  target:Object_spec.t -> scripts:Op.t list array -> Explorer.node ->
+  (unit, string) result
 
-type verification = {
-  ok : bool;
-  states : int;
-  terminals : int;
-  wait_free : bool;
-  failure : string option;
-}
-
-(** Exhaustively check, over every interleaving, that every process's
-    responses match the final log's dictation — linearizability with the
-    fetch-and-cons order as linearization order.  [ok] also requires
-    [wait_free]: a cyclic, stuck or [max_states]-capped search is never
-    [ok]. *)
+(** {!check_terminal} on every terminal of every interleaving, through
+    {!Explorer.check}. *)
 val verify :
   ?max_states:int -> target:Object_spec.t -> scripts:Op.t list array -> unit ->
-  verification
+  Explorer.verdict
 
 (** Run one schedule; also returns the induced abstract history of
     target operations for linearizability cross-checks. *)

@@ -58,3 +58,57 @@ let response spec log op =
   let state, replayed = reconstruct spec log in
   let state', result = Object_spec.apply spec state op in
   (result, state', replayed)
+
+(* Each process's decided list, or why a terminal has none. *)
+let decisions (decided : Value.t option array) =
+  let exception Bad of string in
+  try
+    Ok
+      (Array.mapi
+         (fun pid -> function
+           | Some (Value.List l) -> l
+           | Some v ->
+               raise (Bad (Fmt.str "P%d decided non-list %a" pid Value.pp v))
+           | None -> raise (Bad (Fmt.str "P%d undecided at terminal" pid)))
+         decided)
+  with Bad e -> Error e
+
+(* [linearizes spec ~order ~ops ~results]: one witness column block per
+   process — operation [i] of process [pid] is [ops.(pid)]'s [i]-th,
+   placed where its (pid, i) tag sits in [order] (a log, most recent
+   first) — judged by [check_witness].  Every operation is invoked and
+   responds at time 0, so the real-time scan is vacuous and only the
+   order is judged, as the construction fixed it. *)
+let linearizes spec ~order ~ops ~results =
+  let ops = Array.map Array.of_list ops in
+  let length = List.length order in
+  let positions = Array.map (fun o -> Array.make (Array.length o) (-1)) ops in
+  List.iteri
+    (fun i entry ->
+      match decode_entry entry with
+      | Op { pid; seq; _ }
+        when pid >= 0 && pid < Array.length ops
+             && seq >= 0 && seq < Array.length ops.(pid) ->
+          positions.(pid).(seq) <- length - 1 - i
+      | Op _ | State _ | (exception Invalid_argument _) -> ())
+    order;
+  let counts_differ pid = List.length results.(pid) <> Array.length ops.(pid) in
+  match List.find_opt counts_differ (List.init (Array.length ops) Fun.id) with
+  | Some pid ->
+      Error
+        (Fmt.str "P%d decided %d responses for %d operations" pid
+           (List.length results.(pid)) (Array.length ops.(pid)))
+  | None ->
+      let block pid ops =
+        let zeros = Array.make (Array.length ops) 0 in
+        {
+          Wfs_history.Linearizability.ops;
+          results = Array.of_list results.(pid);
+          invoked = zeros;
+          responded = zeros;
+          positions = positions.(pid);
+        }
+      in
+      let ws = Array.to_list (Array.mapi block ops) in
+      if Wfs_history.Linearizability.check_witness spec ~length ws then Ok ()
+      else Error "responses are not linearizable in the order the log fixes"

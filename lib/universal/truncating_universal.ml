@@ -11,7 +11,8 @@
    The representation object here supports fetch-and-cons plus that
    destructive [truncate].  For verification the object also carries a
    *ghost* audit log — the never-truncated operation history, invisible
-   to front-ends — against which every terminal state is checked. *)
+   to front-ends — whose order every terminal state's responses must
+   linearize under [check_witness]. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -101,124 +102,49 @@ let front_end ~(target : Object_spec.t) ~pid ~script =
                   (Value.pair result cost :: rest))
       end)
 
+let env = Env.make [ (log_name, log_object ()) ]
+
 let config ~target ~scripts =
-  let n = Array.length scripts in
   let procs =
-    Array.init n (fun pid -> front_end ~target ~pid ~script:scripts.(pid))
+    Array.mapi (fun pid script -> front_end ~target ~pid ~script) scripts
   in
-  let env = Env.make [ (log_name, log_object ()) ] in
   { Explorer.procs; env }
 
-type verification = {
-  ok : bool;
-  states : int;
-  terminals : int;
-  wait_free : bool;
-  max_replay : int;  (** worst replay cost observed at any terminal *)
-  max_visible_ops : int;
-      (** most un-truncated operations in the visible log at a terminal *)
-  failure : string option;
-}
+(* Decisions are lists of (response, replay cost) pairs. *)
+let check_terminal ~target ~scripts (node : Explorer.node) =
+  let n = Array.length scripts in
+  match Replay.decisions node.Explorer.decided with
+  | Error e -> (0, Error e)
+  | Ok decided ->
+      let pairs = Array.map (List.map Value.as_pair) decided in
+      let worst =
+        Array.fold_left
+          (List.fold_left (fun m (_, c) -> max m (Value.as_int c)))
+          0 pairs
+      in
+      let _, ghost =
+        Value.as_pair (Env.get node.Explorer.env_state env log_name)
+      in
+      ( worst,
+        if worst > n then
+          Error (Fmt.str "an operation replayed %d ops (> n = %d)" worst n)
+        else
+          Replay.linearizes target ~order:(Value.as_list ghost) ~ops:scripts
+            ~results:(Array.map (List.map fst) pairs) )
 
 let verify ?(max_states = 2_000_000) ~target ~scripts () =
-  let cfg = config ~target ~scripts in
-  let n = Array.length scripts in
-  let terminals = ref 0 in
-  let failure = ref None in
   let max_replay = ref 0 in
-  let max_visible_ops = ref 0 in
-  let check_terminal (node : Explorer.node) =
-    incr terminals;
-    let visible, ghost =
-      Value.as_pair (Env.get node.Explorer.env_state cfg.Explorer.env log_name)
-    in
-    let ghost = Value.as_list ghost in
-    let visible_ops =
-      List.length
-        (List.filter
-           (fun e ->
-             match Replay.decode_entry e with
-             | Replay.Op _ -> true
-             | Replay.State _ -> false)
-           (Value.as_list visible))
-    in
-    if visible_ops > !max_visible_ops then max_visible_ops := visible_ops;
-    let expected = Log_universal.expected_responses ~target ~n ghost in
-    Array.iteri
-      (fun pid decided ->
-        match decided with
-        | Some (Value.List entries) ->
-            let results =
-              List.map (fun e -> fst (Value.as_pair e)) entries
-            in
-            let costs =
-              List.map (fun e -> Value.as_int (snd (Value.as_pair e))) entries
-            in
-            List.iter
-              (fun c ->
-                if c > !max_replay then max_replay := c;
-                if c > n then
-                  failure :=
-                    Some
-                      (Fmt.str "P%d replayed %d ops (> n = %d)" pid c n))
-              costs;
-            if not (List.equal Value.equal results expected.(pid)) then
-              failure :=
-                Some
-                  (Fmt.str "P%d responded %a but the ghost log dictates %a"
-                     pid
-                     Fmt.(list ~sep:comma Value.pp)
-                     results
-                     Fmt.(list ~sep:comma Value.pp)
-                     expected.(pid))
-        | Some v ->
-            failure := Some (Fmt.str "P%d decided non-list %a" pid Value.pp v)
-        | None -> failure := Some (Fmt.str "P%d undecided at terminal" pid))
-      node.Explorer.decided
+  let terminal node =
+    let worst, verdict = check_terminal ~target ~scripts node in
+    max_replay := max !max_replay worst;
+    verdict
   in
-  let stats = Explorer.explore ~max_states ~on_terminal:check_terminal cfg in
-  let wait_free = Explorer.wait_free stats in
-  {
-    ok = !failure = None && wait_free;
-    states = stats.Explorer.states;
-    terminals = !terminals;
-    wait_free;
-    max_replay = !max_replay;
-    max_visible_ops = !max_visible_ops;
-    failure = !failure;
-  }
+  let v = Explorer.check ~max_states (config ~target ~scripts) ~terminal in
+  (v, !max_replay)
 
 (* Single-schedule run (for benchmarks): returns per-process responses
-   and replay costs.  When causal tracing is enabled, each decoded
-   fetch-and-cons is recorded as an invoke/complete pair with
-   own_steps = 2 (fetch-and-cons + the destructive truncate — both
-   shared-memory steps belong to the same abstract operation). *)
+   and replay costs. *)
 let run ?(max_steps = 1_000_000) ~target ~scripts ~schedule () =
   let cfg = config ~target ~scripts in
-  let outcome =
-    Runner.run ~max_steps ~procs:cfg.Explorer.procs ~env:cfg.Explorer.env
-      ~schedule ()
-  in
-  if Wfs_obs.Causal.enabled () then begin
-    let causal_obj = "sim.trunc/" ^ target.Object_spec.name in
-    Wfs_obs.Causal.meta ~obj:causal_obj ~n:(Array.length scripts) ~bound:2;
-    let pos = ref 0 in
-    List.iter
-      (fun (step : Runner.step) ->
-        if Op.name step.Runner.op = "fetch-and-cons" then begin
-          match Replay.decode_entry (Op.arg step.Runner.op) with
-          | Replay.Op { pid; _ } ->
-              (* sample on the op counter, issue ids only for traced
-                 ops — mirrors the runtime's ticket-gated discipline *)
-              if Wfs_obs.Causal.sampled !pos then begin
-                let tr = Wfs_obs.Causal.issue () in
-                Wfs_obs.Causal.invoke ~obj:causal_obj ~trace:tr ~pid;
-                Wfs_obs.Causal.complete ~obj:causal_obj ~trace:tr ~pos:!pos
-                  ~own_steps:2 ~help_rounds:0
-              end;
-              incr pos
-          | Replay.State _ -> ()
-        end)
-      outcome.Runner.trace
-  end;
-  outcome
+  Runner.run ~max_steps ~procs:cfg.Explorer.procs ~env:cfg.Explorer.env
+    ~schedule ()

@@ -1,6 +1,8 @@
 (** The strongly-wait-free universal construction (§4.1): log entries are
     operations or states; each front-end truncates its own entry's cdr
-    with the reconstructed state, bounding every replay by n. *)
+    with the reconstructed state, bounding every replay by n.  Verified
+    by {!Explorer.check}: at every terminal, the replay bound and
+    [check_witness] in the ghost log's order. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -18,22 +20,20 @@ val truncate : key:Value.t -> Value.t -> Op.t
 val front_end : target:Object_spec.t -> pid:int -> script:Op.t list -> Process.t
 val config : target:Object_spec.t -> scripts:Op.t list array -> Explorer.config
 
-type verification = {
-  ok : bool;
-  states : int;
-  terminals : int;
-  wait_free : bool;
-  max_replay : int;
-  max_visible_ops : int;
-  failure : string option;
-}
+(** The verdict on one terminal, beside the worst replay cost any
+    process paid there: every replay stays within n operations, and
+    the ghost log's order linearizes every process's decided responses
+    to its script ({!Replay.linearizes}). *)
+val check_terminal :
+  target:Object_spec.t -> scripts:Op.t list array -> Explorer.node ->
+  int * (unit, string) result
 
-(** Exhaustive check over all interleavings: responses match the ghost
-    log's dictation and every replay stays within the n-operation
-    bound. *)
+(** {!check_terminal} on every terminal of every interleaving, through
+    {!Explorer.check}, paired with the worst replay cost seen at any
+    terminal. *)
 val verify :
   ?max_states:int -> target:Object_spec.t -> scripts:Op.t list array -> unit ->
-  verification
+  Explorer.verdict * int
 
 val run :
   ?max_steps:int ->

@@ -220,29 +220,20 @@ let prop_counter_value_round_trips =
       | Some f -> Float.to_int f = n || float_of_int n = f
       | None -> false)
 
-(* --- sampler ring --- *)
+(* --- sampler snapshot --- *)
 
-let test_sampler_ring_and_file_sink () =
+let test_sampler_latest_and_file_sink () =
   let r = Metrics.create () in
   let c = Metrics.Counter.make ~registry:r "ticks" in
   let out = Filename.temp_file "wfs_metrics" ".prom" in
   let s =
-    Sampler.start ~registry:r ~interval_ms:5 ~capacity:3 ~out_file:out ()
+    Sampler.start ~registry:r ~interval_ms:5 ~out_file:out ()
   in
   for _ = 1 to 10 do
     Metrics.Counter.add c 10;
     Unix.sleepf 0.005
   done;
   Sampler.stop s;
-  let ring = Sampler.ring s in
-  Alcotest.(check bool) "ring non-empty" true (ring <> []);
-  Alcotest.(check bool) "capacity respected" true (List.length ring <= 3);
-  let rec newest_first = function
-    | a :: (b :: _ as rest) ->
-        a.Sampler.at_ns >= b.Sampler.at_ns && newest_first rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "newest first" true (newest_first ring);
   (* stop takes a final sample, so the newest snap has the final value *)
   (match Sampler.latest s with
   | Some snap ->
@@ -586,8 +577,8 @@ let suite =
       ] );
     ( "obs.sampler",
       [
-        Alcotest.test_case "ring capacity, order, final sample, file sink"
-          `Quick test_sampler_ring_and_file_sink;
+        Alcotest.test_case "final sample, file sink" `Quick
+          test_sampler_latest_and_file_sink;
         Alcotest.test_case "hook: consecutive pairs, one final call" `Quick
           test_sampler_hook_pairs;
         Alcotest.test_case "stop cuts a long interval short" `Quick

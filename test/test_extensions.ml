@@ -7,15 +7,17 @@ open Wfs_spec
 (* --- randomized consensus (simulated, adversarial coins) --- *)
 
 let test_randomized_safety_exhaustive () =
-  let v = Wfs_consensus.Randomized.verify_all_coins ~flips:2 () in
+  let v, configurations, _ =
+    Wfs_consensus.Randomized.verify_all_coins ~flips:2 ()
+  in
   Alcotest.(check bool) "safe over all schedules and coins" true
-    v.Wfs_consensus.Randomized.ok;
+    v.Wfs_sim.Explorer.ok;
   Alcotest.(check int) "4 inputs x 4x4 coin assignments" (4 * 4 * 4)
-    v.Wfs_consensus.Randomized.configurations
+    configurations
 
 let test_randomized_safety_flips3 () =
-  let v = Wfs_consensus.Randomized.verify_all_coins ~flips:3 () in
-  Alcotest.(check bool) "safe at flips=3" true v.Wfs_consensus.Randomized.ok
+  let v, _, _ = Wfs_consensus.Randomized.verify_all_coins ~flips:3 () in
+  Alcotest.(check bool) "safe at flips=3" true v.Wfs_sim.Explorer.ok
 
 (* a negative coin count is bad input: there are no coin lists of that
    length to enumerate *)
@@ -51,6 +53,41 @@ let test_randomized_same_inputs_never_abort () =
             | None -> false))
         t.Wfs_sim.Explorer.decisions)
     stats.Wfs_sim.Explorer.terminals
+
+(* The terminal check accepts every real terminal of a conflicting
+   configuration and rejects each one where both processes decided once
+   one decision is flipped: both values are valid inputs, so only the
+   agreement check can catch it. *)
+let test_randomized_check_rejects_tampered () =
+  let module R = Wfs_consensus.Randomized in
+  let module E = Wfs_sim.Explorer in
+  let inputs = [| false; true |] in
+  let seen = ref [] in
+  ignore
+    (E.explore
+       ~on_terminal:(fun n -> seen := n :: !seen)
+       (R.config ~inputs ~coins:[| [ true; false ]; [ false; true ] |]));
+  let both_decided (node : E.node) =
+    Array.for_all
+      (fun d -> not (Value.equal (Option.get d) R.aborted))
+      node.E.decided
+  in
+  let decided = List.filter both_decided !seen in
+  Alcotest.(check bool) "some terminal has two decisions" true (decided <> []);
+  List.iter
+    (fun node ->
+      Alcotest.(check bool) "real terminal accepted" true
+        (Result.is_ok (R.check_terminal ~inputs node)))
+    !seen;
+  List.iter
+    (fun (node : E.node) ->
+      let flipped = Array.copy node.E.decided in
+      flipped.(0) <-
+        Some (Value.bool (not (Value.truth (Option.get flipped.(0)))));
+      Alcotest.(check bool) "flipped decision rejected" true
+        (Result.is_error
+           (R.check_terminal ~inputs { node with E.decided = flipped })))
+    decided
 
 let test_randomized_runs_decide () =
   (* with a long coin budget, seeded runs essentially always decide *)
@@ -291,6 +328,8 @@ let suite =
           test_randomized_safety_flips3;
         Alcotest.test_case "negative flips rejected" `Quick
           test_randomized_rejects_negative_flips;
+        Alcotest.test_case "terminal check rejects a tampered terminal"
+          `Quick test_randomized_check_rejects_tampered;
         Alcotest.test_case "equal inputs never abort" `Quick
           test_randomized_same_inputs_never_abort;
         Alcotest.test_case "seeded runs decide" `Quick

@@ -4,6 +4,7 @@
 
 open Wfs_spec
 open Wfs_universal
+module Explorer = Wfs_sim.Explorer
 
 let value = Alcotest.testable Value.pp Value.equal
 let vlist = Alcotest.(list value)
@@ -123,8 +124,8 @@ let test_log_universal_queue () =
         |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Log_universal.ok;
-  Alcotest.(check bool) "wait-free" true v.Log_universal.wait_free
+  Alcotest.(check bool) "ok" true v.Explorer.ok;
+  Alcotest.(check bool) "wait-free" true v.Explorer.wait_free
 
 let test_log_universal_counter () =
   let v =
@@ -138,7 +139,7 @@ let test_log_universal_counter () =
         |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Log_universal.ok
+  Alcotest.(check bool) "ok" true v.Explorer.ok
 
 let test_log_universal_stack () =
   let v =
@@ -148,7 +149,7 @@ let test_log_universal_stack () =
         [| [ Queues.push (Value.int 1); Queues.pop ]; [ Queues.push (Value.int 2) ] |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Log_universal.ok
+  Alcotest.(check bool) "ok" true v.Explorer.ok
 
 let test_log_universal_abstract_history_linearizable () =
   (* cross-check: single runs produce linearizable abstract histories *)
@@ -173,7 +174,7 @@ let test_log_universal_abstract_history_linearizable () =
 (* --- truncating construction --- *)
 
 let test_truncating_ok_and_bounded () =
-  let v =
+  let v, max_replay =
     Truncating_universal.verify ~target:(queue ())
       ~scripts:
         [|
@@ -182,9 +183,8 @@ let test_truncating_ok_and_bounded () =
         |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Truncating_universal.ok;
-  Alcotest.(check bool) "replay bounded by n" true
-    (v.Truncating_universal.max_replay <= 2)
+  Alcotest.(check bool) "ok" true v.Explorer.ok;
+  Alcotest.(check bool) "replay bounded by n" true (max_replay <= 2)
 
 let test_truncating_replay_stays_bounded_long_script () =
   (* sequential run with a long script: plain log replay would grow
@@ -239,8 +239,8 @@ let test_consensus_fac_coherent_n2 () =
       ~scripts:[| [ Queues.enq (Value.int 1) ]; [ Queues.enq (Value.int 2) ] |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Consensus_fac.ok;
-  Alcotest.(check bool) "wait-free" true v.Consensus_fac.wait_free
+  Alcotest.(check bool) "ok" true v.Explorer.ok;
+  Alcotest.(check bool) "wait-free" true v.Explorer.wait_free
 
 let test_consensus_fac_coherent_n2_multi () =
   let v =
@@ -252,7 +252,7 @@ let test_consensus_fac_coherent_n2_multi () =
         |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Consensus_fac.ok
+  Alcotest.(check bool) "ok" true v.Explorer.ok
 
 let test_consensus_fac_n3_random () =
   (* n=3 exhaustively is too large; check coherence across many seeds *)
@@ -352,7 +352,7 @@ let test_composed_counter_n2 () =
       ~scripts:[| [ Collections.incr ]; [ Collections.incr ] |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Composed.ok
+  Alcotest.(check bool) "ok" true v.Explorer.ok
 
 let test_composed_queue_n2 () =
   let v =
@@ -360,7 +360,7 @@ let test_composed_queue_n2 () =
       ~scripts:[| [ Queues.enq (Value.int 1) ]; [ Queues.deq ] |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Composed.ok
+  Alcotest.(check bool) "ok" true v.Explorer.ok
 
 let test_composed_queue_multi_op () =
   let v =
@@ -369,7 +369,7 @@ let test_composed_queue_multi_op () =
         [| [ Queues.enq (Value.int 1); Queues.deq ]; [ Queues.enq (Value.int 2) ] |]
       ()
   in
-  Alcotest.(check bool) "ok" true v.Composed.ok
+  Alcotest.(check bool) "ok" true v.Explorer.ok
 
 let test_composed_run_linearizes () =
   (* seeded runs: the (pid, seq, op, result) tuples must form a legal
@@ -427,22 +427,116 @@ let test_capped_checks_inconclusive () =
       true (states <= cap)
   in
   let l = Log_universal.verify ~max_states:10 ~target:(queue ()) ~scripts () in
-  capped "log" ~ok:l.Log_universal.ok
-    ~wait_free:(Some l.Log_universal.wait_free) ~states:l.Log_universal.states
+  capped "log" ~ok:l.Explorer.ok
+    ~wait_free:(Some l.Explorer.wait_free) ~states:l.Explorer.states
     ~cap:10;
-  let t =
+  let t, _ =
     Truncating_universal.verify ~max_states:10 ~target:(queue ()) ~scripts ()
   in
-  capped "truncating" ~ok:t.Truncating_universal.ok
-    ~wait_free:(Some t.Truncating_universal.wait_free)
-    ~states:t.Truncating_universal.states ~cap:10;
+  capped "truncating" ~ok:t.Explorer.ok
+    ~wait_free:(Some t.Explorer.wait_free) ~states:t.Explorer.states ~cap:10;
   let f = Consensus_fac.verify ~max_states:100 ~scripts () in
-  capped "fac" ~ok:f.Consensus_fac.ok
-    ~wait_free:(Some f.Consensus_fac.wait_free) ~states:f.Consensus_fac.states
+  capped "fac" ~ok:f.Explorer.ok
+    ~wait_free:(Some f.Explorer.wait_free) ~states:f.Explorer.states
     ~cap:100;
   let c = Composed.verify ~max_states:100 ~target:(queue ()) ~scripts () in
-  capped "composed" ~ok:c.Composed.ok ~wait_free:None
-    ~states:c.Composed.states ~cap:100
+  capped "composed" ~ok:c.Explorer.ok ~wait_free:(Some c.Explorer.wait_free)
+    ~states:c.Explorer.states ~cap:100
+
+(* --- terminal checks reject a tampered terminal ---
+
+   Each construction's terminal check accepts every real terminal and
+   rejects it once one decided response or view is altered. *)
+
+let terminals_of cfg =
+  let seen = ref [] in
+  ignore (Explorer.explore ~on_terminal:(fun n -> seen := n :: !seen) cfg);
+  !seen
+
+(* [node] with process [pid]'s decided list rewritten by [f] *)
+let tamper (node : Explorer.node) pid f =
+  let decided = Array.copy node.Explorer.decided in
+  decided.(pid) <-
+    Some (Value.list (f (Value.as_list (Option.get decided.(pid)))));
+  { node with Explorer.decided }
+
+(* replace the last element of a list *)
+let rewrite_last f l =
+  match List.rev l with
+  | last :: rest -> List.rev (f last :: rest)
+  | [] -> Alcotest.fail "empty decision"
+
+let rejects_tampered name ~check ~tampered terminals =
+  Alcotest.(check bool) (name ^ ": terminals seen") true (terminals <> []);
+  List.iter
+    (fun node ->
+      Alcotest.(check bool) (name ^ ": real terminal accepted") true
+        (Result.is_ok (check node));
+      Alcotest.(check bool) (name ^ ": tampered terminal rejected") true
+        (Result.is_error (check (tampered node))))
+    terminals
+
+let two_queue_scripts =
+  [|
+    [ Queues.enq (Value.int 1); Queues.deq ];
+    [ Queues.enq (Value.int 2); Queues.deq ];
+  |]
+
+let test_log_check_rejects_tampered () =
+  let target = queue () and scripts = two_queue_scripts in
+  rejects_tampered "log"
+    ~check:(Log_universal.check_terminal ~target ~scripts)
+    ~tampered:(fun node -> tamper node 0 (rewrite_last (fun _ -> Value.int 99)))
+    (terminals_of (Log_universal.config ~target ~scripts))
+
+let test_truncating_check_rejects_tampered () =
+  let target = queue () and scripts = two_queue_scripts in
+  let check node =
+    snd (Truncating_universal.check_terminal ~target ~scripts node)
+  in
+  let terminals = terminals_of (Truncating_universal.config ~target ~scripts) in
+  let with_pair f e =
+    let result, cost = Value.as_pair e in
+    let result, cost = f result cost in
+    Value.pair result cost
+  in
+  rejects_tampered "truncating: response" ~check
+    ~tampered:(fun node ->
+      tamper node 0 (rewrite_last (with_pair (fun _ c -> (Value.int 99, c)))))
+    terminals;
+  rejects_tampered "truncating: replay cost" ~check
+    ~tampered:(fun node ->
+      tamper node 1 (rewrite_last (with_pair (fun r _ -> (r, Value.int 3)))))
+    terminals
+
+(* an empty view gains the other process's item; a non-empty one loses
+   its newest predecessor *)
+let alter_view ~scripts e =
+  let item, view = Value.as_pair e in
+  let other =
+    match Replay.decode_entry item with
+    | Replay.Op { pid; _ } ->
+        Replay.op_entry ~pid:(1 - pid) ~seq:0 (List.hd scripts.(1 - pid))
+    | Replay.State _ -> Alcotest.fail "state entry as item"
+  in
+  match Value.as_list view with
+  | [] -> Value.pair item (Value.list [ other ])
+  | _ :: older -> Value.pair item (Value.list older)
+
+let test_fac_check_rejects_tampered () =
+  let scripts = [| [ Queues.enq (Value.int 1) ]; [ Queues.deq ] |] in
+  rejects_tampered "fac"
+    ~check:(Consensus_fac.check_terminal ~scripts)
+    ~tampered:(fun node -> tamper node 1 (rewrite_last (alter_view ~scripts)))
+    (terminals_of (Consensus_fac.config ~scripts))
+
+let test_composed_check_rejects_tampered () =
+  let target = queue () in
+  let scripts = [| [ Queues.enq (Value.int 1) ]; [ Queues.deq ] |] in
+  rejects_tampered "composed"
+    ~check:(Composed.check_terminal ~target ~scripts)
+    ~tampered:(fun node -> tamper node 1 (rewrite_last (alter_view ~scripts)))
+    (terminals_of (Composed.config ~scripts))
 
 let composed_suite =
   ( "universal.composed-thm26",
@@ -457,4 +551,17 @@ let composed_suite =
         test_capped_checks_inconclusive;
     ] )
 
-let suite = suite @ [ composed_suite ]
+let terminal_check_suite =
+  ( "universal.terminal-checks",
+    [
+      Alcotest.test_case "log rejects a tampered terminal" `Quick
+        test_log_check_rejects_tampered;
+      Alcotest.test_case "truncating rejects a tampered terminal" `Quick
+        test_truncating_check_rejects_tampered;
+      Alcotest.test_case "fac rejects a tampered terminal" `Quick
+        test_fac_check_rejects_tampered;
+      Alcotest.test_case "composed rejects a tampered terminal" `Quick
+        test_composed_check_rejects_tampered;
+    ] )
+
+let suite = suite @ [ composed_suite; terminal_check_suite ]
