@@ -75,26 +75,23 @@ type verdict =
    branches — so the state is copied on update and passed explicitly,
    and only the strategy table is mutated (with undo on backtrack).
 
-   Each process's σ-key for its current view is computed once, when the
-   view is built, and carried in [skeys] — σ lookups (the memo probe in
-   [step], the dominance peeks of the sleep-set reduction) then skip
-   re-hashing the view.  Keys are pure functions of (pid, view), so the
-   caching is semantically invisible.
-
-   [env_id] and [chain] exist for the transposition layer: [env_id] is
-   the interned [Env.encode] of [env_state], kept incrementally so
-   position keys cost no re-encoding; [chain] lists the serials of the
-   choice frames whose candidates formed this state — for σ-hit moves,
-   the serial of the frame that wrote the hit entry — which is what
-   lets a conflict tell "flipping this choice reshapes the refuted
-   structure" apart from "this choice is unrelated, skip it" (see
-   [Tt]). *)
+   Everything in it is a dense int.  Each process's view is carried
+   only as its σ-key [view_id * n + pid] — views are response lists
+   that deepen with every operation, interned to dense ids by the
+   context, and the key of a view's successor is memoized per
+   (σ-key, result id), so a move builds no view at all once its
+   successor is known.  [env_id] is the interned environment state:
+   moves are looked up in the context's transition memo by
+   (env_id, action code), so position keys and moves cost no
+   re-encoding.  [chain] lists the serials of the choice frames whose
+   candidates formed this state — for σ-hit moves, the serial of the
+   frame that wrote the hit entry — which is what lets a conflict tell
+   "flipping this choice reshapes the refuted structure" apart from
+   "this choice is unrelated, skip it" (see [Tt]). *)
 type state = {
-  views : Value.t array;  (* response history per process, latest first *)
   skeys : int array;  (* σ-key of each process's current view *)
   steps : int array;  (* operations taken per process *)
   decisions : int array;  (* decision per process, -1 if undecided *)
-  env_state : Env.state;
   stepped : int;
   undecided : int;
   env_id : int;
@@ -160,38 +157,253 @@ module M = struct
   let states = Counter.make "explorer.states"
 end
 
-(* Shared solver context: the view/env/position intern arenas and the
-   transposition store, shareable across solves of the same arity —
-   the census threads one context through every cell of an
-   (object, n) row, so later cells replay subgames classified by
-   earlier ones (positions encode REMAINING depth, so entries
-   transpose across depth bounds; σ-footprints keep reuse sound even
-   though every solve grows a fresh σ).  σ-keys must be stable across
-   solves for recorded footprints to keep their meaning, which is
-   exactly what sharing the view interner provides. *)
+(* [grow arr len fill]: [arr] if it already holds [len] slots, else a
+   copy at least twice as long, new slots [fill]. *)
+let grow arr len fill =
+  let cap = Array.length arr in
+  if len <= cap then arr
+  else begin
+    let arr' = Array.make (max len (2 * cap)) fill in
+    Array.blit arr 0 arr' 0 cap;
+    arr'
+  end
+
+(* Int keys under a multiplicative mix: the packed (σ-key, result)
+   pairs of the view memo differ mostly in their high bits. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x2545F4914F6CDD1D) lsr 17
+end)
+
+(* Shared solver context: the intern arenas, memo tables, strategy
+   table and transposition store of ONE object, shareable across
+   solves of the same arity — the census threads one context through
+   every cell of an (object, n) row, so later cells replay subgames
+   classified by earlier ones (positions encode REMAINING depth, so
+   entries transpose across depth bounds; σ-footprints keep reuse
+   sound even though every solve grows a fresh σ).  σ-keys and action
+   codes must be stable across solves for recorded footprints to keep
+   their meaning, which is what sharing the view interner and the
+   action table provides.
+
+   A context is bound to an object by its first solve: the objects'
+   names and menus and each process's candidate list.  Initial states
+   may differ between solves (the census tries several); anything else
+   raises [Invalid_argument], because the action codes, the
+   transition memo and the recorded footprints all speak about that
+   one object. *)
 module Ctx = struct
-  type t = {
-    n : int;
+  type binding = (string * string * Op.t list) list * (string * Op.t) list array
+
+  type game = {
+    binding : binding;
+    actions : action array;
+        (* code -> action: Do codes in [0, ndo), then Decide j at ndo + j *)
+    ndo : int;
+    cands : int list array;  (* per pid: its Do codes in menu order, every Decide *)
+    decides : int list;  (* the Decide codes, for a process out of steps *)
+    indep : Independence.t;
     views : Intern.t;
     envs : Intern.t;
+    results : Intern.t;
     positions : Intern.Ints.t;
-    store : (int, action) Tt.store;
+    store : Tt.store;
+    mutable env_states : Env.state array;  (* env id -> state *)
+    mutable sigma : int array;  (* σ: σ-key -> action code or Tt.unassigned *)
+    mutable writer : int array;
+        (* σ-key -> serial of the choice frame that wrote σ there;
+           read only while σ holds the entry it wrote *)
+    mutable next_env : int array;
+        (* env_id * ndo + Do code -> env id after the move; -1 not yet
+           computed, -2 unknown operation *)
+    mutable next_res : int array;  (* ... -> result id of the move *)
+    next_view : int Int_tbl.t;
+        (* (σ-key lsl 31) lor result id -> σ-key of the extended view *)
+    mutable view_hits : int;  (* [next_view] hits: view lookups served *)
+    mutable indep_rows : Bytes.t array;
+        (* env id -> ndo×ndo tri-state row of Do/Do independence
+           (0 unknown, 1 independent, 2 dependent) *)
+  }
+
+  type t = {
+    n : int;
+    mutable game : game option;
     mutable vh_flushed : int;
     mutable vl_flushed : int;
   }
 
-  let create ~n () =
+  let create ~n () = { n; game = None; vh_flushed = 0; vl_flushed = 0 }
+
+  let tt_entries t =
+    match t.game with None -> 0 | Some g -> Tt.entries g.store
+
+  let binding (inst : instance) : binding =
+    ( List.map
+        (fun (name, (spec : Object_spec.t)) ->
+          (name, spec.Object_spec.name, spec.Object_spec.menu))
+        (Env.specs inst.env),
+      Array.init inst.n inst.candidates )
+
+  let no_row = Bytes.empty
+
+  (* Action codes: every distinct Do candidate of every process in
+     first-seen order, then the decides.  Structurally equal actions
+     share a code, so code equality is action equality. *)
+  let make (inst : instance) binding =
+    let n = inst.n in
+    let codes = Hashtbl.create 16 in
+    let dos = ref [] in
+    let code_of a =
+      match Hashtbl.find_opt codes a with
+      | Some c -> c
+      | None ->
+          let c = Hashtbl.length codes in
+          Hashtbl.replace codes a c;
+          dos := a :: !dos;
+          c
+    in
+    let do_codes =
+      Array.map
+        (List.map (fun (obj, op) -> code_of (Do (obj, op))))
+        (snd binding)
+    in
+    let ndo = Hashtbl.length codes in
+    let decides = List.init n (fun j -> ndo + j) in
+    let indep =
+      Wfs_obs.Profile.span ~cat:"solver" "solver.independence" (fun () ->
+          Independence.of_env inst.env)
+    in
     {
-      n;
-      views = Intern.create ~size_hint:4096 ();
-      envs = Intern.create ~size_hint:512 ();
+      binding;
+      actions =
+        Array.of_list (List.rev !dos @ List.init n (fun j -> Decide j));
+      ndo;
+      cands = Array.map (fun ops -> ops @ decides) do_codes;
+      decides;
+      indep;
+      views = Intern.create ~size_hint:64 ();
+      envs = Intern.create ~size_hint:64 ();
+      results = Intern.create ~size_hint:16 ();
       positions = Intern.Ints.create ~size_hint:8192 ();
       store = Tt.create ();
-      vh_flushed = 0;
-      vl_flushed = 0;
+      env_states = [||];
+      sigma = [||];
+      writer = [||];
+      next_env = [||];
+      next_res = [||];
+      next_view = Int_tbl.create 64;
+      view_hits = 0;
+      indep_rows = [||];
     }
 
-  let tt_entries t = Tt.entries t.store
+  let bind t (inst : instance) =
+    let b = binding inst in
+    match t.game with
+    | Some g ->
+        if g.binding <> b then
+          invalid_arg
+            (Fmt.str
+               "Solver.solve: shared ctx is bound to another object \
+                (ctx: %s, instance: %s)"
+               (String.concat ", " (List.map (fun (_, s, _) -> s) (fst g.binding)))
+               (String.concat ", " (List.map (fun (_, s, _) -> s) (fst b))));
+        g
+    | None ->
+        let g = make inst b in
+        t.game <- Some g;
+        g
+
+  (* σ-key of [pid] at [view], interning the view; a fresh view grows
+     σ and [writer] to cover its keys. *)
+  let skey g ~n pid view =
+    let vid = Intern.intern g.views view in
+    let len = (vid + 1) * n in
+    if len > Array.length g.sigma then begin
+      g.sigma <- grow g.sigma len Tt.unassigned;
+      g.writer <- grow g.writer len 0
+    end;
+    (vid * n) + pid
+
+  (* Id of an environment state; a fresh one gets its transition and
+     independence slots. *)
+  let env_id g state =
+    let fresh = Intern.size g.envs in
+    let id = Intern.intern g.envs (Env.encode state) in
+    if id = fresh then begin
+      g.env_states <- grow g.env_states (id + 1) state;
+      g.env_states.(id) <- state;
+      g.next_env <- grow g.next_env ((id + 1) * g.ndo) (-1);
+      g.next_res <- grow g.next_res ((id + 1) * g.ndo) (-1);
+      g.indep_rows <- grow g.indep_rows (id + 1) no_row
+    end;
+    id
+
+  (* Slot of the move [code] (a Do) at [env_id] in [next_env] /
+     [next_res], computed on first use: [Env.apply], [Env.encode] and
+     the interning run once per (environment, action). *)
+  let transition g (inst : instance) eid code =
+    let t = (eid * g.ndo) + code in
+    if g.next_env.(t) = -1 then begin
+      match g.actions.(code) with
+      | Decide _ -> assert false
+      | Do (obj, op) -> (
+          match Env.apply inst.env g.env_states.(eid) obj op with
+          | exception Object_spec.Unknown_operation _ -> g.next_env.(t) <- -2
+          | state', res ->
+              let e' = env_id g state' in
+              let r = Intern.intern g.results res in
+              g.next_env.(t) <- e';
+              g.next_res.(t) <- r)
+    end;
+    t
+
+  (* σ-key of the view [res :: view(skey)], memoized per (σ-key,
+     result): the [Value.t] view is built and interned only on a
+     miss. *)
+  let next_skey g ~n sk res =
+    let k = (sk lsl 31) lor res in
+    match Int_tbl.find g.next_view k with
+    | sk' ->
+        g.view_hits <- g.view_hits + 1;
+        sk'
+    | exception Not_found ->
+        let view =
+          Value.list
+            (Intern.value g.results res
+            :: Value.as_list (Intern.value g.views (sk / n)))
+        in
+        let sk' = skey g ~n (sk mod n) view in
+        Int_tbl.add g.next_view k sk';
+        sk'
+
+  (* Are the Do moves [a] and [b] independent at [env_id]?  Memoized per
+     (environment, code pair) over {!Independence.independent_at}. *)
+  let independent g env_id a b =
+    let row =
+      let row = g.indep_rows.(env_id) in
+      if row != no_row then row
+      else begin
+        let row = Bytes.make (g.ndo * g.ndo) '\000' in
+        g.indep_rows.(env_id) <- row;
+        row
+      end
+    in
+    let cell = (a * g.ndo) + b in
+    match Bytes.get row cell with
+    | '\001' -> true
+    | '\002' -> false
+    | _ ->
+        let ok =
+          match (g.actions.(a), g.actions.(b)) with
+          | Do (o1, op1), Do (o2, op2) ->
+              Independence.independent_at g.indep g.env_states.(env_id) o1
+                op1 o2 op2
+          | _ -> assert false
+        in
+        Bytes.set row cell (if ok then '\001' else '\002');
+        ok
 end
 
 (* Canonical position key: [env_id; stepped; decisions; then for each
@@ -216,17 +428,15 @@ let position_key ~depth ~n positions st =
   done;
   Intern.Ints.intern positions buf
 
-(* The strategy table σ maps (pid, local view) to the chosen action.
-   Views are response lists that deepen with every operation, so σ
-   interns views to dense ids ([Wfs_sim.Intern], full-depth hashing)
-   and is keyed by the single int [view_id * n + pid]. *)
-let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
+(* The strategy table σ maps (pid, local view) to the chosen action's
+   code: an int array indexed by the σ-key [view_id * n + pid], with
+   [Tt.unassigned] for an open entry. *)
+let search ~max_nodes ~(ctx : Ctx.t) (g : Ctx.game) (inst : instance) =
   let n = inst.n in
-  let views = ctx.Ctx.views in
-  let sigma : (int, action) Hashtbl.t = Hashtbl.create 1024 in
-  let sigma_key pid view = (Intern.intern views view * n) + pid in
-  let sigma_find k = Hashtbl.find_opt sigma k in
-  let env_id env_state = Intern.intern ctx.Ctx.envs (Env.encode env_state) in
+  let ndo = g.Ctx.ndo in
+  let unassigned = Tt.unassigned in
+  let sigma_find k = g.Ctx.sigma.(k) in
+  Array.fill g.Ctx.sigma 0 (Array.length g.Ctx.sigma) unassigned;
   let nodes = ref 0 in
   let memo_h = ref 0 and memo_m = ref 0 in
   let sleep_cut = ref 0 in
@@ -263,31 +473,28 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
   in
   (* Transposition bookkeeping, all per-solve: the footprint-frame
      stack mirroring the open subproofs, the conflict carried by a
-     propagating [false], a serial supply for choice frames, and the
-     serial of the live frame that wrote each currently-assigned σ-key
-     (hit moves extend their child's [chain] with it). *)
-  let stack : (int, action) Tt.frame list ref = ref [] in
-  let conflict : (int, action) Tt.conflict option ref = ref None in
+     propagating [false], and a serial supply for choice frames (the
+     serial of the frame that wrote each assigned σ-key is kept in
+     the context's [writer]; hit moves extend their child's [chain]
+     with it). *)
+  let stack : Tt.frame list ref = ref [] in
+  let conflict : Tt.conflict option ref = ref None in
   let serial = ref 0 in
-  let writer : (int, int) Hashtbl.t = Hashtbl.create 512 in
   let log_read key seen =
     match !stack with fr :: _ -> Tt.log_read fr key seen | [] -> ()
   in
-  let env0 = Env.init inst.env in
+  let empty = Value.list [] in
   let initial =
     {
-      views = Array.make inst.n (Value.list []);
-      skeys = Array.init inst.n (fun pid -> sigma_key pid (Value.list []));
-      steps = Array.make inst.n 0;
-      decisions = Array.make inst.n (-1);
-      env_state = env0;
+      skeys = Array.init n (fun pid -> Ctx.skey g ~n pid empty);
+      steps = Array.make n 0;
+      decisions = Array.make n (-1);
       stepped = 0;
-      undecided = inst.n;
-      env_id = env_id env0;
+      undecided = n;
+      env_id = Ctx.env_id g (Env.init inst.env);
       chain = [];
     }
   in
-  let decide_candidates = List.init inst.n (fun j -> Decide j) in
   let agreement_ok st =
     let d0 = st.decisions.(0) in
     Array.for_all (fun d -> d = d0) st.decisions
@@ -295,7 +502,7 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
   (* any decision already output along the current schedule *)
   let pinned st =
     let rec go i =
-      if i >= inst.n then None
+      if i >= n then None
       else if st.decisions.(i) >= 0 then Some st.decisions.(i)
       else go (i + 1)
     in
@@ -333,17 +540,19 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
       end
     end
     else
-      let pos = position_key ~depth:inst.depth ~n ctx.Ctx.positions st in
-      match Tt.lookup ctx.Ctx.store ~find:sigma_find ~pos ~mask:sleep with
+      let pos = position_key ~depth:inst.depth ~n g.Ctx.positions st in
+      match Tt.lookup g.Ctx.store ~find:sigma_find ~pos ~mask:sleep with
       | Tt.Replay e ->
           incr tt_h;
           (* the replayed verdict depends on these σ values: they
              join the enclosing subproof's footprint *)
-          Array.iter (fun (fk, fv) -> log_read fk fv) e.Tt.e_fp;
+          let fp = e.Tt.e_fp in
+          for i = 0 to (Array.length fp / 2) - 1 do
+            log_read fp.(2 * i) fp.((2 * i) + 1)
+          done;
           if e.Tt.e_true then k ()
           else begin
-            conflict :=
-              Some { Tt.c_fp = Some e.Tt.e_fp; c_chain = st.chain };
+            conflict := Some { Tt.c_fp = Some fp; c_chain = st.chain };
             false
           end
       | Tt.Miss rejected ->
@@ -369,7 +578,7 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
                 keeps propagating as-is *)
              match Tt.refutation_fp fr with
              | Some e_fp ->
-                 Tt.record ctx.Ctx.store ~pos
+                 Tt.record g.Ctx.store ~pos
                    { Tt.e_true = false; e_mask = sleep; e_fp };
                  conflict :=
                    Some { Tt.c_fp = Some e_fp; c_chain = st.chain }
@@ -380,13 +589,13 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
                 and handed off exactly once *)
              match Tt.success_fp ~find:sigma_find fr with
              | Some e_fp ->
-                 Tt.record ctx.Ctx.store ~pos
+                 Tt.record g.Ctx.store ~pos
                    { Tt.e_true = true; e_mask = sleep; e_fp }
              | None -> ());
           ok
   and explore st sleep k =
     let rec obligations pid =
-      if pid >= inst.n then k ()
+      if pid >= n then k ()
       else if st.decisions.(pid) >= 0 then obligations (pid + 1)
       else if sleep land (1 lsl pid) <> 0 then begin
         incr sleep_cut;
@@ -395,10 +604,10 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
       else step st sleep pid (fun () -> obligations (pid + 1))
     in
     obligations 0
-  (* the σ-assigned action of [pid] at its current view, if any — used
-     only to decide dominance, so it must not perturb the memo-hit
-     accounting (it does join the footprint: sleep decisions are
-     σ-dependent) *)
+  (* the σ-assigned action code of [pid] at its current view, or
+     [unassigned] — used only to decide dominance, so it must not
+     perturb the memo-hit accounting (it does join the footprint: sleep
+     decisions are σ-dependent) *)
   and peek st pid =
     let r = sigma_find st.skeys.(pid) in
     log_read st.skeys.(pid) r;
@@ -414,12 +623,11 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
     let decide_indep decider j mover =
       not (j <> decider && j = mover && unstepped j)
     in
-    match (aq, a) with
-    | Do (o1, op1), Do (o2, op2) ->
-        Independence.independent_at indep st.env_state o1 op1 o2 op2
-    | Decide j, Do _ -> decide_indep q j pid
-    | Do _, Decide j -> decide_indep pid j q
-    | Decide j, Decide j' -> decide_indep q j pid && decide_indep pid j' q
+    if aq < ndo then
+      if a < ndo then Ctx.independent g st.env_id aq a
+      else decide_indep pid (a - ndo) q
+    else if a < ndo then decide_indep q (aq - ndo) pid
+    else decide_indep q (aq - ndo) pid && decide_indep pid (a - ndo) q
   (* Sleep mask for the subtree entered by [pid] doing [a]: an
      undecided [q] is dominated there when its branch was already
      covered at this node (explored as an earlier sibling, or itself
@@ -429,172 +637,168 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
      survive for the lifetime of the subtree. *)
   and child_sleep st sleep pid a =
     let m = ref 0 in
-    for q = 0 to inst.n - 1 do
+    for q = 0 to n - 1 do
       if
         q <> pid
         && st.decisions.(q) < 0
         && (sleep land (1 lsl q) <> 0 || q < pid)
       then
-        match peek st q with
-        | Some aq when indep_action st q aq pid a -> m := !m lor (1 lsl q)
-        | _ -> ()
+        let aq = peek st q in
+        if aq <> unassigned && indep_action st q aq pid a then
+          m := !m lor (1 lsl q)
     done;
     !m
   and step st sleep pid k =
     let skey = st.skeys.(pid) in
-    match sigma_find skey with
-    | Some a ->
-        incr memo_h;
-        log_read skey (Some a);
-        (* the move is σ-determined: the state about to be built hangs
-           off the choice frame that wrote this entry *)
-        let chain' =
-          match Hashtbl.find_opt writer skey with
-          | Some ws -> ws :: st.chain
-          | None -> st.chain
-        in
-        apply st sleep pid a chain' k
-    | None ->
-        incr memo_m;
-        let ops_allowed = st.steps.(pid) < inst.depth in
-        let cands =
-          (if ops_allowed then
-             List.map (fun (obj, op) -> Do (obj, op)) (inst.candidates pid)
-           else [])
-          @ decide_candidates
-        in
-        (* the choice point observed σ(skey) unassigned: that is a
-           constraint of the ENCLOSING subproof (logged before the
-           step frame opens) *)
-        log_read skey None;
-        let fr = Tt.frame () in
-        stack := fr :: !stack;
-        let sn = !serial in
-        incr serial;
-        let chain' = sn :: st.chain in
-        (* purity per candidate: a candidate's [false] is a
-           self-contained subgame refutation exactly when the
-           step's continuation never ran during it — if [k] ran,
-           the failure involved obligations beyond this subgame
-           and the exhaustion below is context-dependent *)
-        let kran = ref 0 in
-        let kw () =
-          incr kran;
-          k ()
-        in
-        let all_pure = ref true in
-        let rec try_cands = function
-          | [] ->
-              (* natural exhaustion (conflict is clear here: every
-                 continue-branch below resets it).  If every
-                 candidate failed purely within its own subgame and
-                 the frame is clean, that is a position-determined
-                 no-good: (this position, this mover) exhausts
-                 under the frame's σ-support. *)
-              (if !all_pure then
-                 match Tt.refutation_fp fr with
-                 | Some _ as fp ->
-                     conflict := Some { Tt.c_fp = fp; c_chain = st.chain }
-                 | None -> ());
-              false
-          | a :: rest -> (
-              Hashtbl.replace sigma skey a;
-              Tt.log_write fr skey;
-              Hashtbl.replace writer skey sn;
-              let kb = !kran in
-              if apply st sleep pid a chain' kw then true
-              else begin
-                Hashtbl.remove sigma skey;
-                if !kran > kb then all_pure := false;
-                match !conflict with
-                | Some { Tt.c_fp = Some fp; c_chain }
-                  when not (List.mem sn c_chain) ->
-                    (* this choice does not form the refuted
-                       structure; if its σ-support is intact, any
-                       completed search through the remaining
-                       candidates would re-demand and re-derive the
-                       same refutation — backjump past them,
-                       propagating the conflict unchanged (its
-                       global argument does not depend on this
-                       frame).  The skip proves global failure
-                       only, so the subproof is tainted against
-                       refutation caching. *)
-                    if Tt.fp_valid ~find:sigma_find fp then begin
-                      incr tt_b;
-                      Tt.taint fr;
-                      false
-                    end
-                    else begin
-                      conflict := None;
-                      try_cands rest
-                    end
-                | Some _ | None ->
-                    (* our choice formed the refuted structure, or
-                       the support is unknown/invalidated: flipping
-                       the candidate genuinely reshapes the search
-                       — explore on *)
+    let a = sigma_find skey in
+    if a <> unassigned then begin
+      incr memo_h;
+      log_read skey a;
+      (* the move is σ-determined: the state about to be built hangs
+         off the choice frame that wrote this entry *)
+      apply st sleep pid a (g.Ctx.writer.(skey) :: st.chain) k
+    end
+    else begin
+      incr memo_m;
+      let cands =
+        if st.steps.(pid) < inst.depth then g.Ctx.cands.(pid)
+        else g.Ctx.decides
+      in
+      (* the choice point observed σ(skey) unassigned: that is a
+         constraint of the ENCLOSING subproof (logged before the
+         step frame opens) *)
+      log_read skey unassigned;
+      let fr = Tt.frame () in
+      stack := fr :: !stack;
+      let sn = !serial in
+      incr serial;
+      let chain' = sn :: st.chain in
+      (* purity per candidate: a candidate's [false] is a
+         self-contained subgame refutation exactly when the
+         step's continuation never ran during it — if [k] ran,
+         the failure involved obligations beyond this subgame
+         and the exhaustion below is context-dependent *)
+      let kran = ref 0 in
+      let kw () =
+        incr kran;
+        k ()
+      in
+      let all_pure = ref true in
+      let rec try_cands = function
+        | [] ->
+            (* natural exhaustion (conflict is clear here: every
+               continue-branch below resets it).  If every
+               candidate failed purely within its own subgame and
+               the frame is clean, that is a position-determined
+               no-good: (this position, this mover) exhausts
+               under the frame's σ-support. *)
+            (if !all_pure then
+               match Tt.refutation_fp fr with
+               | Some _ as fp ->
+                   conflict := Some { Tt.c_fp = fp; c_chain = st.chain }
+               | None -> ());
+            false
+        | a :: rest -> (
+            g.Ctx.sigma.(skey) <- a;
+            Tt.log_write fr skey;
+            g.Ctx.writer.(skey) <- sn;
+            let kb = !kran in
+            if apply st sleep pid a chain' kw then true
+            else begin
+              g.Ctx.sigma.(skey) <- unassigned;
+              if !kran > kb then all_pure := false;
+              match !conflict with
+              | Some { Tt.c_fp = Some fp; c_chain }
+                when not (List.mem sn c_chain) ->
+                  (* this choice does not form the refuted
+                     structure; if its σ-support is intact, any
+                     completed search through the remaining
+                     candidates would re-demand and re-derive the
+                     same refutation — backjump past them,
+                     propagating the conflict unchanged (its
+                     global argument does not depend on this
+                     frame).  The skip proves global failure
+                     only, so the subproof is tainted against
+                     refutation caching. *)
+                  if Tt.fp_valid ~find:sigma_find fp then begin
+                    incr tt_b;
+                    Tt.taint fr;
+                    false
+                  end
+                  else begin
                     conflict := None;
                     try_cands rest
-              end)
-        in
-        let ok = try_cands cands in
-        stack := List.tl !stack;
-        (match !stack with
-        | parent :: _ -> Tt.merge ~child:fr ~parent
-        | [] -> ());
-        ok
+                  end
+              | Some _ | None ->
+                  (* our choice formed the refuted structure, or
+                     the support is unknown/invalidated: flipping
+                     the candidate genuinely reshapes the search
+                     — explore on *)
+                  conflict := None;
+                  try_cands rest
+            end)
+      in
+      let ok = try_cands cands in
+      stack := List.tl !stack;
+      (match !stack with
+      | parent :: _ -> Tt.merge ~child:fr ~parent
+      | [] -> ());
+      ok
+    end
   and apply st sleep pid a chain k =
-    match a with
-    | Decide j ->
-        (* validity: j must have stepped, or be the decider *)
-        if j <> pid && st.stepped land (1 lsl j) = 0 then refuted chain
-        else if
-          (* a decision conflicting with one already output fails
-             here, not at the terminal agreement check *)
-          match pinned st with Some v -> v <> j | None -> false
-        then refuted chain
-        else
-          schedules
-            {
-              st with
-              decisions = set st.decisions pid j;
-              undecided = st.undecided - 1;
-              stepped = st.stepped lor (1 lsl pid);
-              chain;
-            }
-            (child_sleep st sleep pid a)
-            k
-    | Do (obj, op) -> (
-        if st.steps.(pid) >= inst.depth then refuted chain
-        else
-          match Env.apply inst.env st.env_state obj op with
-          | exception Object_spec.Unknown_operation _ -> refuted chain
-          | env_state, res ->
-              let view' = Value.list (res :: Value.as_list st.views.(pid)) in
-              schedules
-                {
-                  views = set st.views pid view';
-                  skeys = set st.skeys pid (sigma_key pid view');
-                  steps = set st.steps pid (st.steps.(pid) + 1);
-                  decisions = st.decisions;
-                  env_state;
-                  stepped = st.stepped lor (1 lsl pid);
-                  undecided = st.undecided;
-                  env_id = env_id env_state;
-                  chain;
-                }
-                (child_sleep st sleep pid a)
-                k)
+    if a >= ndo then begin
+      let j = a - ndo in
+      (* validity: j must have stepped, or be the decider *)
+      if j <> pid && st.stepped land (1 lsl j) = 0 then refuted chain
+      else if
+        (* a decision conflicting with one already output fails
+           here, not at the terminal agreement check *)
+        match pinned st with Some v -> v <> j | None -> false
+      then refuted chain
+      else
+        schedules
+          {
+            st with
+            decisions = set st.decisions pid j;
+            undecided = st.undecided - 1;
+            stepped = st.stepped lor (1 lsl pid);
+            chain;
+          }
+          (child_sleep st sleep pid a)
+          k
+    end
+    else if st.steps.(pid) >= inst.depth then refuted chain
+    else
+      let t = Ctx.transition g inst st.env_id a in
+      let env_id = g.Ctx.next_env.(t) in
+      if env_id < 0 then refuted chain
+      else
+        let skey' = Ctx.next_skey g ~n st.skeys.(pid) g.Ctx.next_res.(t) in
+        schedules
+          {
+            skeys = set st.skeys pid skey';
+            steps = set st.steps pid (st.steps.(pid) + 1);
+            decisions = st.decisions;
+            stepped = st.stepped lor (1 lsl pid);
+            undecided = st.undecided;
+            env_id;
+            chain;
+          }
+          (child_sleep st sleep pid a)
+          k
   in
   let flush_view_metrics () =
     let open Wfs_obs.Metrics in
     (* with a shared context the interner outlives the solve: flush
-       deltas since the last flush, not cumulative totals *)
-    let hb = ctx.Ctx.vh_flushed and lb = ctx.Ctx.vl_flushed in
-    ctx.Ctx.vh_flushed <- Intern.hits views;
-    ctx.Ctx.vl_flushed <- Intern.lookups views;
-    Counter.add M.view_intern_hits (Intern.hits views - hb);
-    Counter.add M.view_intern_lookups (Intern.lookups views - lb);
+       deltas since the last flush, not cumulative totals.  A memoized
+       view successor counts as a lookup that hit. *)
+    let views = g.Ctx.views in
+    let hits = Intern.hits views + g.Ctx.view_hits
+    and lookups = Intern.lookups views + g.Ctx.view_hits in
+    Counter.add M.view_intern_hits (hits - ctx.Ctx.vh_flushed);
+    Counter.add M.view_intern_lookups (lookups - ctx.Ctx.vl_flushed);
+    ctx.Ctx.vh_flushed <- hits;
+    ctx.Ctx.vl_flushed <- lookups;
     Gauge.set_max M.view_arena_size (Intern.size views)
   in
   Fun.protect ~finally:(fun () ->
@@ -605,17 +809,25 @@ let search ~max_nodes ~indep ~(ctx : Ctx.t) inst =
   let verdict =
     match schedules initial 0 (fun () -> true) with
     | true ->
+        let strategy = ref [] in
+        Array.iteri
+          (fun k c ->
+            if c <> unassigned then
+              strategy :=
+                {
+                  pid = k mod n;
+                  view = Intern.value g.Ctx.views (k / n);
+                  chosen = g.Ctx.actions.(c);
+                }
+                :: !strategy)
+          g.Ctx.sigma;
         Solvable
           (List.sort
              (fun a b ->
                match Int.compare a.pid b.pid with
                | 0 -> Value.compare a.view b.view
                | c -> c)
-             (Hashtbl.fold
-                (fun k chosen acc ->
-                  { pid = k mod n; view = Intern.value views (k / n); chosen }
-                  :: acc)
-                sigma []))
+             !strategy)
     | false -> Unsolvable
     | exception Budget -> Out_of_budget { nodes = !nodes }
   in
@@ -629,10 +841,6 @@ let solve_with_stats ?(max_nodes = 20_000_000) ?ctx inst =
     ~args:(fun () -> [ ("n", Wfs_obs.Json.int inst.n) ])
     "solver.solve"
     (fun () ->
-      let indep =
-        Wfs_obs.Profile.span ~cat:"solver" "solver.independence" (fun () ->
-            Independence.of_env inst.env)
-      in
       let ctx =
         match ctx with
         | Some c ->
@@ -645,7 +853,7 @@ let solve_with_stats ?(max_nodes = 20_000_000) ?ctx inst =
             c
         | None -> Ctx.create ~n:inst.n ()
       in
-      search ~max_nodes ~indep ~ctx inst)
+      search ~max_nodes ~ctx (Ctx.bind ctx inst) inst)
 
 let solve ?max_nodes ?ctx inst = fst (solve_with_stats ?max_nodes ?ctx inst)
 

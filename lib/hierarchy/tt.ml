@@ -66,16 +66,25 @@
      exists/forall game.  [c_fp = None] marks a conflict whose support
      is unknown (footprint overflow, or a mixed failure): it never
      justifies a skip, but keeps the invariant that every propagating
-     [false] carries an explicit conflict state. *)
+     [false] carries an explicit conflict state.
 
-type ('k, 'v) item = {
-  ik : 'k;
-  mutable iseen : 'v option;  (* value at first external read *)
+   Representation: σ-keys and σ-values are both dense ints — the
+   solver's [view_id * n + pid] keys and its per-context action codes,
+   with {!unassigned} (-1) for "no action".  Every comparison on the
+   hot path is an int compare, a footprint is one flat int array of
+   (key, value) pairs, and the store is an array indexed by the
+   interned position id. *)
+
+let unassigned = -1
+
+type item = {
+  ik : int;
+  mutable iseen : int;  (* value at first external read *)
   mutable iwrote : bool;  (* written inside the subproof *)
 }
 
-type ('k, 'v) frame = {
-  mutable items : ('k, 'v) item list;
+type frame = {
+  mutable items : item list;
   mutable nitems : int;
   mutable over : bool;  (* footprint exceeded [fp_cap]: not cacheable *)
   mutable tainted : bool;
@@ -90,21 +99,23 @@ type ('k, 'v) frame = {
          skip-derived). *)
 }
 
-type ('k, 'v) entry = {
+(* A footprint: [| k0; v0; k1; v1; … |], each consulted key followed by
+   the value the subproof requires of it. *)
+type fp = int array
+
+type entry = {
   e_true : bool;
   e_mask : int;  (* sleep mask at recording; checked for successes only *)
-  e_fp : ('k * 'v option) array;
+  e_fp : fp;
 }
 
-type ('k, 'v) conflict = {
-  c_fp : ('k * 'v option) array option;  (* None: support unknown, no skips *)
+type conflict = {
+  c_fp : fp option;  (* None: support unknown, no skips *)
   c_chain : int list;  (* serials of the choice frames forming the structure *)
 }
 
-type ('k, 'v) store = {
-  tbl : (int, ('k, 'v) entry list) Hashtbl.t;
-  mutable entries : int;
-}
+(* Position id -> entries there, newest first; grown on demand. *)
+type store = { mutable tbl : entry list array; mutable entries : int }
 
 (* Footprint cap: subproofs consulting more distinct σ-keys than this
    are not cached and never serve as conflicts.  Deliberately small —
@@ -121,7 +132,7 @@ let entry_cap = 4
 let frame () = { items = []; nitems = 0; over = false; tainted = false }
 let taint fr = fr.tainted <- true
 
-let rec find_item k = function
+let rec find_item (k : int) = function
   | [] -> None
   | it :: rest -> if it.ik = k then Some it else find_item k rest
 
@@ -147,7 +158,7 @@ let log_write fr k =
   if not fr.over then
     match find_item k fr.items with
     | Some it -> it.iwrote <- true
-    | None -> add_item fr { ik = k; iseen = None; iwrote = true }
+    | None -> add_item fr { ik = k; iseen = unassigned; iwrote = true }
 
 (* Child subproof exits: everything it consulted, its parent's subproof
    consulted too.  A key the parent already wrote stays internal to the
@@ -162,6 +173,22 @@ let merge ~child ~parent =
         else log_read parent it.ik it.iseen)
       child.items
 
+(* [flatten items keep value]: the footprint of the items [keep] admits,
+   each key paired with [value item], in item order. *)
+let flatten items keep value =
+  let m = List.fold_left (fun m it -> if keep it then m + 1 else m) 0 items in
+  let fp = Array.make (2 * m) 0 in
+  let j = ref 0 in
+  List.iter
+    (fun it ->
+      if keep it then begin
+        fp.(!j) <- it.ik;
+        fp.(!j + 1) <- value it;
+        j := !j + 2
+      end)
+    items;
+  fp
+
 (* Footprint of a pure refutation: external reads seen assigned.  The
    rest is dropped soundly (see the header).  Tainted frames yield
    nothing: their [false] rests on a backjump, which only proves global
@@ -170,13 +197,9 @@ let refutation_fp fr =
   if fr.over || fr.tainted then None
   else
     Some
-      (Array.of_list
-         (List.filter_map
-            (fun it ->
-              match (it.iwrote, it.iseen) with
-              | false, Some _ -> Some (it.ik, it.iseen)
-              | _ -> None)
-            fr.items))
+      (flatten fr.items
+         (fun it -> (not it.iwrote) && it.iseen <> unassigned)
+         (fun it -> it.iseen))
 
 (* Footprint of a clean success: exact, every key at its final value —
    writes re-read from the live σ at recording time. *)
@@ -184,46 +207,46 @@ let success_fp ~find fr =
   if fr.over then None
   else
     Some
-      (Array.of_list
-         (List.map
-            (fun it ->
-              if it.iwrote then (it.ik, find it.ik) else (it.ik, it.iseen))
-            fr.items))
+      (flatten fr.items
+         (fun _ -> true)
+         (fun it -> if it.iwrote then find it.ik else it.iseen))
 
-let fp_valid ~find fp =
+let fp_valid ~find (fp : fp) =
   let n = Array.length fp in
   let rec go i =
-    i >= n
-    ||
-    let k, expect = fp.(i) in
-    find k = expect && go (i + 1)
+    i >= n || (find fp.(i) = fp.(i + 1) && go (i + 2))
   in
   go 0
 
-type ('k, 'v) outcome =
-  | Replay of ('k, 'v) entry
+type outcome =
+  | Replay of entry
   | Miss of int  (* entries present but footprint/mask-rejected *)
 
 (* First entry whose side condition holds under the current σ and sleep
    mask wins; [Miss r] reports how many candidates were rejected, for
    the [solver.tt.footprint_rejects] accounting. *)
 let lookup store ~find ~pos ~mask =
-  match Hashtbl.find_opt store.tbl pos with
-  | None -> Miss 0
-  | Some entries ->
-      let rec scan rejected = function
-        | [] -> Miss rejected
-        | e :: rest ->
-            if
-              (if e.e_true then e.e_mask land lnot mask = 0 else true)
-              && fp_valid ~find e.e_fp
-            then Replay e
-            else scan (rejected + 1) rest
-      in
-      scan 0 entries
+  if pos >= Array.length store.tbl then Miss 0
+  else
+    let rec scan rejected = function
+      | [] -> Miss rejected
+      | e :: rest ->
+          if
+            (if e.e_true then e.e_mask land lnot mask = 0 else true)
+            && fp_valid ~find e.e_fp
+          then Replay e
+          else scan (rejected + 1) rest
+    in
+    scan 0 (Array.unsafe_get store.tbl pos)
 
 let record store ~pos entry =
-  let cur = Option.value ~default:[] (Hashtbl.find_opt store.tbl pos) in
+  let cap = Array.length store.tbl in
+  if pos >= cap then begin
+    let tbl = Array.make (max (pos + 1) (2 * cap)) [] in
+    Array.blit store.tbl 0 tbl 0 cap;
+    store.tbl <- tbl
+  end;
+  let cur = store.tbl.(pos) in
   let rec take n = function
     | [] -> []
     | _ when n = 0 -> []
@@ -231,7 +254,9 @@ let record store ~pos entry =
   in
   let kept = take (entry_cap - 1) cur in
   store.entries <- store.entries + 1 + List.length kept - List.length cur;
-  Hashtbl.replace store.tbl pos (entry :: kept)
+  store.tbl.(pos) <- entry :: kept
 
-let create () = { tbl = Hashtbl.create 4096; entries = 0 }
+(* small start: a context lives for one census row, and most rows
+   settle a few hundred positions *)
+let create () = { tbl = Array.make 64 []; entries = 0 }
 let entries store = store.entries

@@ -59,6 +59,86 @@ let test_shared_ctx () =
 
 (* --- census: engine rows = oracle rows --- *)
 
+let census_budget = 20_000
+
+(* A context is bound to the object of its first solve.  Reusing a
+   test-and-set context for swap-register used to replay test-and-set's
+   entries into swap-register's search: from initial state 1 at n=2,
+   d=1 it read UNSOLVABLE, where a fresh context finds a protocol. *)
+let test_ctx_binding () =
+  let tas = Zoo.test_and_set () and swap = Zoo.swap_register () in
+  let inst spec init = Solver.of_spec ~n:2 ~depth:1 { spec with Object_spec.init } in
+  let ctx = Solver.Ctx.create ~n:2 () in
+  (* every initialization of one object may share the context *)
+  List.iter
+    (fun init -> ignore (Solver.solve ~ctx (inst tas init)))
+    (Census.candidate_inits tas);
+  let swap1 = inst swap (Value.pid 1) in
+  Alcotest.(check bool)
+    "another object on a bound ctx is rejected" true
+    (match Solver.solve ~ctx swap1 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool)
+    "a fresh ctx solves swap-register from 1" true
+    (match Solver.solve swap1 with Solver.Solvable _ -> true | _ -> false);
+  (* a different menu for the same object name is another object too *)
+  let narrowed = Solver.of_spec ~n:2 ~depth:1 { tas with Object_spec.menu = [] } in
+  Alcotest.(check bool)
+    "same name, other menu is rejected" true
+    (match Solver.solve ~ctx narrowed with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* The census shares one context across a row's initializations: every
+   initialization it solves must read exactly as it does from a fresh
+   context.  Pairs where either side hits the budget are no verdicts
+   and are skipped; the count compared is pinned. *)
+let test_census_shared_ctx () =
+  let compared = ref 0 in
+  List.iter
+    (fun spec ->
+      let m = Census.measure ~max_nodes:census_budget spec in
+      let inits = Census.candidate_inits spec in
+      let check n depth (outcome, _) winning =
+        let ctx = Solver.Ctx.create ~n () in
+        (* the census's walk: initializations in order, up to the first
+           solvable one *)
+        let rec go capped = function
+          | [] -> ((if capped then Census.Budget else Census.Unsolvable), None)
+          | init :: rest -> (
+              let inst = Solver.of_spec ~n ~depth { spec with Object_spec.init } in
+              let shared = Solver.solve ~max_nodes:census_budget ~ctx inst in
+              let fresh = Solver.solve ~max_nodes:census_budget inst in
+              (match (shared, fresh) with
+              | Solver.Out_of_budget _, _ | _, Solver.Out_of_budget _ -> ()
+              | _ ->
+                  incr compared;
+                  Alcotest.(check (list string))
+                    (Fmt.str "%s n=%d init %a: shared = fresh"
+                       spec.Object_spec.name n Value.pp init)
+                    (verdict_sig fresh) (verdict_sig shared));
+              match shared with
+              | Solver.Solvable _ -> (Census.Solvable, Some init)
+              | Solver.Unsolvable -> go capped rest
+              | Solver.Out_of_budget _ -> go true rest)
+        in
+        let outcome', winning' = go false inits in
+        let name = Fmt.str "%s n=%d" spec.Object_spec.name n in
+        Alcotest.(check string)
+          (name ^ ": measure outcome")
+          (Fmt.str "%a" Census.pp_outcome outcome')
+          (Fmt.str "%a" Census.pp_outcome outcome);
+        Alcotest.(check bool)
+          (name ^ ": measure winning init") true
+          (Option.equal Value.equal winning' winning)
+      in
+      check 2 m.Census.depth2 m.Census.two_proc m.Census.winning_init2;
+      check 3 m.Census.depth3 m.Census.three_proc m.Census.winning_init3)
+    (Zoo.all ());
+  Alcotest.(check int) "initializations compared" 172 !compared
+
+
 (* Every zoo row at one budget per solver run: outcome and winning
    initialization from [Census.measure] against the oracle's row over
    the same candidate initializations.  A row in which either side hit
@@ -66,8 +146,6 @@ let test_shared_ctx () =
    skipped (the oracle may be capped on an initialization the engine
    solves, and then name a later winner); the count of rows actually
    compared is pinned so the test cannot go vacuous. *)
-let census_budget = 20_000
-
 let test_census_oracle () =
   let compared = ref 0 in
   List.iter
@@ -96,98 +174,105 @@ let test_census_oracle () =
 
 (* --- Tt: footprint machinery, directly --- *)
 
-(* σ models for the unit tests: an association list read through [find]. *)
-let find_of assoc k = List.assoc_opt k assoc
+(* σ models for the unit tests: an association list of σ-key to action
+   code, read through [find] ([Tt.unassigned] off the list). *)
+let find_of assoc k =
+  Option.value ~default:Tt.unassigned (List.assoc_opt k assoc)
 
-let fp_testable =
-  Alcotest.(option (array (pair int (option string))))
+let u = Tt.unassigned
 
-(* footprints are insertion-unordered: compare them sorted by key *)
-let sorted =
+(* footprints as (key, value) pairs, sorted by key: the flat array is
+   insertion-ordered *)
+let pairs =
   Option.map (fun fp ->
-      let fp = Array.copy fp in
-      Array.sort (fun (a, _) (b, _) -> compare a b) fp;
-      fp)
+      List.sort compare
+        (List.init (Array.length fp / 2) (fun i -> (fp.(2 * i), fp.((2 * i) + 1)))))
+
+let fp_testable = Alcotest.(option (list (pair int int)))
 
 let test_refutation_fp () =
-  let fr : (int, string) Tt.frame = Tt.frame () in
-  Tt.log_read fr 1 (Some "a");
-  Tt.log_read fr 2 None;
+  let fr = Tt.frame () in
+  Tt.log_read fr 1 10;
+  Tt.log_read fr 2 u;
   (* an unassigned read: dropped a fortiori *)
   Tt.log_write fr 3;
-  Tt.log_read fr 3 (Some "c");
+  Tt.log_read fr 3 30;
   (* own write: nets out of the refutation support *)
   Alcotest.check fp_testable "assigned external reads only"
-    (Some [| (1, Some "a") |])
-    (Tt.refutation_fp fr)
+    (Some [ (1, 10) ])
+    (pairs (Tt.refutation_fp fr))
 
 let test_success_fp () =
-  let fr : (int, string) Tt.frame = Tt.frame () in
-  Tt.log_read fr 1 (Some "a");
-  Tt.log_read fr 2 None;
+  let fr = Tt.frame () in
+  Tt.log_read fr 1 10;
+  Tt.log_read fr 2 u;
   Tt.log_write fr 3;
   (* writes are re-read through [find] at recording time: key 3 was
      since removed by backtracking, so it pins "required unassigned" *)
-  let fp = Tt.success_fp ~find:(find_of [ (1, "a") ]) fr in
+  let fp = Tt.success_fp ~find:(find_of [ (1, 10) ]) fr in
   Alcotest.check fp_testable "exact footprint, writes re-read"
-    (Some [| (1, Some "a"); (2, None); (3, None) |])
-    (sorted fp)
+    (Some [ (1, 10); (2, u); (3, u) ])
+    (pairs fp)
 
 let test_taint () =
-  let fr : (int, string) Tt.frame = Tt.frame () in
-  Tt.log_read fr 1 (Some "a");
+  let fr = Tt.frame () in
+  Tt.log_read fr 1 10;
   Tt.taint fr;
   Alcotest.check fp_testable "tainted frame yields no refutation footprint"
-    None (Tt.refutation_fp fr);
+    None (pairs (Tt.refutation_fp fr));
   Alcotest.(check bool)
     "taint leaves successes alone" true
-    (Tt.success_fp ~find:(find_of [ (1, "a") ]) fr <> None);
+    (Tt.success_fp ~find:(find_of [ (1, 10) ]) fr <> None);
   (* taint propagates through merge, exactly like overflow *)
-  let parent : (int, string) Tt.frame = Tt.frame () in
-  Tt.log_read parent 2 (Some "b");
+  let parent = Tt.frame () in
+  Tt.log_read parent 2 20;
   Tt.merge ~child:fr ~parent;
   Alcotest.check fp_testable "merge propagates taint" None
-    (Tt.refutation_fp parent)
+    (pairs (Tt.refutation_fp parent))
 
 let test_overflow () =
-  let fr : (int, string) Tt.frame = Tt.frame () in
+  let fr = Tt.frame () in
   for k = 0 to Tt.fp_cap do
-    Tt.log_read fr k (Some "v")
+    Tt.log_read fr k 7
   done;
-  Alcotest.check fp_testable "overflowed refutation" None (Tt.refutation_fp fr);
+  Alcotest.check fp_testable "overflowed refutation" None
+    (pairs (Tt.refutation_fp fr));
   Alcotest.check fp_testable "overflowed success" None
-    (Tt.success_fp ~find:(fun _ -> Some "v") fr)
+    (pairs (Tt.success_fp ~find:(fun _ -> 7) fr))
 
 let test_fp_valid () =
-  let fp = [| (1, Some "a"); (2, None) |] in
+  let fp = [| 1; 10; 2; u |] in
   Alcotest.(check bool)
     "agreeing σ validates" true
-    (Tt.fp_valid ~find:(find_of [ (1, "a"); (9, "z") ]) fp);
+    (Tt.fp_valid ~find:(find_of [ (1, 10); (9, 90) ]) fp);
   Alcotest.(check bool)
     "changed value invalidates" false
-    (Tt.fp_valid ~find:(find_of [ (1, "b") ]) fp);
+    (Tt.fp_valid ~find:(find_of [ (1, 11) ]) fp);
   Alcotest.(check bool)
     "required-unassigned now assigned invalidates" false
-    (Tt.fp_valid ~find:(find_of [ (1, "a"); (2, "x") ]) fp)
+    (Tt.fp_valid ~find:(find_of [ (1, 10); (2, 20) ]) fp)
 
 let test_lookup_replay () =
-  let store : (int, string) Tt.store = Tt.create () in
-  Tt.record store ~pos:7
-    { Tt.e_true = false; e_mask = 0; e_fp = [| (1, Some "a") |] };
-  (match Tt.lookup store ~find:(find_of [ (1, "a") ]) ~pos:7 ~mask:0 with
+  let store = Tt.create () in
+  Tt.record store ~pos:7 { Tt.e_true = false; e_mask = 0; e_fp = [| 1; 10 |] };
+  (match Tt.lookup store ~find:(find_of [ (1, 10) ]) ~pos:7 ~mask:0 with
   | Tt.Replay e -> Alcotest.(check bool) "refutation replays" false e.Tt.e_true
   | Tt.Miss _ -> Alcotest.fail "expected replay");
   (* σ moved off the footprint: the entry is rejected, and counted *)
-  (match Tt.lookup store ~find:(find_of [ (1, "b") ]) ~pos:7 ~mask:0 with
+  (match Tt.lookup store ~find:(find_of [ (1, 11) ]) ~pos:7 ~mask:0 with
   | Tt.Replay _ -> Alcotest.fail "stale entry must not replay"
   | Tt.Miss rejected ->
       Alcotest.(check int) "reject counted" 1 rejected);
-  match Tt.lookup store ~find:(find_of []) ~pos:3 ~mask:0 with
+  (match Tt.lookup store ~find:(find_of []) ~pos:3 ~mask:0 with
   | Tt.Replay _ -> Alcotest.fail "unknown position must miss"
-  | Tt.Miss rejected -> Alcotest.(check int) "clean miss" 0 rejected
+  | Tt.Miss rejected -> Alcotest.(check int) "clean miss" 0 rejected);
+  (* a position past every recorded one: the store grows on demand *)
+  match Tt.lookup store ~find:(find_of []) ~pos:100_000 ~mask:0 with
+  | Tt.Replay _ -> Alcotest.fail "unseen position must miss"
+  | Tt.Miss rejected -> Alcotest.(check int) "miss past the end" 0 rejected
 
 let test_mask_subsumption () =
-  let store : (int, string) Tt.store = Tt.create () in
+  let store = Tt.create () in
   (* a success proved with processes {0} asleep (mask 0b01) *)
   Tt.record store ~pos:1 { Tt.e_true = true; e_mask = 0b01; e_fp = [||] };
   let lookup mask = Tt.lookup store ~find:(find_of []) ~pos:1 ~mask in
@@ -206,24 +291,21 @@ let test_mask_subsumption () =
   | Tt.Miss _ -> Alcotest.fail "refutation must replay under any mask"
 
 let test_entry_cap () =
-  let store : (int, string) Tt.store = Tt.create () in
+  let store = Tt.create () in
   for i = 0 to Tt.entry_cap + 2 do
-    Tt.record store ~pos:1
-      { Tt.e_true = false; e_mask = 0; e_fp = [| (i, Some "x") |] }
+    Tt.record store ~pos:1 { Tt.e_true = false; e_mask = 0; e_fp = [| i; 5 |] }
   done;
   Alcotest.(check int)
     "eviction keeps the newest entry_cap entries" Tt.entry_cap
     (Tt.entries store);
   (* the newest entry survived... *)
   (match
-     Tt.lookup store
-       ~find:(find_of [ (Tt.entry_cap + 2, "x") ])
-       ~pos:1 ~mask:0
+     Tt.lookup store ~find:(find_of [ (Tt.entry_cap + 2, 5) ]) ~pos:1 ~mask:0
    with
   | Tt.Replay _ -> ()
   | Tt.Miss _ -> Alcotest.fail "newest entry must survive eviction");
   (* ...and the oldest was evicted *)
-  match Tt.lookup store ~find:(find_of [ (0, "x") ]) ~pos:1 ~mask:0 with
+  match Tt.lookup store ~find:(find_of [ (0, 5) ]) ~pos:1 ~mask:0 with
   | Tt.Replay _ -> Alcotest.fail "oldest entry must be evicted"
   | Tt.Miss _ -> ()
 
@@ -250,7 +332,12 @@ let test_fp_soundness_prop () =
         (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
         [] fp_list
     in
-    let fp = Array.of_list fp_list in
+    let fp =
+      Array.concat
+        (List.map
+           (fun (k, v) -> [| k; Option.value ~default:u v |])
+           fp_list)
+    in
     let sigma = List.filter_map (fun (k, v) -> Option.map (fun v -> (k, v)) v)
         fp_list
     in
@@ -359,8 +446,12 @@ let suite =
       [
         Alcotest.test_case "solver: oracle = engine" `Quick test_solver_oracle;
         Alcotest.test_case "solver: shared ctx replays" `Quick test_shared_ctx;
+        Alcotest.test_case "solver: ctx is bound to one object" `Quick
+          test_ctx_binding;
         Alcotest.test_case "census: oracle = engine rows" `Quick
           test_census_oracle;
+        Alcotest.test_case "census: shared ctx = fresh ctx per init" `Quick
+          test_census_shared_ctx;
         Alcotest.test_case "tt: refutation footprint" `Quick test_refutation_fp;
         Alcotest.test_case "tt: success footprint" `Quick test_success_fp;
         Alcotest.test_case "tt: taint blocks refutations" `Quick test_taint;
