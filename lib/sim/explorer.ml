@@ -435,36 +435,47 @@ let terminal_key node =
 
 type sight = Over_budget | Terminal | Fresh
 
-let truncate r cause =
-  if r.r_truncation = None then r.r_truncation <- Some cause;
-  Over_budget
+(* The budget checks on a first sight at [depth]: [false], recording
+   which budget ran out, when the run may claim no more states there. *)
+let within_budget r ~visited ~max_states ~max_depth depth =
+  let truncate cause =
+    if r.r_truncation = None then r.r_truncation <- Some cause;
+    false
+  in
+  if Atomic.get visited >= max_states then truncate Budget_states
+  else if depth >= max_depth then truncate Budget_depth
+  else true
 
-(* First sight of [node] at [depth], [visited] counting the run's
-   claimed states: the budget checks, then the claim — counted, flushed
-   live in batches of 1024 — and either a terminal, recorded and handed
-   to [on_terminal], or a node to expand. *)
-let admit r ~visited ~max_states ~max_depth ~on_terminal node depth =
-  if Atomic.get visited >= max_states then truncate r Budget_states
-  else if depth >= max_depth then truncate r Budget_depth
-  else begin
-    Atomic.incr visited;
-    r.r_claimed <- r.r_claimed + 1;
-    if r.r_claimed land 1023 = 0 then begin
-      flush_claims r;
-      Wfs_obs.Metrics.Gauge.set M.frontier depth
-    end;
-    if is_terminal node then begin
-      Value.Tbl.replace r.r_terminals (terminal_key node)
-        {
-          decisions = Array.copy node.decided;
-          who_stepped = node.stepped;
-          who_crashed = node.crashed;
-        };
-      on_terminal node;
-      Terminal
-    end
-    else Fresh
+(* The claim of a first-seen [node] within budget, [visited] counting
+   the run's claimed states — counted, flushed live in batches of
+   1024 — and [true] for a node to expand, [false] for a terminal,
+   recorded and handed to [on_terminal]. *)
+let claim r ~visited ~on_terminal node depth =
+  Atomic.incr visited;
+  r.r_claimed <- r.r_claimed + 1;
+  if r.r_claimed land 1023 = 0 then begin
+    flush_claims r;
+    Wfs_obs.Metrics.Gauge.set M.frontier depth
+  end;
+  if is_terminal node then begin
+    Value.Tbl.replace r.r_terminals (terminal_key node)
+      {
+        decisions = Array.copy node.decided;
+        who_stepped = node.stepped;
+        who_crashed = node.crashed;
+      };
+    on_terminal node;
+    false
   end
+  else true
+
+(* First sight of [node] at [depth]: the budget checks, then the
+   claim. *)
+let admit r ~visited ~max_states ~max_depth ~on_terminal node depth =
+  if not (within_budget r ~visited ~max_states ~max_depth depth) then
+    Over_budget
+  else if claim r ~visited ~on_terminal node depth then Fresh
+  else Terminal
 
 (* --- the walk: cycle detection with the longest-path DP fused in ---
 
@@ -475,19 +486,21 @@ let admit r ~visited ~max_states ~max_depth ~on_terminal node depth =
    frame's [f_best] ([settle]), so the DP needs no second traversal
    and deep graphs cannot overflow the OCaml stack.
 
-   What a first-seen node is comes from the caller's [first]: skipped
-   (over budget — left white, folded into nothing), a leaf (zero
-   bounds), or an inner node with its successors' pid codes and an
-   opaque ['c] holding the successors themselves, which [id_of] turns
-   into ids one at a time.  The sequential engine interns and expands
-   there; the parallel engine's phase 2 reads its merged adjacency.
+   [id_of] turns the opaque ['c] holding a frame's successors into ids
+   one at a time, given the depth they are met at; it answers [-1] for
+   a successor it refuses (over budget), which is then folded into
+   nothing and keeps no id, colour or bounds slot.  What a first-seen
+   node is comes from the caller's [first]: a leaf (zero bounds), or
+   an inner node with its successors' pid codes and their ['c].  The
+   sequential engine interns and expands there; the parallel engine's
+   phase 2 reads its merged adjacency.
 
    Crash edges are coded [-2 - pid] in the pid arrays: [settle] adds
    the +1 step only when its pid argument matches a real process index,
    so a crash edge folds the child's bounds in verbatim — crashing is
    not a step of anyone. *)
 
-type 'c visit = Skip | Leaf | Inner of int array * 'c
+type 'c visit = Leaf | Inner of int array * 'c
 
 type 'c frame = {
   f_id : int;
@@ -546,35 +559,36 @@ let walk ~n ~size_hint ~id_of ~first root =
     let depth = Stack.length stack in
     if depth > !deepest then deepest := depth;
     incr visits;
-    let id = id_of kids i in
-    ensure id;
-    let c = Bytes.get !colors id in
-    if c = gray then begin
-      incr hits;
-      cyclic := true
-    end
-    else if c = black then begin
-      incr hits;
-      settle !bounds.(id)
-    end
+    let id = id_of kids i depth in
+    if id < 0 then ()
     else begin
-      match first kids i id depth with
-      | Skip -> ()
-      | Leaf ->
-          Bytes.set !colors id black;
-          !bounds.(id) <- zeros;
-          settle zeros
-      | Inner (pids, kids) ->
-          Bytes.set !colors id gray;
-          Stack.push
-            {
-              f_id = id;
-              f_pids = pids;
-              f_kids = kids;
-              f_next = 0;
-              f_best = Array.make n 0;
-            }
-            stack
+      ensure id;
+      let c = Bytes.get !colors id in
+      if c = gray then begin
+        incr hits;
+        cyclic := true
+      end
+      else if c = black then begin
+        incr hits;
+        settle !bounds.(id)
+      end
+      else
+        match first kids i id depth with
+        | Leaf ->
+            Bytes.set !colors id black;
+            !bounds.(id) <- zeros;
+            settle zeros
+        | Inner (pids, kids) ->
+            Bytes.set !colors id gray;
+            Stack.push
+              {
+                f_id = id;
+                f_pids = pids;
+                f_kids = kids;
+                f_next = 0;
+                f_best = Array.make n 0;
+              }
+              stack
     end;
     id
   in
@@ -594,7 +608,7 @@ let walk ~n ~size_hint ~id_of ~first root =
   done;
   {
     w_cyclic = !cyclic;
-    w_root_bounds = !bounds.(root_id);
+    w_root_bounds = (if root_id < 0 then [||] else !bounds.(root_id));
     w_visits = !visits;
     w_hits = !hits;
     w_deepest = !deepest;
@@ -675,23 +689,23 @@ let explore_fast ~max_states ~max_depth ~crashes ~indep ~on_terminal config =
   let tbl = Intern.Strings.create ~size_hint () in
   let r = prec_make () in
   let visited = Atomic.make 0 in
-  (* a walk child is slot [i] of (successor nodes, arrival masks) *)
+  (* a walk child is slot [i] of (successor nodes, arrival masks); the
+     budget is decided before a new state is interned, so a truncated
+     run keeps nothing of the states it refuses *)
+  let id_of (nodes, _) i depth =
+    Intern.Strings.intern_if tbl (key nodes.(i)) (fun () ->
+        within_budget r ~visited ~max_states ~max_depth depth)
+  in
   let first (nodes, masks) i _id depth =
     let node = nodes.(i) in
-    match
-      admit r ~visited ~max_states ~max_depth ~on_terminal node depth
-    with
-    | Over_budget -> Skip
-    | Terminal -> Leaf
-    | Fresh -> (
-        match expand ~crashes ~indep config r node masks.(i) with
-        | None -> Leaf
-        | Some (pids, nodes, masks) -> Inner (pids, (nodes, masks)))
+    if not (claim r ~visited ~on_terminal node depth) then Leaf
+    else
+      match expand ~crashes ~indep config r node masks.(i) with
+      | None -> Leaf
+      | Some (pids, nodes, masks) -> Inner (pids, (nodes, masks))
   in
   let w =
-    walk ~n:(Array.length config.procs) ~size_hint
-      ~id_of:(fun (nodes, _) i -> Intern.Strings.intern tbl (key nodes.(i)))
-      ~first
+    walk ~n:(Array.length config.procs) ~size_hint ~id_of ~first
       ([| initial config |], [| 0 |])
   in
   let open Wfs_obs.Metrics in
@@ -851,7 +865,7 @@ let explore_par ~pool ~max_states ~max_depth ~crashes ~indep ~on_terminal
   let w =
     Wfs_obs.Profile.span ~cat:"explore" "explore.phase2" (fun () ->
         walk ~n:(Array.length config.procs) ~size_hint:sz
-          ~id_of:(fun dsts i -> dsts.(i))
+          ~id_of:(fun dsts i _ -> dsts.(i))
           ~first:(fun _ _ id _ ->
             if Array.length adj_pids.(id) = 0 then Leaf
             else Inner (adj_pids.(id), adj_dsts.(id)))

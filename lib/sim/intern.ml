@@ -41,17 +41,27 @@ module Make (K : Hashtbl.HashedType) = struct
   let create ?(size_hint = 4096) () =
     { ids = Tbl.create (max 16 size_hint); size = 0; lookups = 0; hits = 0 }
 
+  let add t k =
+    let id = t.size in
+    t.size <- id + 1;
+    Tbl.replace t.ids k id;
+    id
+
   let intern t k =
     t.lookups <- t.lookups + 1;
     match Tbl.find_opt t.ids k with
     | Some id ->
         t.hits <- t.hits + 1;
         id
-    | None ->
-        let id = t.size in
-        t.size <- id + 1;
-        Tbl.replace t.ids k id;
+    | None -> add t k
+
+  let intern_if t k admit =
+    t.lookups <- t.lookups + 1;
+    match Tbl.find_opt t.ids k with
+    | Some id ->
+        t.hits <- t.hits + 1;
         id
+    | None -> if admit () then add t k else -1
 
   let size t = t.size
   let lookups t = t.lookups

@@ -37,7 +37,14 @@ module type S = sig
   val hits : t -> int
 end
 
-module Make (K : Hashtbl.HashedType) : S with type key = K.t
+module Make (K : Hashtbl.HashedType) : sig
+  include S with type key = K.t
+
+  (** [intern_if t k admit]: the id of [k] if it is already interned;
+      otherwise the next fresh id if [admit ()] holds, else [-1] with
+      nothing stored.  Counts one lookup either way. *)
+  val intern_if : t -> key -> (unit -> bool) -> int
+end
 
 (** [Value.t] keys under the full-depth {!Value.hash_full}, decodable. *)
 include S with type key = Value.t
@@ -49,8 +56,13 @@ val value : t -> int -> Value.t
 (** Small [int array] keys, hashed FNV-1a over the elements. *)
 module Ints : S with type key = int array
 
-(** Packed string keys (see [Explorer.key]). *)
-module Strings : S with type key = string
+(** Packed string keys (see [Explorer.key]), with [Make]'s
+    [intern_if]. *)
+module Strings : sig
+  include S with type key = string
+
+  val intern_if : t -> key -> (unit -> bool) -> int
+end
 
 (** Lock-striped interner of packed string keys, shared across domains.
 

@@ -301,6 +301,24 @@ let test_explorer_truncation_metrics_distinguish_causes () =
   Alcotest.(check int) "depth budget counted" 1 (counter "explorer.truncated.depth");
   Alcotest.(check int) "states budget not counted" 0 (counter "explorer.truncated.states")
 
+(* A truncated run interns only the states it admits: a successor
+   refused by the budget keeps no key, so the interner ends exactly as
+   large as the state count. *)
+let test_explorer_truncation_interns_admitted_only () =
+  List.iter
+    (fun (label, run) ->
+      Metrics.reset ();
+      let stats = run () in
+      Alcotest.(check bool) (label ^ ": truncated") true stats.Explorer.truncated;
+      Alcotest.(check (option int))
+        (label ^ ": interned = admitted")
+        (Some stats.Explorer.states)
+        (Metrics.gauge_value "explorer.intern.arena_size"))
+    [
+      ("depth", fun () -> Explorer.explore ~max_depth:2 (tas_config ()));
+      ("states", fun () -> Explorer.explore ~max_states:3 (tas_config ()));
+    ]
+
 (* [explorer.frontier] is a live gauge: set at the batched flushes
    while a run is in progress, and back to 0 once the run ends, with
    or without a pool.  augmented-queue n=4 reaches 2713 states, so the
@@ -536,6 +554,8 @@ let suite =
           test_documented_metrics_fed;
         Alcotest.test_case "truncation causes distinguished" `Quick
           test_explorer_truncation_metrics_distinguish_causes;
+        Alcotest.test_case "truncated runs intern admitted states only" `Quick
+          test_explorer_truncation_interns_admitted_only;
         Alcotest.test_case "frontier reset when a run ends" `Quick
           test_explorer_frontier_reset;
       ] );
