@@ -48,7 +48,15 @@
      frames that formed the refuted structure); an existential choice
      point outside that set whose σ-support is still intact skips its
      remaining candidates, because re-exploring them provably re-derives
-     the same refutation. *)
+     the same refutation.
+
+   The search and both layers run on dense ints.  σ is an array of
+   action codes indexed by σ-key [view_id * n + pid]; actions are coded
+   once per context ([Ctx]); and the context memoizes each
+   (environment, action) move, each (σ-key, result) view extension and
+   each Do/Do independence verdict.  [Env.apply], [Env.encode], view
+   interning and the semantic diamond thus run once per context and
+   key, not once per node, and a node hashes no [Value.t]. *)
 
 open Wfs_spec
 open Wfs_sim
@@ -412,9 +420,11 @@ end
    subgame ever reads them — so dropping them canonicalizes more
    positions together.  Remaining (not consumed) steps make entries
    depth-transposable: the subgame below a position depends only on how
-   many operations each process may still take. *)
-let position_key ~depth ~n positions st =
-  let buf = Array.make (2 + n + (2 * st.undecided)) 0 in
+   many operations each process may still take.  [bufs.(u)] is the
+   scratch key for [u] undecided processes; only a fresh key is copied
+   into [positions]. *)
+let position_key ~depth ~n ~bufs positions st =
+  let buf = bufs.(st.undecided) in
   buf.(0) <- st.env_id;
   buf.(1) <- st.stepped;
   let j = ref (2 + n) in
@@ -426,7 +436,7 @@ let position_key ~depth ~n positions st =
       j := !j + 2
     end
   done;
-  Intern.Ints.intern positions buf
+  Intern.Ints.intern_copy positions buf
 
 (* The strategy table σ maps (pid, local view) to the chosen action's
    code: an int array indexed by the σ-key [view_id * n + pid], with
@@ -483,6 +493,7 @@ let search ~max_nodes ~(ctx : Ctx.t) (g : Ctx.game) (inst : instance) =
   let log_read key seen =
     match !stack with fr :: _ -> Tt.log_read fr key seen | [] -> ()
   in
+  let bufs = Array.init (n + 1) (fun u -> Array.make (2 + n + (2 * u)) 0) in
   let empty = Value.list [] in
   let initial =
     {
@@ -540,7 +551,7 @@ let search ~max_nodes ~(ctx : Ctx.t) (g : Ctx.game) (inst : instance) =
       end
     end
     else
-      let pos = position_key ~depth:inst.depth ~n g.Ctx.positions st in
+      let pos = position_key ~depth:inst.depth ~n ~bufs g.Ctx.positions st in
       match Tt.lookup g.Ctx.store ~find:sigma_find ~pos ~mask:sleep with
       | Tt.Replay e ->
           incr tt_h;

@@ -37,14 +37,20 @@ val of_spec :
   ?extra_candidates:(string * Op.t) list ->
   n:int -> depth:int -> Object_spec.t -> instance
 
-(** Shared solver context: the view/env/position intern arenas and the
-    transposition store, reusable across solves of the SAME arity [n] —
-    the census threads one context through every depth cell (and every
-    candidate initial state) of an (object, n) row, so later solves
-    replay subgames classified by earlier ones.  Positions encode
-    remaining (not consumed) step budget, which is what makes entries
-    transpose across different depth bounds; σ-footprints keep reuse
-    sound even though each solve grows a fresh strategy table. *)
+(** Shared solver context: the intern arenas, the action codes, the
+    transition and independence memos, the strategy table and the
+    transposition store of ONE object, reusable across solves of the
+    same arity [n] — the census threads one context through every depth
+    cell (and every candidate initial state) of an (object, n) row, so
+    later solves replay subgames classified by earlier ones.  Positions
+    encode remaining (not consumed) step budget, which is what makes
+    entries transpose across different depth bounds; σ-footprints keep
+    reuse sound even though each solve grows a fresh strategy.
+
+    The first solve binds the context to its instance's object: the
+    objects' names and menus and every process's candidate list.
+    Later solves may start from other initial states and bounds, but
+    not on another object. *)
 module Ctx : sig
   type t
 
@@ -54,9 +60,13 @@ module Ctx : sig
   val tt_entries : t -> int
 end
 
-(** [solve inst] runs the search.  The strategy table is keyed by
-    interned view ids ([Wfs_sim.Intern], full-depth hashing), and a
-    decision conflicting with one already output fails at decide time.
+(** [solve inst] runs the search.  Its hot path runs on dense ints:
+    the strategy table is an array indexed by [view_id * n + pid]
+    (views interned with [Wfs_sim.Intern], full-depth hashing) holding
+    per-context action codes, and each (environment, action) move and
+    each view extension is computed once per context and then read
+    from a memo.  A decision conflicting with one already output fails
+    at decide time.
 
     Two sound reductions sit on the chronological exists/forall search;
     neither changes a verdict or a synthesized strategy, only the node
@@ -72,13 +82,14 @@ end
       with the σ-entries the recorded subproof consulted, and backjumps
       past existential choice points a refutation never touched.
 
-    [ctx] (must match the instance's [n]) shares arenas and the
-    transposition store across solves, as the census does per row;
-    without it each solve builds a fresh one.  The unreduced search is
-    kept as a test oracle (test/solver_oracle.ml), not as a mode.
+    [ctx] shares arenas, memos and the transposition store across
+    solves of one object, as the census does per row; without it each
+    solve builds a fresh one.  The unreduced search is kept as a test
+    oracle (test/solver_oracle.ml), not as a mode.
 
-    Raises [Invalid_argument] when [max_nodes < 0]; a budget of 0 is
-    legal (every non-trivial instance is then [Out_of_budget]).
+    Raises [Invalid_argument] when [max_nodes < 0], and when [ctx] was
+    built for another [n] or is bound to another object; a budget of 0
+    is legal (every non-trivial instance is then [Out_of_budget]).
 
     Each run feeds [solver.runs], [solver.nodes],
     [solver.cutoff.sleep], the [solver.tt.hits] /

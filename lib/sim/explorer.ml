@@ -693,8 +693,13 @@ let explore_fast ~max_states ~max_depth ~crashes ~indep ~on_terminal config =
      budget is decided before a new state is interned, so a truncated
      run keeps nothing of the states it refuses *)
   let id_of (nodes, _) i depth =
-    Intern.Strings.intern_if tbl (key nodes.(i)) (fun () ->
-        within_budget r ~visited ~max_states ~max_depth depth)
+    let k = key nodes.(i) in
+    match Intern.Strings.find tbl k with
+    | -1 ->
+        if within_budget r ~visited ~max_states ~max_depth depth then
+          Intern.Strings.add tbl k
+        else -1
+    | id -> id
   in
   let first (nodes, masks) i _id depth =
     let node = nodes.(i) in

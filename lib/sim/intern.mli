@@ -40,10 +40,15 @@ end
 module Make (K : Hashtbl.HashedType) : sig
   include S with type key = K.t
 
-  (** [intern_if t k admit]: the id of [k] if it is already interned;
-      otherwise the next fresh id if [admit ()] holds, else [-1] with
-      nothing stored.  Counts one lookup either way. *)
-  val intern_if : t -> key -> (unit -> bool) -> int
+  (** [find t k] is the id of [k] if it is interned, else [-1]; it
+      counts as one lookup, and as a hit when found.  With {!add} it
+      splits {!S.intern} for callers that decide only after a miss
+      whether the key is to be kept. *)
+  val find : t -> key -> int
+
+  (** [add t k] stores a key that {!find} just missed and returns its
+      fresh id. *)
+  val add : t -> key -> int
 end
 
 (** [Value.t] keys under the full-depth {!Value.hash_full}, decodable. *)
@@ -54,14 +59,22 @@ include S with type key = Value.t
 val value : t -> int -> Value.t
 
 (** Small [int array] keys, hashed FNV-1a over the elements. *)
-module Ints : S with type key = int array
+module Ints : sig
+  include S with type key = int array
 
-(** Packed string keys (see [Explorer.key]), with [Make]'s
-    [intern_if]. *)
+  (** [intern_copy t k] is [intern t k], except that a fresh [k] is
+      stored as a copy: the caller may refill [k] and reuse it as a
+      scratch buffer. *)
+  val intern_copy : t -> key -> int
+end
+
+(** Packed string keys (see [Explorer.key]), with [Make]'s [find] and
+    [add]. *)
 module Strings : sig
   include S with type key = string
 
-  val intern_if : t -> key -> (unit -> bool) -> int
+  val find : t -> key -> int
+  val add : t -> key -> int
 end
 
 (** Lock-striped interner of packed string keys, shared across domains.
