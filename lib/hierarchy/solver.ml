@@ -203,14 +203,17 @@ end)
    transition memo and the recorded footprints all speak about that
    one object. *)
 module Ctx = struct
-  type binding = (string * string * Op.t list) list * (string * Op.t) list array
+  (* per object: its name, type name and menu; per pid: its candidates *)
+  type binding =
+    (string * string * Op.t list) list * (string * Op.t) list array
 
   type game = {
     binding : binding;
     actions : action array;
         (* code -> action: Do codes in [0, ndo), then Decide j at ndo + j *)
     ndo : int;
-    cands : int list array;  (* per pid: its Do codes in menu order, every Decide *)
+    cands : int list array;
+        (* per pid: its Do codes in menu order, then every Decide *)
     decides : int list;  (* the Decide codes, for a process out of steps *)
     indep : Independence.t;
     views : Intern.t;
@@ -310,13 +313,16 @@ module Ctx = struct
     let b = binding inst in
     match t.game with
     | Some g ->
-        if g.binding <> b then
+        if g.binding <> b then begin
+          let names (objs, _) =
+            String.concat ", " (List.map (fun (_, s, _) -> s) objs)
+          in
           invalid_arg
             (Fmt.str
                "Solver.solve: shared ctx is bound to another object \
                 (ctx: %s, instance: %s)"
-               (String.concat ", " (List.map (fun (_, s, _) -> s) (fst g.binding)))
-               (String.concat ", " (List.map (fun (_, s, _) -> s) (fst b))));
+               (names g.binding) (names b))
+        end;
         g
     | None ->
         let g = make inst b in
@@ -367,9 +373,10 @@ module Ctx = struct
     end;
     t
 
-  (* σ-key of the view [res :: view(skey)], memoized per (σ-key,
-     result): the [Value.t] view is built and interned only on a
-     miss. *)
+  (* σ-key of the view [res :: view(sk)], memoized per (σ-key,
+     result): the [Value.t] view is built and interned only on a miss.
+     The pair packs into one int because both are dense intern ids,
+     far below 2^31. *)
   let next_skey g ~n sk res =
     let k = (sk lsl 31) lor res in
     match Int_tbl.find g.next_view k with

@@ -237,7 +237,7 @@ let lookup store ~find ~pos ~mask =
           then Replay e
           else scan (rejected + 1) rest
     in
-    scan 0 (Array.unsafe_get store.tbl pos)
+    scan 0 store.tbl.(pos)
 
 let record store ~pos entry =
   let cap = Array.length store.tbl in

@@ -309,7 +309,8 @@ let test_explorer_truncation_interns_admitted_only () =
     (fun (label, run) ->
       Metrics.reset ();
       let stats = run () in
-      Alcotest.(check bool) (label ^ ": truncated") true stats.Explorer.truncated;
+      Alcotest.(check bool)
+        (label ^ ": truncated") true stats.Explorer.truncated;
       Alcotest.(check (option int))
         (label ^ ": interned = admitted")
         (Some stats.Explorer.states)

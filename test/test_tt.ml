@@ -67,7 +67,9 @@ let census_budget = 20_000
    d=1 it read UNSOLVABLE, where a fresh context finds a protocol. *)
 let test_ctx_binding () =
   let tas = Zoo.test_and_set () and swap = Zoo.swap_register () in
-  let inst spec init = Solver.of_spec ~n:2 ~depth:1 { spec with Object_spec.init } in
+  let inst spec init =
+    Solver.of_spec ~n:2 ~depth:1 { spec with Object_spec.init }
+  in
   let ctx = Solver.Ctx.create ~n:2 () in
   (* every initialization of one object may share the context *)
   List.iter
@@ -83,7 +85,9 @@ let test_ctx_binding () =
     "a fresh ctx solves swap-register from 1" true
     (match Solver.solve swap1 with Solver.Solvable _ -> true | _ -> false);
   (* a different menu for the same object name is another object too *)
-  let narrowed = Solver.of_spec ~n:2 ~depth:1 { tas with Object_spec.menu = [] } in
+  let narrowed =
+    Solver.of_spec ~n:2 ~depth:1 { tas with Object_spec.menu = [] }
+  in
   Alcotest.(check bool)
     "same name, other menu is rejected" true
     (match Solver.solve ~ctx narrowed with
@@ -107,7 +111,9 @@ let test_census_shared_ctx () =
         let rec go capped = function
           | [] -> ((if capped then Census.Budget else Census.Unsolvable), None)
           | init :: rest -> (
-              let inst = Solver.of_spec ~n ~depth { spec with Object_spec.init } in
+              let inst =
+                Solver.of_spec ~n ~depth { spec with Object_spec.init }
+              in
               let shared = Solver.solve ~max_nodes:census_budget ~ctx inst in
               let fresh = Solver.solve ~max_nodes:census_budget inst in
               (match (shared, fresh) with
@@ -186,7 +192,8 @@ let u = Tt.unassigned
 let pairs =
   Option.map (fun fp ->
       List.sort compare
-        (List.init (Array.length fp / 2) (fun i -> (fp.(2 * i), fp.((2 * i) + 1)))))
+        (List.init (Array.length fp / 2) (fun i ->
+             (fp.(2 * i), fp.((2 * i) + 1)))))
 
 let fp_testable = Alcotest.(option (list (pair int int)))
 
