@@ -429,7 +429,7 @@ end
    depth-transposable: the subgame below a position depends only on how
    many operations each process may still take.  [bufs.(u)] is the
    scratch key for [u] undecided processes; only a fresh key is copied
-   into [positions]. *)
+   into [positions], so a node allocates no key. *)
 let position_key ~depth ~n ~bufs positions st =
   let buf = bufs.(st.undecided) in
   buf.(0) <- st.env_id;
@@ -443,7 +443,9 @@ let position_key ~depth ~n ~bufs positions st =
       j := !j + 2
     end
   done;
-  Intern.Ints.intern_copy positions buf
+  match Intern.Ints.find positions buf with
+  | -1 -> Intern.Ints.add positions (Array.copy buf)
+  | id -> id
 
 (* The strategy table σ maps (pid, local view) to the chosen action's
    code: an int array indexed by the σ-key [view_id * n + pid], with

@@ -26,6 +26,13 @@ module type S = sig
   val hits : t -> int
 end
 
+module type Split = sig
+  include S
+
+  val find : t -> key -> int
+  val add : t -> key -> int
+end
+
 module Make (K : Hashtbl.HashedType) = struct
   module Tbl = Hashtbl.Make (K)
 
@@ -55,13 +62,14 @@ module Make (K : Hashtbl.HashedType) = struct
         id
     | None -> add t k
 
+  (* a hit allocates nothing *)
   let find t k =
     t.lookups <- t.lookups + 1;
-    match Tbl.find_opt t.ids k with
-    | Some id ->
+    match Tbl.find t.ids k with
+    | id ->
         t.hits <- t.hits + 1;
         id
-    | None -> -1
+    | exception Not_found -> -1
 
   let size t = t.size
   let lookups t = t.lookups
@@ -112,36 +120,23 @@ let value t id =
    int encodings (a handful of ids and bitmasks): FNV-1a over the
    elements beats the generic polymorphic hash without seeding
    concerns. *)
-module Ints = struct
-  include Make (struct
-    type t = int array
+module Ints = Make (struct
+  type t = int array
 
-    let equal (a : int array) b =
-      let la = Array.length a in
-      la = Array.length b
-      &&
-      let rec eq i = i >= la || (a.(i) = b.(i) && eq (i + 1)) in
-      eq 0
+  let equal (a : int array) b =
+    let la = Array.length a in
+    la = Array.length b
+    &&
+    let rec eq i = i >= la || (a.(i) = b.(i) && eq (i + 1)) in
+    eq 0
 
-    let hash (a : int array) =
-      let h = ref 0x811c9dc5 in
-      for i = 0 to Array.length a - 1 do
-        h := (!h lxor a.(i)) * 0x01000193
-      done;
-      !h land max_int
-  end)
-
-  (* The caller's key is often a scratch buffer refilled per lookup: a
-     hit allocates nothing, and only a fresh key is copied into the
-     table. *)
-  let intern_copy t k =
-    t.lookups <- t.lookups + 1;
-    match Tbl.find t.ids k with
-    | id ->
-        t.hits <- t.hits + 1;
-        id
-    | exception Not_found -> add t (Array.copy k)
-end
+  let hash (a : int array) =
+    let h = ref 0x811c9dc5 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x01000193
+    done;
+    !h land max_int
+end)
 
 (* [String.hash] mixes every byte of the key. *)
 module Strings = Make (String)

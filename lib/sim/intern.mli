@@ -37,19 +37,22 @@ module type S = sig
   val hits : t -> int
 end
 
-module Make (K : Hashtbl.HashedType) : sig
-  include S with type key = K.t
+(** {!S} with {!S.intern} split in two, for callers that decide only
+    after a miss whether, or in what form, the key is to be kept. *)
+module type Split = sig
+  include S
 
   (** [find t k] is the id of [k] if it is interned, else [-1]; it
-      counts as one lookup, and as a hit when found.  With {!add} it
-      splits {!S.intern} for callers that decide only after a miss
-      whether the key is to be kept. *)
+      counts as one lookup, and as a hit when found. *)
   val find : t -> key -> int
 
   (** [add t k] stores a key that {!find} just missed and returns its
-      fresh id. *)
+      fresh id.  The key is captured: callers must not mutate it
+      afterwards. *)
   val add : t -> key -> int
 end
+
+module Make (K : Hashtbl.HashedType) : Split with type key = K.t
 
 (** [Value.t] keys under the full-depth {!Value.hash_full}, decodable. *)
 include S with type key = Value.t
@@ -59,23 +62,10 @@ include S with type key = Value.t
 val value : t -> int -> Value.t
 
 (** Small [int array] keys, hashed FNV-1a over the elements. *)
-module Ints : sig
-  include S with type key = int array
+module Ints : Split with type key = int array
 
-  (** [intern_copy t k] is [intern t k], except that a fresh [k] is
-      stored as a copy: the caller may refill [k] and reuse it as a
-      scratch buffer. *)
-  val intern_copy : t -> key -> int
-end
-
-(** Packed string keys (see [Explorer.key]), with [Make]'s [find] and
-    [add]. *)
-module Strings : sig
-  include S with type key = string
-
-  val find : t -> key -> int
-  val add : t -> key -> int
-end
+(** Packed string keys (see [Explorer.key]). *)
+module Strings : Split with type key = string
 
 (** Lock-striped interner of packed string keys, shared across domains.
 
