@@ -449,7 +449,9 @@ let position_key ~depth ~n ~bufs positions st =
 
 (* The strategy table σ maps (pid, local view) to the chosen action's
    code: an int array indexed by the σ-key [view_id * n + pid], with
-   [Tt.unassigned] for an open entry. *)
+   [Tt.unassigned] for an open entry.  It lives in the context and is
+   cleared when a solve starts: a solvable or budget-cut solve leaves
+   its entries behind. *)
 let search ~max_nodes ~(ctx : Ctx.t) (g : Ctx.game) (inst : instance) =
   let n = inst.n in
   let ndo = g.Ctx.ndo in

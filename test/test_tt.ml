@@ -61,10 +61,11 @@ let test_shared_ctx () =
 
 let census_budget = 20_000
 
-(* A context is bound to the object of its first solve.  Reusing a
-   test-and-set context for swap-register used to replay test-and-set's
-   entries into swap-register's search: from initial state 1 at n=2,
-   d=1 it read UNSOLVABLE, where a fresh context finds a protocol. *)
+(* A context is bound to the object of its first solve.  Without the
+   binding, a test-and-set context reused for swap-register replays
+   test-and-set's entries into swap-register's search: from initial
+   state 1 at n=2, d=1 it reads UNSOLVABLE, where a fresh context finds
+   a protocol. *)
 let test_ctx_binding () =
   let tas = Zoo.test_and_set () and swap = Zoo.swap_register () in
   let inst spec init =
@@ -143,7 +144,6 @@ let test_census_shared_ctx () =
       check 3 m.Census.depth3 m.Census.three_proc m.Census.winning_init3)
     (Zoo.all ());
   Alcotest.(check int) "initializations compared" 172 !compared
-
 
 (* Every zoo row at one budget per solver run: outcome and winning
    initialization from [Census.measure] against the oracle's row over
